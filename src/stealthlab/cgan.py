@@ -150,7 +150,7 @@ def generator_loss(ids_model: IdsModel, disc: Discriminator,
     cls = nn.kl_categorical(probs, target)
     safe_probs = np.maximum(probs, nn.PROB_CLAMP)
     d_probs = (np.log(safe_probs / target) + 1.0) / n
-    _, dx_cls = ids_model.net.backward(d_probs)
+    _, dx_cls = ids_model.net.backward(d_probs, param_grads=False)
 
     # stealth term: stay close to real benign telemetry
     diff = x_adv - x_benign
@@ -163,7 +163,7 @@ def generator_loss(ids_model: IdsModel, disc: Discriminator,
     gan = float(-np.log(d_clamped).mean())
     d_dout = np.where((d_out > nn.PROB_CLAMP) & (d_out < 1.0 - nn.PROB_CLAMP),
                       -1.0 / (d_clamped * d_out.size), 0.0)
-    _, dx_gan = disc.net.backward(d_dout)
+    _, dx_gan = disc.net.backward(d_dout, param_grads=False)
 
     for name, value in (("cls", cls), ("stealth", stealth), ("gan", gan)):
         if not np.isfinite(value):

@@ -295,8 +295,18 @@ class Manifest:
         self.path = Path(out_dir) / MANIFEST_NAME
         self.payload = {"config_digest": None, "stages": {}, "timings": {}}
         if self.path.exists():
-            with open(self.path, "r", encoding="utf-8") as fh:
-                self.payload = json.load(fh)
+            try:
+                with open(self.path, "r", encoding="utf-8") as fh:
+                    payload = json.load(fh)
+            except ValueError:          # truncated JSON or bad UTF-8
+                payload = None
+            if not (isinstance(payload, dict)
+                    and isinstance(payload.get("stages"), dict)
+                    and isinstance(payload.get("timings"), dict)):
+                raise ParseError(
+                    f"{self.path}: corrupt manifest; delete it and rerun the "
+                    f"stages from '{_STAGE_COMMAND['data']}'")
+            self.payload = payload
 
     def record(self, stage: str, digest: str, artifacts: list[Path],
                meta: dict, wall_clock: float, out_dir: Path) -> None:

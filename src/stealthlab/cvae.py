@@ -155,18 +155,24 @@ class ElboResult:
     loss: float          # recon + kl_weight * kl, meaned over the batch
     recon: float         # mean per-sample reconstruction NLL
     kl: float            # mean per-sample posterior KL
-    grads: list[np.ndarray] | None   # encoder params then decoder params
+    # encoder params then decoder params; encoder params only when the loss
+    # was taken with encoder_only; None without with_grads
+    grads: list[np.ndarray] | None
 
 
 def elbo_loss(model: CvaeModel, x: np.ndarray,
               labels: np.ndarray | None = None,
               rng: np.random.Generator | None = None,
               noise: np.ndarray | None = None, kl_weight: float = 1.0,
-              with_grads: bool = True) -> ElboResult:
+              with_grads: bool = True,
+              encoder_only: bool = False) -> ElboResult:
     """Single-draw negative ELBO and its gradients for every parameter.
 
     Pass `noise` to freeze the reparameterization draw (gradient checks,
-    per-sample refits); otherwise it is drawn from `rng`.
+    per-sample refits); otherwise it is drawn from `rng`. With
+    `encoder_only` the decoder is backpropagated for its input gradient
+    alone and `grads` holds only the encoder gradients, bitwise equal to
+    the encoder prefix of the full list.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     n = x.shape[0]
@@ -204,7 +210,8 @@ def elbo_loss(model: CvaeModel, x: np.ndarray,
     clamp_open = (dec_out > nn.PROB_CLAMP) & (dec_out < 1.0 - nn.PROB_CLAMP)
     d_probs = np.where(clamp_open,
                        (probs - x) / (probs * (1.0 - probs) * n), 0.0)
-    dec_grads, d_dec_in = model.decoder.backward(d_probs)
+    dec_grads, d_dec_in = model.decoder.backward(
+        d_probs, param_grads=not encoder_only)
     dz = d_dec_in[:, :model.latent_dim]
 
     d_mu = dz + kl_weight * mu / n
@@ -213,6 +220,8 @@ def elbo_loss(model: CvaeModel, x: np.ndarray,
     logvar_open = (raw_logvar > LOGVAR_MIN) & (raw_logvar < LOGVAR_MAX)
     enc_upstream = np.hstack([d_mu, np.where(logvar_open, d_logvar, 0.0)])
     enc_grads, _ = model.encoder.backward(enc_upstream)
+    if encoder_only:
+        return ElboResult(loss, recon, kl, enc_grads)
     return ElboResult(loss, recon, kl, enc_grads + dec_grads)
 
 

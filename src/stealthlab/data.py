@@ -98,8 +98,10 @@ def load_csv(path) -> Dataset:
         name_to_id = {n.lower(): i for i, n in enumerate(CLASS_NAMES)}
         features = []
         labels = []
+        blank_rows = []
         for row_no, row in enumerate(reader, start=2):
             if not row:
+                blank_rows.append(row_no)
                 continue
             if len(row) != len(header):
                 raise ParseError(
@@ -134,7 +136,18 @@ def load_csv(path) -> Dataset:
             features.append(feats)
     if not features:
         raise SchemaError(f"{path}: no data rows")
-    return Dataset(np.vstack(features), np.asarray(labels, dtype=np.int64),
+    features = np.vstack(features)
+    # float() accepts "nan" and "inf": one check on the whole matrix, and the
+    # cell is located only when it fails
+    if not np.isfinite(features).all():
+        index, col = np.argwhere(~np.isfinite(features))[0]
+        row_no = int(index) + 2
+        for blank in blank_rows:        # skipped blank rows shift the count
+            row_no += blank <= row_no
+        raise ParseError(
+            f"{path}: row {row_no}, column '{feature_names[col]}': "
+            f"non-finite value {float(features[index, col])}")
+    return Dataset(features, np.asarray(labels, dtype=np.int64),
                    feature_names, list(CLASS_NAMES))
 
 

@@ -203,9 +203,12 @@ def score_regret(model: CvaeModel, batch: np.ndarray,
     """Best ELBO improvement from `steps` encoder-only Adam refits per sample.
 
     Each sample gets a frozen reparameterization draw seeded from its
-    content, the refit runs on a throwaway copy of the encoder, and the
-    reported regret is best-minus-initial, so it is never negative. Samples
-    whose refit diverges are dropped and counted in n_invalid.
+    content, and the reported regret is best-minus-initial, so it is never
+    negative. One work copy of the encoder and one Adam state serve every
+    sample: before each refit the copy gets the trained weights back and
+    the optimiser its initial state. Each step backpropagates the decoder
+    for its input gradient only. Samples whose refit diverges are dropped
+    and counted in n_invalid.
     """
     batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     if sample_ids is None:
@@ -213,25 +216,29 @@ def score_regret(model: CvaeModel, batch: np.ndarray,
     sample_ids = np.asarray(sample_ids, dtype=np.int64)
     kept_ids, kept_tags, kept_scores, kept_labels = [], [], [], []
     n_invalid = 0
-    n_enc_params = len(model.encoder.params())
+    work = CvaeModel(model.encoder.copy(), model.decoder, model.latent_dim,
+                     model.conditional, model.n_classes)
+    trained, refit = model.encoder.params(), work.encoder.params()
+    optimiser = nn.adam_init(refit, config.learning_rate)
     for i, row in enumerate(batch):
         label = None if labels is None else int(labels[i])
         row_seed = stable_hash(config.seed, "regret", row.tobytes(),
                                -1 if label is None else label)
         noise = np.random.default_rng(row_seed).standard_normal(
             (1, model.latent_dim))
-        work = CvaeModel(model.encoder.copy(), model.decoder,
-                         model.latent_dim, model.conditional, model.n_classes)
+        for dst, src in zip(refit, trained):
+            np.copyto(dst, src)
+        optimiser.reset()
         row_labels = None if label is None else np.array([label])
-        optimiser = nn.adam_init(work.encoder.params(), config.learning_rate)
         try:
-            result = elbo_loss(work, row[None, :], row_labels, noise=noise)
+            result = elbo_loss(work, row[None, :], row_labels, noise=noise,
+                               encoder_only=True)
             initial = -result.loss
             best = initial
             for _ in range(config.steps):
-                nn.adam_step(optimiser, work.encoder.params(),
-                             result.grads[:n_enc_params])
-                result = elbo_loss(work, row[None, :], row_labels, noise=noise)
+                nn.adam_step(optimiser, refit, result.grads)
+                result = elbo_loss(work, row[None, :], row_labels,
+                                   noise=noise, encoder_only=True)
                 best = max(best, -result.loss)
         except NumericError:
             n_invalid += 1

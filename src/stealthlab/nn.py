@@ -5,6 +5,12 @@ All math runs in float64 on row-major numpy arrays: a batch is
 deliberately small -- dense layers, five activations, reverse-mode gradients
 from a cached forward pass, and a deterministic Adam. The reference path is
 single threaded; the same seed produces the same bits every run.
+
+Two paths avoid work without changing a bit of any result: `adam_step`
+updates each tensor in place, walking it in cache-sized chunks through two
+preallocated scratch buffers in the textbook operation order, and
+`Mlp.backward(..., param_grads=False)` propagates only the input gradient
+when the caller would throw the weight gradients away.
 """
 
 from __future__ import annotations
@@ -139,13 +145,16 @@ class Mlp:
             raise StateError("no cached forward pass")
         return self._cache[-1][1]
 
-    def backward(self, upstream: np.ndarray,
-                 from_logits: bool = False) -> tuple[list[np.ndarray], np.ndarray]:
+    def backward(self, upstream: np.ndarray, from_logits: bool = False,
+                 param_grads: bool = True
+                 ) -> tuple[list[np.ndarray] | None, np.ndarray]:
         """Backprop `upstream` through the cached forward pass.
 
         `upstream` is dLoss/dOutput, or dLoss/dLogits when `from_logits`
         (the final activation is then skipped, for fused losses). Returns
         (parameter gradients ordered [dW0, db0, dW1, db1, ...], dLoss/dInput).
+        With `param_grads=False` the db/dW products are skipped and the first
+        element is None; dLoss/dInput is bitwise the same either way.
         """
         if self._cache is None:
             raise StateError("backward called without a cached forward pass")
@@ -161,9 +170,12 @@ class Mlp:
                 dz = grad
             else:
                 dz = _activation_backward(layer.activation, grad, z, out)
-            grads.append(dz.sum(axis=0))          # db
-            grads.append(x_in.T @ dz)             # dW
+            if param_grads:
+                grads.append(dz.sum(axis=0))      # db
+                grads.append(x_in.T @ dz)         # dW
             grad = dz @ layer.weights.T
+        if not param_grads:
+            return None, grad
         grads.reverse()
         return grads, grad
 
@@ -285,6 +297,13 @@ def kl_categorical(p: np.ndarray, q: np.ndarray) -> float:
 # Adam
 # ---------------------------------------------------------------------------
 
+# Elements per in-place Adam pass: a chunk of p, g, m, v and the two scratch
+# buffers stays in L2 across all the passes over it. On a 2-core Xeon (2 MiB
+# L2 per core) an encoder-sized step (177,808 elements) took the same time
+# with 32k and 64k chunks, 6% more with 16k and 20% more with 8k.
+ADAM_CHUNK = 32768
+
+
 @dataclass
 class AdamState:
     learning_rate: float = 0.001
@@ -294,6 +313,15 @@ class AdamState:
     step_count: int = 0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
+    # (2, n) float64 scratch for adam_step, n <= ADAM_CHUNK; made on first use
+    scratch: np.ndarray | None = field(default=None, repr=False,
+                                       compare=False)
+
+    def reset(self) -> None:
+        """Back to the freshly initialised state: zero moments, step 0."""
+        for moment in self.m + self.v:
+            moment.fill(0.0)
+        self.step_count = 0
 
 
 def adam_init(params: list[np.ndarray], learning_rate: float = 0.001,
@@ -308,24 +336,58 @@ def adam_init(params: list[np.ndarray], learning_rate: float = 0.001,
 
 def adam_step(state: AdamState, params: list[np.ndarray],
               grads: list[np.ndarray]) -> list[np.ndarray]:
-    """One bias-corrected Adam update, applied to `params` in place."""
+    """One bias-corrected Adam update, applied to `params` in place.
+
+    Every shape, layout and gradient is checked before anything is written,
+    so a failed step leaves params, moments and step_count untouched. Each
+    tensor is then walked in ADAM_CHUNK-element slices; every operation
+    writes through `out=` into the slice itself or into the state's two
+    scratch buffers. The operations and their order are those of
+
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + (1 - beta2) * g * g
+        p -= lr * (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps)
+
+    so the result is bitwise that of the whole-tensor formula.
+    """
     if len(params) != len(state.m) or len(grads) != len(params):
         raise ShapeError("params/grads do not match the optimiser state")
-    for i, (p, g) in enumerate(zip(params, grads)):
+    for i, (p, g, m, v) in enumerate(zip(params, grads, state.m, state.v)):
         if p.shape != g.shape:
             raise ShapeError(f"gradient shape mismatch for parameter {i}")
+        if not (p.flags.c_contiguous and m.flags.c_contiguous
+                and v.flags.c_contiguous):
+            raise ShapeError(f"parameter {i} or its moments are not "
+                             f"C-contiguous; they cannot be updated in place")
         if not np.isfinite(g).all():
             raise NumericError(f"non-finite gradient for parameter {i}")
+    chunk = min(ADAM_CHUNK, max((p.size for p in params), default=0))
+    if state.scratch is None or state.scratch.shape[1] < chunk:
+        state.scratch = np.empty((2, chunk))
     state.step_count += 1
-    correction1 = 1.0 - state.beta1 ** state.step_count
-    correction2 = 1.0 - state.beta2 ** state.step_count
+    beta1, beta2 = state.beta1, state.beta2
+    lr, eps = state.learning_rate, state.epsilon
+    correction1 = 1.0 - beta1 ** state.step_count
+    correction2 = 1.0 - beta2 ** state.step_count
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= state.learning_rate * (m / correction1) / (
-            np.sqrt(v / correction2) + state.epsilon)
+        p, g, m, v = (t.reshape(-1) for t in (p, g, m, v))
+        for lo in range(0, p.size, ADAM_CHUNK):
+            ps, gs, ms, vs = (t[lo:lo + ADAM_CHUNK] for t in (p, g, m, v))
+            a, b = state.scratch[0, :ps.size], state.scratch[1, :ps.size]
+            np.multiply(ms, beta1, out=ms)
+            np.multiply(gs, 1.0 - beta1, out=a)
+            np.add(ms, a, out=ms)
+            np.multiply(vs, beta2, out=vs)
+            np.multiply(gs, 1.0 - beta2, out=a)
+            np.multiply(a, gs, out=a)
+            np.add(vs, a, out=vs)
+            np.divide(vs, correction2, out=a)
+            np.sqrt(a, out=a)
+            np.add(a, eps, out=a)
+            np.divide(ms, correction1, out=b)
+            np.multiply(b, lr, out=b)
+            np.divide(b, a, out=b)
+            np.subtract(ps, b, out=ps)
     return params
 
 

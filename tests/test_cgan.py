@@ -149,6 +149,25 @@ class TestGeneratorLoss:
         assert only_stealth.stealth == pytest.approx(
             float((diff * diff).sum() / 5), rel=1e-12)
 
+    def test_input_only_backprop_is_bit_identical(self, monkeypatch):
+        ids_model, disc, gen, x_att, x_ben, noise, labels = self.toy_parts(3)
+        config = cgan.GanConfig(lambda_cls=1.1, lambda_stealth=4.0,
+                                lambda_gan=0.3)
+        delta = cgan.generate_perturbation(gen, noise, labels)
+        fast = cgan.generator_loss(ids_model, disc, x_att, delta, x_ben,
+                                   config)
+        full_backward = nn.Mlp.backward
+
+        def always_full(net, upstream, from_logits=False, param_grads=True):
+            return full_backward(net, upstream, from_logits)
+
+        monkeypatch.setattr(nn.Mlp, "backward", always_full)
+        full = cgan.generator_loss(ids_model, disc, x_att, delta, x_ben,
+                                   config)
+        assert ((fast.total, fast.cls, fast.stealth, fast.gan)
+                == (full.total, full.cls, full.stealth, full.gan))
+        assert np.array_equal(fast.d_delta, full.d_delta)
+
     def test_gradcheck_through_generator_params(self):
         # smooth toy stack (tanh everywhere), inputs away from clip corners
         ids_model, disc, gen, x_att, x_ben, noise, labels = self.toy_parts(2)

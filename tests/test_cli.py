@@ -163,6 +163,40 @@ class TestExitCodes:
         assert rc == 5
         assert "i/o error" in capsys.readouterr().err
 
+    def test_nan_csv_cell_is_5(self, tmp_path, capsys):
+        ds = data.synth_generate(data.SyntheticSpec(
+            samples_per_class=10, separation=0.3, std=0.05, seed=3))
+        ds.features[4, 2] = np.nan
+        csv_path = tmp_path / "telemetry.csv"
+        data.save_csv(csv_path, ds)
+        path = write_config(tmp_path / "csv.json", {
+            "schema_version": 1,
+            "dataset": {"source": "csv", "csv_path": str(csv_path)}})
+        rc = cli.main(["ingest", "--config", path, "--out",
+                       str(tmp_path / "out")])
+        assert rc == 5
+        err = capsys.readouterr().err
+        assert "i/o error" in err
+        assert "row 6, column 'f02': non-finite value nan" in err
+
+    @pytest.mark.parametrize("text", ['{"stages": {"data": {"art', "[]",
+                                      "\udcff"],
+                             ids=["truncated", "not-a-record", "bad-utf8"])
+    def test_corrupt_manifest_is_5(self, tiny_config, tmp_path, capsys,
+                                   text):
+        out = tmp_path / "out"
+        assert cli.main(["synth", "--config", tiny_config, "--out",
+                         str(out)]) == 0
+        manifest = out / cli.MANIFEST_NAME
+        manifest.write_bytes(text.encode("utf-8", "surrogateescape"))
+        rc = cli.main(["train-ids", "--config", tiny_config, "--out",
+                       str(out)])
+        assert rc == 5
+        err = capsys.readouterr().err
+        assert "i/o error" in err
+        assert str(manifest) in err
+        assert "corrupt manifest" in err and "rerun" in err
+
     def test_missing_csv_file_is_5(self, tmp_path, capsys):
         path = write_config(tmp_path / "csv.json", {
             "schema_version": 1,

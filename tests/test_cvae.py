@@ -151,6 +151,23 @@ class TestElbo:
         with pytest.raises(NumericError, match="reconstruction"):
             cvae.elbo_loss(model, x, noise=np.zeros((1, 1)))
 
+    def test_encoder_only_grads_are_the_encoder_prefix(self):
+        model = toy_model(15)
+        rng = derive_rng(16, "enc-only")
+        x = rng.uniform(0.2, 0.8, size=(3, 4))
+        labels = np.array([1, 0, 3])
+        noise = rng.standard_normal((3, 3))
+        full = cvae.elbo_loss(model, x, labels, noise=noise, kl_weight=0.4)
+        enc = cvae.elbo_loss(model, x, labels, noise=noise, kl_weight=0.4,
+                             encoder_only=True)
+        n_enc = len(model.encoder.params())
+        assert len(full.grads) == len(model.params())
+        assert len(enc.grads) == n_enc
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(enc.grads, full.grads[:n_enc]))
+        assert (enc.loss, enc.recon, enc.kl) == (full.loss, full.recon,
+                                                 full.kl)
+
     def test_gradcheck_with_frozen_noise(self):
         model = toy_model(13)
         rng = derive_rng(14, "gc")

@@ -54,6 +54,22 @@ class TestCsv:
             data.load_csv(path)
         assert "row" in str(err.value) and "col" in str(err.value)
 
+    @pytest.mark.parametrize("cell", ["nan", "-inf", "Infinity"])
+    def test_non_finite_cell_names_position(self, tmp_path, cell):
+        ds = tiny_dataset()
+        path = tmp_path / "data.csv"
+        data.save_csv(path, ds)
+        lines = path.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[7] = cell
+        lines[3] = ",".join(cells)
+        # blank rows are skipped but still count towards the row number
+        lines[1:1] = ["", ""]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError,
+                           match="row 6, column 'f07': non-finite"):
+            data.load_csv(path)
+
     def test_unknown_label_rejected(self, tmp_path):
         ds = tiny_dataset()
         path = tmp_path / "data.csv"

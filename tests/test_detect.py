@@ -365,6 +365,17 @@ class TestRegret:
         assert np.array_equal(scores.scores, again.scores)
         assert np.array_equal(scores.labels_used, labels)
 
+    def test_batch_scores_equal_rows_scored_alone(self, lab):
+        # the work encoder and optimiser carried across rows leak nothing
+        batch = lab["test"].features[:4]
+        labels = lab["test"].labels[:4]
+        config = detect.RegretConfig(steps=4, seed=3)
+        together = detect.score_regret(lab["cvae"], batch, labels, config)
+        alone = [detect.score_regret(lab["cvae"], batch[i:i + 1],
+                                     labels[i:i + 1], config).scores[0]
+                 for i in range(4)]
+        assert np.array_equal(together.scores, np.array(alone))
+
     def test_already_optimal_sample_has_tiny_regret(self):
         model = flat_cvae(mu=[0.0], probs=[0.5, 0.5])
         scores = detect.score_regret(model, np.array([[0.5, 0.5]]), None,

@@ -117,6 +117,19 @@ class TestBackward:
         for got, want in zip(grads, fd):
             assert relative_error(got, want) <= 1e-4
 
+    @pytest.mark.parametrize("rows", [1, 4])
+    @pytest.mark.parametrize("from_logits", [False, True])
+    def test_input_only_backward_matches_full(self, rows, from_logits, rng):
+        net = toy_net([5, 7, 6, 3], ["relu", "tanh", "softmax"], seed=4)
+        upstream = rng.standard_normal((rows, 3))
+        net.forward(rng.uniform(size=(rows, 5)), keep_cache=True)
+        grads, dx_full = net.backward(upstream, from_logits=from_logits)
+        none, dx = net.backward(upstream, from_logits=from_logits,
+                                param_grads=False)
+        assert len(grads) == 6
+        assert none is None
+        assert np.array_equal(dx, dx_full)
+
     def test_ce_gradient_rows_sum_to_zero(self, rng):
         logits = rng.standard_normal((10, 5))
         labels = rng.integers(0, 5, size=10)
@@ -172,6 +185,21 @@ class TestLosses:
             assert nn.kl_categorical(p, q) >= -1e-12
 
 
+def reference_adam_step(state, params, grads):
+    """The whole-tensor Kingma & Ba update, the formula adam_step must match
+    bit for bit (same operations, same order, temporaries allowed)."""
+    state.step_count += 1
+    correction1 = 1.0 - state.beta1 ** state.step_count
+    correction2 = 1.0 - state.beta2 ** state.step_count
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * g * g
+        p -= state.learning_rate * (m / correction1) / (
+            np.sqrt(v / correction2) + state.epsilon)
+
+
 class TestAdam:
     def test_first_step_magnitude(self):
         params = [np.array([1.0])]
@@ -189,11 +217,67 @@ class TestAdam:
         nn.adam_step(state, params, grads)
         assert np.all(params[0] < before)
 
-    def test_non_finite_gradient_raises(self):
+    def test_non_finite_gradient_raises(self, rng):
         params = [np.array([1.0])]
         state = nn.adam_init(params, learning_rate=0.001)
         with pytest.raises(NumericError):
             nn.adam_step(state, params, [np.array([np.nan])])
+        # a bad gradient late in the list stops the step before any tensor,
+        # moment or the step count changes
+        shapes = [(3, 4), (nn.ADAM_CHUNK + 5,), (2,)]
+        params = [rng.standard_normal(s) for s in shapes]
+        state = nn.adam_init(params, learning_rate=0.01)
+        nn.adam_step(state, params, [rng.standard_normal(s) for s in shapes])
+        before = [a.copy() for a in params + state.m + state.v]
+        grads = [rng.standard_normal(s) for s in shapes]
+        grads[2][1] = np.nan
+        with pytest.raises(NumericError, match="parameter 2"):
+            nn.adam_step(state, params, grads)
+        assert state.step_count == 1
+        after = params + state.m + state.v
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+    def test_matches_whole_tensor_formula_bitwise(self, rng):
+        # one element, exactly one chunk, and two and a half chunks (2-d)
+        shapes = [(1,), (nn.ADAM_CHUNK,), (5, nn.ADAM_CHUNK // 2)]
+        params = [rng.standard_normal(s) for s in shapes]
+        expected = [p.copy() for p in params]
+        state = nn.adam_init(params, learning_rate=0.003)
+        ref_state = nn.adam_init(expected, learning_rate=0.003)
+        for step in range(4):
+            grads = [rng.standard_normal(s) * 10.0 ** (step - 2)
+                     for s in shapes]
+            nn.adam_step(state, params, grads)
+            reference_adam_step(ref_state, expected, grads)
+        assert state.step_count == ref_state.step_count == 4
+        for got, want in zip(params + state.m + state.v,
+                             expected + ref_state.m + ref_state.v):
+            assert np.array_equal(got, want)
+        assert state.scratch.shape == (2, nn.ADAM_CHUNK)
+
+    def test_reset_matches_a_fresh_state(self, rng):
+        params = [rng.standard_normal((3, 2)), rng.standard_normal(2)]
+        start = [p.copy() for p in params]
+        grads = [rng.standard_normal((3, 2)), rng.standard_normal(2)]
+        state = nn.adam_init(params, learning_rate=0.01)
+        nn.adam_step(state, params, grads)
+        nn.adam_step(state, params, grads)
+        state.reset()
+        for p, p0 in zip(params, start):
+            np.copyto(p, p0)
+        fresh_params = [p.copy() for p in start]
+        fresh = nn.adam_init(fresh_params, learning_rate=0.01)
+        nn.adam_step(state, params, grads)
+        nn.adam_step(fresh, fresh_params, grads)
+        for got, want in zip(params + state.m + state.v,
+                             fresh_params + fresh.m + fresh.v):
+            assert np.array_equal(got, want)
+
+    def test_non_contiguous_parameter_rejected(self):
+        params = [np.zeros((4, 4))[:, ::2]]
+        state = nn.adam_init(params)
+        with pytest.raises(ShapeError, match="C-contiguous"):
+            nn.adam_step(state, params, [np.ones((4, 2))])
 
     def test_loss_decreases_on_separable_toy(self):
         rng = derive_rng(7, "sep-toy")
