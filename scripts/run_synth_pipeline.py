@@ -16,7 +16,7 @@ import sys
 import time
 from pathlib import Path
 
-from stealthlab.cli import default_synth_config, run_stage
+from stealthlab.cli import RunConfig, run_stage
 
 STAGES = ["data", "ids", "gan", "cvae", "sweep", "detect", "report"]
 
@@ -27,7 +27,7 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    config = default_synth_config(out_dir=args.out, seed=args.seed)
+    config = RunConfig(seed=args.seed, out_dir=args.out)
     started = time.perf_counter()
     for stage in STAGES:
         t0 = time.perf_counter()

@@ -31,19 +31,6 @@ DEFAULT_ETA_MAX = 0.8
 
 
 @dataclass
-class RefinementConfig:
-    epsilon: float = 0.05     # per-feature deviation budget
-    n_ref: int = 35           # refinement steps
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be > 0")
-        if self.n_ref < 0:
-            raise ValueError("n_ref must be >= 0")
-
-
-@dataclass
 class OodConfig:
     noise_scale: float = 0.3  # std of the additive Gaussian noise
     seed: int = 0
@@ -51,15 +38,6 @@ class OodConfig:
     def __post_init__(self):
         if self.noise_scale <= 0.0:
             raise ValueError("noise_scale must be > 0")
-
-
-@dataclass
-class AdversarialBatch:
-    x_att: np.ndarray
-    x_adv: np.ndarray
-    # running maximum of the infinity-norm deviation after each step
-    max_dev_trace: np.ndarray
-    config: RefinementConfig
 
 
 @dataclass
@@ -90,12 +68,16 @@ def refine_trajectory(gen: Generator, x_att: np.ndarray, labels: np.ndarray,
                       seed: int) -> tuple[dict[int, np.ndarray], np.ndarray]:
     """Run max(snapshot_steps) refinement steps, snapshotting along the way.
 
-    Noise is drawn once per step, so a shorter run with the same seed is an
-    exact prefix of a longer one; snapshots equal standalone runs bit for bit.
+    Returns {step: rows after that step} (step 0 is the input itself) and the
+    running maximum of the infinity-norm deviation after each step. Noise is
+    drawn once per step, so a shorter run with the same seed is an exact
+    prefix of a longer one; snapshots equal standalone runs bit for bit.
     """
     x_att = np.asarray(x_att, dtype=np.float64)
     if x_att.ndim != 2:
         raise ShapeError("x_att must be 2-d")
+    if epsilon <= 0.0:
+        raise ValueError("epsilon must be > 0")
     steps = sorted(set(int(s) for s in snapshot_steps))
     if not steps or steps[0] < 0:
         raise ValueError("snapshot steps must be non-negative")
@@ -106,7 +88,7 @@ def refine_trajectory(gen: Generator, x_att: np.ndarray, labels: np.ndarray,
     if steps[0] == 0:
         snapshots[0] = x_att.copy()
     current = x_att.copy()
-    trace = np.zeros(steps[-1] if steps else 0)
+    trace = np.zeros(steps[-1])
     running_max = 0.0
     for step in range(1, steps[-1] + 1):
         noise = rng.standard_normal((x_att.shape[0], gen.noise_dim))
@@ -118,17 +100,6 @@ def refine_trajectory(gen: Generator, x_att: np.ndarray, labels: np.ndarray,
         if step in steps:
             snapshots[step] = current.copy()
     return snapshots, trace
-
-
-def refine(gen: Generator, x_att: np.ndarray, labels: np.ndarray,
-           config: RefinementConfig) -> AdversarialBatch:
-    """Iteratively push attack rows toward evasion inside the epsilon band."""
-    x_att = np.asarray(x_att, dtype=np.float64)
-    if config.n_ref == 0:
-        return AdversarialBatch(x_att.copy(), x_att.copy(), np.zeros(0), config)
-    snapshots, trace = refine_trajectory(
-        gen, x_att, labels, config.epsilon, [config.n_ref], config.seed)
-    return AdversarialBatch(x_att.copy(), snapshots[config.n_ref], trace, config)
 
 
 def gen_ood(x_att: np.ndarray, config: OodConfig) -> np.ndarray:

@@ -12,6 +12,10 @@ where x_adv = clip(x_att + delta, 0, 1) and benign_target is the smoothed
 benign one-hot. The discriminator trains on plain BCE: benign rows toward 1,
 perturbed rows toward 0. The intrusion detector is a frozen oracle; its
 parameters are never updated here, it only supplies gradients to the input.
+
+`train_cgan(ids_model, train, config, seed)` takes its seed as an argument;
+`GanConfig` holds the hyperparameters only and is the run config's `gan`
+section.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 
 from . import nn
 from .data import Dataset, N_CLASSES, N_FEATURES, one_hot
-from .errors import NumericError, ShapeError
+from .errors import NumericError, SchemaError, ShapeError
 from .ids import IdsModel
 from .rng import derive_rng
 
@@ -44,7 +48,6 @@ class GanConfig:
     noise_dim: int = 32
     out_scale: float = 0.1
     label_smoothing: float = 0.01
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("lambda_cls", "lambda_stealth", "lambda_gan"):
@@ -202,21 +205,23 @@ def discriminator_loss(disc: Discriminator, x_benign: np.ndarray,
     return loss, grads
 
 
-def train_cgan(ids_model: IdsModel, train: Dataset,
-               config: GanConfig) -> tuple[Generator, Discriminator, list[dict]]:
+def train_cgan(ids_model: IdsModel, train: Dataset, config: GanConfig,
+               seed: int) -> tuple[Generator, Discriminator, list[dict]]:
     """Alternating one discriminator / one generator step per minibatch.
 
     Minibatches iterate over the attack rows; each step draws a fresh
     uniformly sampled benign batch for the discriminator and another for the
     stealth pairing. Curve rows: {epoch, d_loss, g_cls, g_stealth, g_gan}.
     """
-    rng = derive_rng(config.seed, "cgan-train")
+    rng = derive_rng(seed, "cgan-train")
     gen = build_generator(rng, config.noise_dim, config.out_scale)
     disc = build_discriminator(rng)
     attack_rows = np.flatnonzero(train.labels > 0)
     benign_rows = np.flatnonzero(train.labels == 0)
-    if attack_rows.size == 0 or benign_rows.size == 0:
-        raise ValueError("training data needs both benign and attack rows")
+    if benign_rows.size == 0 or attack_rows.size == 0:
+        missing = "benign" if benign_rows.size == 0 else "attack"
+        raise SchemaError(f"training data has no {missing} rows; the GAN "
+                          f"needs both benign and attack rows")
     opt_g = nn.adam_init(gen.net.params(), config.learning_rate)
     opt_d = nn.adam_init(disc.net.params(), config.learning_rate)
     curve: list[dict] = []

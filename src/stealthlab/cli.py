@@ -1,10 +1,13 @@
 """Pipeline driver: strict JSON config, stage commands, artifact manifest.
 
 Stages form a chain (data -> ids -> gan -> sweep; data -> cvae; sweep + cvae
--> detect -> report). Each command runs exactly one stage, fails with a
-dependency error when upstream artifacts are missing, and records every file
-it wrote (with a sha256) in <out>/manifest.json. Stage seeds derive from the
-global seed plus the stage tag, so reruns are bit-identical.
+-> detect -> report), described by the one table STAGES. Each command runs
+exactly one stage, fails with a dependency error when upstream artifacts are
+missing, and records every file it wrote (with a sha256) in
+<out>/manifest.json. The ids, gan, cvae and detect.regret config sections
+are the library configs themselves; every value is validated when the config
+is parsed. Stage seeds derive from the global seed plus the stage tag, so
+reruns are bit-identical.
 
 Exit codes: 0 success, 2 config error, 3 missing dependency, 4 numeric
 failure, 5 I/O or data-file problem.
@@ -16,10 +19,12 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -52,38 +57,8 @@ class DatasetSection:
             raise ConfigError("dataset.csv_path is required when source='csv'")
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError("dataset.train_fraction must be in (0, 1)")
-
-
-@dataclass
-class IdsSection:
-    epochs: int = 200
-    batch_size: int = 64
-    learning_rate: float = 0.001
-
-
-@dataclass
-class GanSection:
-    epochs: int = 60
-    batch_size: int = 64
-    learning_rate: float = 0.001
-    lambda_cls: float = 1.0
-    lambda_stealth: float = 10.0
-    lambda_gan: float = 0.1
-    noise_dim: int = 32
-    out_scale: float = 0.1
-    label_smoothing: float = 0.01
-
-
-@dataclass
-class CvaeSection:
-    epochs: int = 120
-    batch_size: int = 64
-    learning_rate: float = 0.001
-    latent_dim: int = 200
-    # the synthetic clusters are conditionally featureless, so a plain ELBO
-    # collapses the posterior; a small KL weight keeps the latent space live
-    kl_weight: float = 0.02
-    train_baseline_vae: bool = True   # also fit the unconditional baseline
+        # the generator's own checks, so a bad value fails before any stage
+        data.SyntheticSpec(self.samples_per_class, self.separation, self.std)
 
 
 @dataclass
@@ -99,14 +74,14 @@ class SweepSection:
     def __post_init__(self):
         if not self.epsilon_grid or not self.rho_grid or not self.n_ref_grid:
             raise ConfigError("sweep grids must be non-empty")
+        if min(self.epsilon_grid) <= 0.0:
+            raise ConfigError("sweep.epsilon_grid values must be > 0")
+        if min(self.rho_grid) <= 0.0:
+            raise ConfigError("sweep.rho_grid values must be > 0")
+        if min(self.n_ref_grid) < 0:
+            raise ConfigError("sweep.n_ref_grid values must be >= 0")
         if not 0.0 <= self.eta_max <= 1.0:
             raise ConfigError("sweep.eta_max must be in [0, 1]")
-
-
-@dataclass
-class RegretSection:
-    steps: int = 100
-    learning_rate: float = 0.001
 
 
 @dataclass
@@ -117,7 +92,7 @@ class DetectSection:
     benign_calibration: int = 64
     shrinkage: float = 0.1
     histogram_bins: int = 40
-    regret: RegretSection = field(default_factory=RegretSection)
+    regret: detect.RegretConfig = field(default_factory=detect.RegretConfig)
 
     def __post_init__(self):
         if self.k < 1:
@@ -128,6 +103,10 @@ class DetectSection:
             raise ConfigError("detect.max_samples_per_tag must be >= 2")
         if self.benign_calibration < 2:
             raise ConfigError("detect.benign_calibration must be >= 2")
+        if not 0.0 <= self.shrinkage <= 1.0:
+            raise ConfigError("detect.shrinkage must be in [0, 1]")
+        if self.histogram_bins < 2:
+            raise ConfigError("detect.histogram_bins must be >= 2")
 
 
 @dataclass
@@ -136,45 +115,34 @@ class RunConfig:
     seed: int = 0
     out_dir: str = "runs/out"
     dataset: DatasetSection = field(default_factory=DatasetSection)
-    ids: IdsSection = field(default_factory=IdsSection)
-    gan: GanSection = field(default_factory=GanSection)
-    cvae: CvaeSection = field(default_factory=CvaeSection)
+    ids: ids.IdsTrainConfig = field(default_factory=ids.IdsTrainConfig)
+    gan: cgan.GanConfig = field(default_factory=cgan.GanConfig)
+    cvae: cvae.CvaeTrainConfig = field(default_factory=cvae.CvaeTrainConfig)
     sweep: SweepSection = field(default_factory=SweepSection)
     detect: DetectSection = field(default_factory=DetectSection)
 
 
-_NESTED_SECTIONS = {"regret": RegretSection}
-
-
 def _build_section(cls, payload: dict, where: str):
+    """cls(**payload), recursing into fields whose default is a dataclass;
+    unknown keys and values the section's checks reject are ConfigErrors."""
     if not isinstance(payload, dict):
         raise ConfigError(f"{where or 'config'} must be a JSON object")
-    known = {f.name for f in dataclasses.fields(cls)}
+    fields = {f.name: f for f in dataclasses.fields(cls)}
     kwargs = {}
     for key, value in payload.items():
-        if key not in known:
+        if key not in fields:
             raise ConfigError(f"unknown key '{where + '.' if where else ''}{key}'")
-        if key in _NESTED_SECTIONS:
-            kwargs[key] = _build_section(_NESTED_SECTIONS[key], value,
-                                         f"{where}.{key}" if where else key)
-        else:
-            kwargs[key] = value
+        section = fields[key].default_factory
+        if dataclasses.is_dataclass(section):
+            value = _build_section(section, value,
+                                   f"{where}.{key}" if where else key)
+        kwargs[key] = value
     try:
         return cls(**kwargs)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value in '{where or 'config'}': {exc}") from exc
-
-
-_SECTION_TYPES = {
-    "dataset": DatasetSection,
-    "ids": IdsSection,
-    "gan": GanSection,
-    "cvae": CvaeSection,
-    "sweep": SweepSection,
-    "detect": DetectSection,
-}
 
 
 def parse_config(payload: dict) -> RunConfig:
@@ -186,20 +154,7 @@ def parse_config(payload: dict) -> RunConfig:
         raise ConfigError(
             f"unsupported schema_version {payload['schema_version']!r}, "
             f"expected {SCHEMA_VERSION}")
-    kwargs = {}
-    for key, value in payload.items():
-        if key in _SECTION_TYPES:
-            kwargs[key] = _build_section(_SECTION_TYPES[key], value, key)
-        elif key in ("schema_version", "seed", "out_dir"):
-            kwargs[key] = value
-        else:
-            raise ConfigError(f"unknown key '{key}'")
-    try:
-        return RunConfig(**kwargs)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value in config: {exc}") from exc
+    return _build_section(RunConfig, payload, "")
 
 
 def load_config(path: str | None, out_override: str | None = None,
@@ -220,62 +175,30 @@ def load_config(path: str | None, out_override: str | None = None,
     return config
 
 
-def config_to_dict(config: RunConfig) -> dict:
-    return dataclasses.asdict(config)
+def _sha256_json(payload: dict) -> str:
+    canon = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
 def config_digest(config: RunConfig) -> str:
-    payload = config_to_dict(config)
+    payload = dataclasses.asdict(config)
     del payload["out_dir"]      # location, not a semantic input
-    canon = json.dumps(payload, sort_keys=True)
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    return _sha256_json(payload)
 
 
-def default_synth_config(out_dir: str = "runs/synth",
-                         seed: int = 0) -> RunConfig:
-    """The stock synthetic end-to-end run used by scripts and the test gate."""
-    return RunConfig(seed=seed, out_dir=out_dir)
-
-
-# stage -> config sections whose change invalidates it (chained upstream)
-_STAGE_SECTIONS = {
-    "data": ["dataset"],
-    "ids": ["dataset", "ids"],
-    "gan": ["dataset", "ids", "gan"],
-    "cvae": ["dataset", "cvae"],
-    "sweep": ["dataset", "ids", "gan", "sweep"],
-    "detect": ["dataset", "ids", "gan", "cvae", "sweep", "detect"],
-    "report": ["dataset", "ids", "gan", "cvae", "sweep", "detect"],
-}
-
-STAGE_REQUIRES = {
-    "data": [],
-    "ids": ["data"],
-    "gan": ["data", "ids"],
-    "cvae": ["data"],
-    "sweep": ["data", "ids", "gan"],
-    "detect": ["data", "ids", "gan", "cvae", "sweep"],
-    "report": ["detect"],
-}
-
-_STAGE_COMMAND = {
-    "data": "synth (or ingest)",
-    "ids": "train-ids",
-    "gan": "train-gan",
-    "cvae": "train-cvae",
-    "sweep": "sweep",
-    "detect": "detect",
-    "report": "report",
-}
+def _digest_sections(stage: str) -> set[str]:
+    """The config sections whose change invalidates a stage: its own plus
+    those of every stage upstream of it."""
+    entry = STAGES[stage]
+    sections = {entry.section} if entry.section else set()
+    return sections.union(*map(_digest_sections, entry.requires))
 
 
 def stage_digest(config: RunConfig, stage: str) -> str:
-    payload = {"seed": config.seed}
-    full = config_to_dict(config)
-    for section in _STAGE_SECTIONS[stage]:
-        payload[section] = full[section]
-    canon = json.dumps(payload, sort_keys=True)
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    full = dataclasses.asdict(config)
+    payload = {section: full[section] for section in _digest_sections(stage)}
+    payload["seed"] = config.seed
+    return _sha256_json(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +228,7 @@ class Manifest:
                     and isinstance(payload.get("timings"), dict)):
                 raise ParseError(
                     f"{self.path}: corrupt manifest; delete it and rerun the "
-                    f"stages from '{_STAGE_COMMAND['data']}'")
+                    f"stages from '{STAGES['data'].command}'")
             self.payload = payload
 
     def record(self, stage: str, digest: str, artifacts: list[Path],
@@ -319,29 +242,27 @@ class Manifest:
         }
         self.payload["stages"][stage] = entry
         self.payload["timings"][stage] = round(wall_clock, 3)
-        with open(self.path, "w", encoding="utf-8") as fh:
-            json.dump(self.payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(self.path, self.payload)
 
     def check_requirements(self, stage: str, config: RunConfig,
                            out_dir: Path, stage_only: bool) -> None:
-        for dep in STAGE_REQUIRES[stage]:
+        for dep in STAGES[stage].requires:
             entry = self.payload["stages"].get(dep)
+            command = STAGES[dep].command
             if entry is None:
                 raise DependencyError(
-                    f"stage '{dep}' has not run; run '{_STAGE_COMMAND[dep]}' "
-                    f"first")
+                    f"stage '{dep}' has not run; run '{command}' first")
             for rel in entry["artifacts"]:
                 if not (out_dir / rel).exists():
                     raise DependencyError(
                         f"stage '{dep}' artifact '{rel}' is missing; rerun "
-                        f"'{_STAGE_COMMAND[dep]}'")
+                        f"'{command}'")
             if not stage_only and entry["stage_digest"] != stage_digest(config,
                                                                         dep):
                 raise DependencyError(
                     f"stage '{dep}' was built from a different configuration; "
-                    f"rerun '{_STAGE_COMMAND[dep]}' (or pass --stage-only to "
-                    f"use it anyway)")
+                    f"rerun '{command}' (or pass --stage-only to use it "
+                    f"anyway)")
 
 
 # ---------------------------------------------------------------------------
@@ -382,10 +303,17 @@ def _write_curve_csv(path: Path, rows: list[dict], columns: list[str]) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    """Write through a temp file in the same directory and swap it in, so a
+    failed write leaves any previous file whole."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _selected_operating_point(paths: dict) -> dict:
@@ -426,11 +354,8 @@ def stage_ids(config: RunConfig, out_dir: Path) -> tuple[list[Path], dict]:
     paths = _paths(out_dir)
     train = data.load_csv(paths["train_csv"])
     test = data.load_csv(paths["test_csv"])
-    train_config = ids.IdsTrainConfig(
-        epochs=config.ids.epochs, batch_size=config.ids.batch_size,
-        learning_rate=config.ids.learning_rate,
-        seed=derive_seed(config.seed, "ids"))
-    model, curve = ids.train_ids(train, train_config)
+    model, curve = ids.train_ids(train, config.ids,
+                                 derive_seed(config.seed, "ids"))
     model.scaler_ref = str(paths["scaler"].relative_to(out_dir))
     metrics = {
         "train_accuracy": ids.accuracy(model, train),
@@ -451,17 +376,9 @@ def stage_gan(config: RunConfig, out_dir: Path) -> tuple[list[Path], dict]:
     paths = _paths(out_dir)
     train = data.load_csv(paths["train_csv"])
     ids_model = ids.load_ids(paths["models"])
-    section = config.gan
-    gan_config = cgan.GanConfig(
-        lambda_cls=section.lambda_cls, lambda_stealth=section.lambda_stealth,
-        lambda_gan=section.lambda_gan, learning_rate=section.learning_rate,
-        epochs=section.epochs, batch_size=section.batch_size,
-        noise_dim=section.noise_dim, out_scale=section.out_scale,
-        label_smoothing=section.label_smoothing,
-        seed=derive_seed(config.seed, "gan"))
     before = [p.copy() for p in ids_model.net.params()]
-    generator, discriminator, curve = cgan.train_cgan(ids_model, train,
-                                                      gan_config)
+    generator, discriminator, curve = cgan.train_cgan(
+        ids_model, train, config.gan, derive_seed(config.seed, "gan"))
     frozen = all((a == b).all() for a, b in zip(before,
                                                 ids_model.net.params()))
     if not frozen:
@@ -483,17 +400,13 @@ def stage_gan(config: RunConfig, out_dir: Path) -> tuple[list[Path], dict]:
 def stage_cvae(config: RunConfig, out_dir: Path) -> tuple[list[Path], dict]:
     paths = _paths(out_dir)
     train = data.load_csv(paths["train_csv"])
-    section = config.cvae
     artifacts: list[Path] = []
     meta: dict = {}
 
     def fit(conditional: bool, name: str, curve_path: Path) -> None:
-        train_config = cvae.CvaeTrainConfig(
-            epochs=section.epochs, batch_size=section.batch_size,
-            learning_rate=section.learning_rate, kl_weight=section.kl_weight,
-            conditional=conditional, latent_dim=section.latent_dim,
-            seed=derive_seed(config.seed, "cvae"))
-        model, curve = cvae.train_cvae(train, train_config)
+        model, curve = cvae.train_cvae(train, config.cvae,
+                                       derive_seed(config.seed, "cvae"),
+                                       conditional)
         written = cvae.save_cvae(model, paths["models"], name=name)
         _write_curve_csv(curve_path, curve, ["epoch", "loss", "recon", "kl"])
         artifacts.extend([Path(written["encoder"]), Path(written["decoder"]),
@@ -504,7 +417,7 @@ def stage_cvae(config: RunConfig, out_dir: Path) -> tuple[list[Path], dict]:
 
     paths["models"].mkdir(parents=True, exist_ok=True)
     fit(True, "cvae", paths["cvae_curve"])
-    if section.train_baseline_vae:
+    if config.cvae.train_baseline_vae:
         fit(False, "vae", paths["vae_curve"])
     return artifacts, meta
 
@@ -592,44 +505,29 @@ def stage_detect(config: RunConfig, out_dir: Path) -> tuple[list[Path], dict]:
         derive_seed(config.seed, "detect-benign")).choice(
             benign_rows, size=n_cal, replace=False))
     x_benign = train.features[cal_rows]
-    benign_labels = np.zeros(n_cal, dtype=np.int64)
 
-    nll_seed = derive_seed(config.seed, "detect-nll")
-    nll_parts = [
-        detect.score_nll(cvae_model, ids_model, x_adv, section.k,
-                         detect.TAG_ADVERSARIAL, nll_seed, section.label_mode,
-                         sample_ids=adv_ids),
-        detect.score_nll(cvae_model, ids_model, x_ood, section.k,
-                         detect.TAG_OOD, nll_seed, section.label_mode,
-                         sample_ids=adv_ids),
-        detect.score_nll(cvae_model, ids_model, x_benign, section.k,
-                         detect.TAG_BENIGN, nll_seed, section.label_mode,
-                         sample_ids=cal_rows),
+    # (tag, rows, sample ids, regret conditioning label): the crafted and
+    # noise rows are conditioned on the IDS prediction, benign rows on benign
+    populations = [
+        (detect.TAG_ADVERSARIAL, x_adv, adv_ids,
+         ids.predict_label(ids_model, x_adv)),
+        (detect.TAG_OOD, x_ood, adv_ids, ids.predict_label(ids_model, x_ood)),
+        (detect.TAG_BENIGN, x_benign, cal_rows,
+         np.zeros(n_cal, dtype=np.int64)),
     ]
     gaussians = detect.fit_gaussians(cvae_model, train, section.shrinkage)
-    mahal_parts = [
-        detect.score_mahalanobis(gaussians, cvae_model, x_adv,
-                                 detect.TAG_ADVERSARIAL, adv_ids),
-        detect.score_mahalanobis(gaussians, cvae_model, x_ood,
-                                 detect.TAG_OOD, adv_ids),
-        detect.score_mahalanobis(gaussians, cvae_model, x_benign,
-                                 detect.TAG_BENIGN, cal_rows),
-    ]
-    regret_config = detect.RegretConfig(
-        steps=section.regret.steps,
-        learning_rate=section.regret.learning_rate,
-        seed=derive_seed(config.seed, "detect-regret"))
-    adv_cond = predict_labels_for_regret(ids_model, x_adv, cvae_model)
-    ood_cond = predict_labels_for_regret(ids_model, x_ood, cvae_model)
-    regret_parts = [
-        detect.score_regret(cvae_model, x_adv, adv_cond, regret_config,
-                            detect.TAG_ADVERSARIAL, adv_ids),
-        detect.score_regret(cvae_model, x_ood, ood_cond, regret_config,
-                            detect.TAG_OOD, adv_ids),
-        detect.score_regret(cvae_model, x_benign,
-                            benign_labels if cvae_model.conditional else None,
-                            regret_config, detect.TAG_BENIGN, cal_rows),
-    ]
+    nll_seed = derive_seed(config.seed, "detect-nll")
+    regret_seed = derive_seed(config.seed, "detect-regret")
+    nll_parts, mahal_parts, regret_parts = [], [], []
+    for tag, x, sample_ids, labels in populations:
+        nll_parts.append(detect.score_nll(
+            cvae_model, ids_model, x, section.k, tag, nll_seed,
+            section.label_mode, sample_ids=sample_ids))
+        mahal_parts.append(detect.score_mahalanobis(gaussians, cvae_model, x,
+                                                    tag, sample_ids))
+        regret_parts.append(detect.score_regret(
+            cvae_model, x, labels if cvae_model.conditional else None,
+            section.regret, regret_seed, tag, sample_ids))
     regret_all = detect.concat_scores(regret_parts)
     scored_mask = regret_all.tags != detect.TAG_BENIGN
     orientation = detect.choose_orientation(
@@ -654,13 +552,6 @@ def stage_detect(config: RunConfig, out_dir: Path) -> tuple[list[Path], dict]:
     _write_json(paths["detect_meta"], meta)
     return [paths["scores_csv"], paths["nll_scores_csv"],
             paths["detect_meta"]], meta
-
-
-def predict_labels_for_regret(ids_model: ids.IdsModel, batch: np.ndarray,
-                              cvae_model: cvae.CvaeModel) -> np.ndarray | None:
-    if not cvae_model.conditional:
-        return None
-    return ids.predict_label(ids_model, batch)
 
 
 def _write_nll_csv(path: Path, scores: detect.ScoreSet, k: int) -> None:
@@ -719,15 +610,44 @@ def _drop_tag(scores: detect.ScoreSet, tag: str) -> detect.ScoreSet:
                            else scores.labels_used[keep])
 
 
-_STAGE_FUNCTIONS = {
-    "data": stage_data,
-    "ids": stage_ids,
-    "gan": stage_gan,
-    "cvae": stage_cvae,
-    "sweep": stage_sweep,
-    "detect": stage_detect,
-    "report": stage_report,
-}
+@dataclass(frozen=True)
+class Stage:
+    name: str
+    commands: tuple[tuple[str, str], ...]   # (command, help), canonical first
+    section: str | None                     # its own RunConfig section
+    requires: tuple[str, ...]               # upstream stages
+    run: Callable[[RunConfig, Path], tuple[list[Path], dict]]
+
+    @property
+    def command(self) -> str:
+        """How messages name the command to run, e.g. 'synth (or ingest)'."""
+        first, *others = (command for command, _ in self.commands)
+        return first + "".join(f" (or {other})" for other in others)
+
+
+STAGES = {stage.name: stage for stage in (
+    Stage("data", (("synth", "generate the synthetic dataset, split, scale"),
+                   ("ingest", "load a telemetry CSV, split, scale, write "
+                              "data artifacts")),
+          "dataset", (), stage_data),
+    Stage("ids", (("train-ids", "train the intrusion detector"),),
+          "ids", ("data",), stage_ids),
+    Stage("gan", (("train-gan", "train the perturbation generator and "
+                                "discriminator"),),
+          "gan", ("data", "ids"), stage_gan),
+    Stage("cvae", (("train-cvae", "train the CVAE (and the plain-VAE "
+                                  "baseline)"),),
+          "cvae", ("data",), stage_cvae),
+    Stage("sweep", (("sweep", "scan the stealth grid and select an operating "
+                              "point"),),
+          "sweep", ("data", "ids", "gan"), stage_sweep),
+    Stage("detect", (("detect", "score adversarial/ood/benign batches with "
+                                "all detectors"),),
+          "detect", ("data", "ids", "gan", "cvae", "sweep"), stage_detect),
+    Stage("report", (("report", "compute ROC curves, histograms and the AUC "
+                                "summary"),),
+          None, ("detect",), stage_report),
+)}
 
 
 def run_stage(stage: str, config: RunConfig, stage_only: bool = False) -> dict:
@@ -736,7 +656,7 @@ def run_stage(stage: str, config: RunConfig, stage_only: bool = False) -> dict:
     manifest = Manifest(out_dir)
     manifest.check_requirements(stage, config, out_dir, stage_only)
     started = time.perf_counter()
-    artifacts, meta = _STAGE_FUNCTIONS[stage](config, out_dir)
+    artifacts, meta = STAGES[stage].run(config, out_dir)
     wall = time.perf_counter() - started
     manifest.payload["config_digest"] = config_digest(config)
     manifest.record(stage, stage_digest(config, stage), artifacts, meta, wall,
@@ -748,44 +668,25 @@ def run_stage(stage: str, config: RunConfig, stage_only: bool = False) -> dict:
 # argument parsing and entry point
 # ---------------------------------------------------------------------------
 
-_COMMAND_STAGE = {
-    "ingest": "data",
-    "synth": "data",
-    "train-ids": "ids",
-    "train-gan": "gan",
-    "train-cvae": "cvae",
-    "sweep": "sweep",
-    "detect": "detect",
-    "report": "report",
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stealthlab",
         description="UAV telemetry evasion lab: train, attack, detect.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, help_text in [
-        ("ingest", "load a telemetry CSV, split, scale, write data artifacts"),
-        ("synth", "generate the synthetic dataset, split, scale"),
-        ("train-ids", "train the intrusion detector"),
-        ("train-gan", "train the perturbation generator and discriminator"),
-        ("train-cvae", "train the CVAE (and the plain-VAE baseline)"),
-        ("sweep", "scan the stealth grid and select an operating point"),
-        ("detect", "score adversarial/ood/benign batches with all detectors"),
-        ("report", "compute ROC curves, histograms and the AUC summary"),
-    ]:
-        cmd = sub.add_parser(command, help=help_text)
-        cmd.add_argument("--config", default=None,
-                         help="JSON run configuration (defaults apply if "
-                              "omitted)")
-        cmd.add_argument("--out", default=None,
-                         help="output directory (overrides the config)")
-        cmd.add_argument("--seed", type=int, default=None,
-                         help="global seed (overrides the config)")
-        cmd.add_argument("--stage-only", action="store_true",
-                         help="trust existing upstream artifacts even if the "
-                              "current config no longer matches them")
+    for stage in STAGES.values():
+        for command, help_text in stage.commands:
+            cmd = sub.add_parser(command, help=help_text)
+            cmd.set_defaults(stage=stage.name)
+            cmd.add_argument("--config", default=None,
+                             help="JSON run configuration (defaults apply if "
+                                  "omitted)")
+            cmd.add_argument("--out", default=None,
+                             help="output directory (overrides the config)")
+            cmd.add_argument("--seed", type=int, default=None,
+                             help="global seed (overrides the config)")
+            cmd.add_argument("--stage-only", action="store_true",
+                             help="trust existing upstream artifacts even if "
+                                  "the current config no longer matches them")
     return parser
 
 
@@ -797,8 +698,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError("ingest requires dataset.source='csv'")
         if args.command == "synth" and config.dataset.source != "synthetic":
             raise ConfigError("synth requires dataset.source='synthetic'")
-        stage = _COMMAND_STAGE[args.command]
-        meta = run_stage(stage, config, args.stage_only)
+        meta = run_stage(args.stage, config, args.stage_only)
         print(f"[{args.command}] done: "
               + json.dumps(meta, sort_keys=True, default=str))
         return 0

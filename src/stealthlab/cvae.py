@@ -17,7 +17,10 @@ Scoring uses the importance-weighted bound: with z_i ~ q(z|x,c),
     NLL = -L_k
 
 With conditional=False the class input is ignored everywhere and the model
-is a plain VAE; both variants train through the same routine.
+is a plain VAE; both variants train through the same routine,
+`train_cvae(train, config, seed, conditional)`. The seed and the variant are
+arguments: `CvaeTrainConfig` holds the hyperparameters only and is the run
+config's `cvae` section.
 """
 
 from __future__ import annotations
@@ -46,10 +49,12 @@ class CvaeTrainConfig:
     epochs: int = 120
     batch_size: int = 64
     learning_rate: float = 0.001
-    kl_weight: float = 1.0      # constant weight on the KL term
-    conditional: bool = True    # False trains the plain-VAE baseline
     latent_dim: int = LATENT_DIM
-    seed: int = 0
+    # constant weight on the KL term; the synthetic clusters are
+    # conditionally featureless, so a plain ELBO collapses the posterior and
+    # a small weight keeps the latent space live
+    kl_weight: float = 0.02
+    train_baseline_vae: bool = True   # the pipeline also fits a plain VAE
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -76,10 +81,6 @@ class CvaeModel:
     def input_dim(self) -> int:
         extra = self.n_classes if self.conditional else 0
         return self.encoder.in_dim - extra
-
-    def copy(self) -> "CvaeModel":
-        return CvaeModel(self.encoder.copy(), self.decoder.copy(),
-                         self.latent_dim, self.conditional, self.n_classes)
 
     def params(self) -> list[np.ndarray]:
         return self.encoder.params() + self.decoder.params()
@@ -225,18 +226,18 @@ def elbo_loss(model: CvaeModel, x: np.ndarray,
     return ElboResult(loss, recon, kl, enc_grads + dec_grads)
 
 
-def train_cvae(train: Dataset,
-               config: CvaeTrainConfig) -> tuple[CvaeModel, list[dict]]:
-    """Minibatch Adam on the ELBO loss.
+def train_cvae(train: Dataset, config: CvaeTrainConfig, seed: int,
+               conditional: bool = True) -> tuple[CvaeModel, list[dict]]:
+    """Minibatch Adam on the ELBO loss; conditional=False fits a plain VAE.
 
     Curve rows: {epoch, loss, recon, kl}; the reconstruction column is what
     the conditional-vs-plain comparison reads.
     """
-    rng = derive_rng(config.seed, "cvae-train")
+    rng = derive_rng(seed, "cvae-train")
     model = build_cvae(rng, input_dim=train.features.shape[1],
                        n_classes=len(train.class_names),
                        latent_dim=config.latent_dim,
-                       conditional=config.conditional)
+                       conditional=conditional)
     optimiser = nn.adam_init(model.params(), config.learning_rate)
     curve: list[dict] = []
     for epoch in range(config.epochs):
@@ -245,7 +246,7 @@ def train_cvae(train: Dataset,
         for start in range(0, train.n, config.batch_size):
             rows = order[start:start + config.batch_size]
             result = elbo_loss(model, train.features[rows],
-                               train.labels[rows] if config.conditional else None,
+                               train.labels[rows] if conditional else None,
                                rng=rng, kl_weight=config.kl_weight)
             nn.adam_step(optimiser, model.params(), result.grads)
             sums["loss"] += result.loss * rows.size
@@ -301,10 +302,6 @@ def log_mean_exp(weights: np.ndarray) -> float:
     return float(np.log(np.exp(weights - shift).mean()) + shift)
 
 
-def nll_from_log_weights(weights: np.ndarray) -> float:
-    return -log_mean_exp(weights)
-
-
 def iwae_bound(model: CvaeModel, x: np.ndarray, label: int | None, k: int,
                rng: np.random.Generator) -> float:
     """k-sample importance-weighted lower bound on log p(x [, c])."""
@@ -317,12 +314,6 @@ def iwae_bound(model: CvaeModel, x: np.ndarray, label: int | None, k: int,
     z = reparameterize(np.broadcast_to(mu, noise.shape),
                        np.broadcast_to(logvar, noise.shape), noise)
     return log_mean_exp(importance_weights(model, x, label, z))
-
-
-def nll(model: CvaeModel, x: np.ndarray, label: int | None, k: int,
-        rng: np.random.Generator) -> float:
-    """Importance-weighted negative log-likelihood: exactly -iwae_bound."""
-    return -iwae_bound(model, x, label, k, rng)
 
 
 @dataclass

@@ -204,16 +204,6 @@ def apply_minmax(dataset: Dataset, params: ScalerParams) -> Dataset:
                    list(dataset.class_names))
 
 
-def invert_minmax(dataset: Dataset, params: ScalerParams) -> Dataset:
-    """Undo apply_minmax for in-range values (constant columns return min)."""
-    if dataset.features.shape[1] != params.mins.shape[0]:
-        raise ShapeError("scaler was fit on a different number of features")
-    span = params.maxs - params.mins
-    raw = dataset.features * span + params.mins
-    return Dataset(raw, dataset.labels.copy(), list(dataset.feature_names),
-                   list(dataset.class_names))
-
-
 def save_scaler(path, params: ScalerParams) -> None:
     payload = {
         name: {"min": float(lo), "max": float(hi)}
@@ -222,15 +212,6 @@ def save_scaler(path, params: ScalerParams) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def load_scaler(path) -> ScalerParams:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    names = sorted(payload)
-    return ScalerParams(names,
-                        np.array([payload[n]["min"] for n in names]),
-                        np.array([payload[n]["max"] for n in names]))
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +231,7 @@ def stratified_split(dataset: Dataset, train_fraction: float = 0.8,
         if rows.size == 0:
             continue
         if rows.size < 5:
-            raise ValueError(
+            raise SchemaError(
                 f"class '{dataset.class_names[class_id]}' has {rows.size} "
                 f"samples, need at least 5 to split")
         perm = rng.permutation(rows)

@@ -10,6 +10,10 @@ Three scores, all oriented so that higher means "more likely adversarial":
                encoder mean and a per-class Gaussian fit on training data;
 * regret       ELBO improvement from a short per-sample encoder-only refit;
                its sign is calibrated once against benign reference scores.
+
+`score_regret(model, batch, labels, config, seed)` takes its seed as an
+argument; `RegretConfig` holds the hyperparameters only and is the run
+config's `detect.regret` section.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 from . import nn
 from .cvae import CvaeModel, elbo_loss, encode, iwae_batch
 from .data import Dataset
-from .errors import NumericError, ShapeError
+from .errors import NumericError, SchemaError, ShapeError
 from .ids import IdsModel, predict_label
 from .rng import stable_hash
 
@@ -39,7 +43,6 @@ DETECTORS = ("nll", "mahalanobis", "regret")
 class RegretConfig:
     steps: int = 100
     learning_rate: float = 0.001
-    seed: int = 0
 
     def __post_init__(self):
         if self.steps < 1:
@@ -151,9 +154,9 @@ def fit_gaussians(model: CvaeModel, train: Dataset,
     for class_id in range(n_classes):
         rows = train.class_rows(class_id)
         if rows.size < 2:
-            raise ValueError(
+            raise SchemaError(
                 f"class '{train.class_names[class_id]}' has {rows.size} "
-                f"rows, need at least 2 to fit a covariance")
+                f"training rows, need at least 2 to fit a covariance")
         latents, _ = encode(model, train.features[rows],
                             train.labels[rows] if model.conditional else None)
         means[class_id] = latents.mean(axis=0)
@@ -197,7 +200,7 @@ def score_mahalanobis(gaussians: GaussianClassModel, model: CvaeModel,
 # ---------------------------------------------------------------------------
 
 def score_regret(model: CvaeModel, batch: np.ndarray,
-                 labels: np.ndarray | None, config: RegretConfig,
+                 labels: np.ndarray | None, config: RegretConfig, seed: int,
                  tag: str = TAG_ADVERSARIAL,
                  sample_ids: np.ndarray | None = None) -> ScoreSet:
     """Best ELBO improvement from `steps` encoder-only Adam refits per sample.
@@ -222,7 +225,7 @@ def score_regret(model: CvaeModel, batch: np.ndarray,
     optimiser = nn.adam_init(refit, config.learning_rate)
     for i, row in enumerate(batch):
         label = None if labels is None else int(labels[i])
-        row_seed = stable_hash(config.seed, "regret", row.tobytes(),
+        row_seed = stable_hash(seed, "regret", row.tobytes(),
                                -1 if label is None else label)
         noise = np.random.default_rng(row_seed).standard_normal(
             (1, model.latent_dim))

@@ -19,7 +19,7 @@ class NumericError(ArithmeticError):
 
 
 class SchemaError(ValueError):
-    """A data file is missing required columns."""
+    """A data file is missing required columns or rows."""
 
 
 class ParseError(ValueError):

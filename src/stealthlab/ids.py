@@ -1,4 +1,9 @@
-"""Five-class intrusion detector: a 30-128-128-128-5 softmax classifier."""
+"""Five-class intrusion detector: a 30-128-128-128-5 softmax classifier.
+
+`train_ids(train, config, seed)` takes its seed as an argument: the config
+holds the hyperparameters only, so it doubles as the run config's `ids`
+section, and the pipeline derives the seed from the global one.
+"""
 
 from __future__ import annotations
 
@@ -14,6 +19,8 @@ from .errors import NumericError, ShapeError
 from .rng import derive_rng
 
 HIDDEN_WIDTHS = (128, 128, 128)
+# stop once training accuracy has been 1.0 for this many consecutive epochs
+EARLY_STOP_PATIENCE = 5
 
 
 @dataclass
@@ -21,9 +28,6 @@ class IdsTrainConfig:
     epochs: int = 200
     batch_size: int = 64
     learning_rate: float = 0.001
-    # stop once training accuracy has been 1.0 for this many consecutive epochs
-    early_stop_patience: int = 5
-    seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -32,8 +36,6 @@ class IdsTrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.learning_rate <= 0.0:
             raise ValueError("learning_rate must be > 0")
-        if self.early_stop_patience < 1:
-            raise ValueError("early_stop_patience must be >= 1")
 
 
 @dataclass
@@ -69,24 +71,14 @@ def accuracy(model: IdsModel, dataset: Dataset) -> float:
                   == dataset.labels).mean())
 
 
-def confusion_matrix(model: IdsModel,
-                     dataset: Dataset) -> tuple[np.ndarray, float]:
-    """Counts indexed [true, predicted]; accuracy is trace over total."""
-    n = len(model.class_names)
-    counts = np.zeros((n, n), dtype=np.int64)
-    predicted = predict_label(model, dataset.features)
-    np.add.at(counts, (dataset.labels, predicted), 1)
-    return counts, float(np.trace(counts) / max(dataset.n, 1))
-
-
-def train_ids(train: Dataset,
-              config: IdsTrainConfig) -> tuple[IdsModel, list[dict]]:
+def train_ids(train: Dataset, config: IdsTrainConfig,
+              seed: int) -> tuple[IdsModel, list[dict]]:
     """Minibatch Adam on softmax cross-entropy with accuracy early stopping.
 
     Returns the model and one curve row per epoch:
     {epoch, loss, train_accuracy}.
     """
-    rng = derive_rng(config.seed, "ids-train")
+    rng = derive_rng(seed, "ids-train")
     net = build_ids_net(rng)
     model = IdsModel(net, list(train.class_names))
     optimiser = nn.adam_init(net.params(), config.learning_rate)
@@ -110,7 +102,7 @@ def train_ids(train: Dataset,
         curve.append({"epoch": epoch, "loss": epoch_loss,
                       "train_accuracy": train_acc})
         perfect_streak = perfect_streak + 1 if train_acc == 1.0 else 0
-        if perfect_streak >= config.early_stop_patience:
+        if perfect_streak >= EARLY_STOP_PATIENCE:
             break
     net.clear_cache()
     return model, curve

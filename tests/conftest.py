@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from stealthlab import data, ids
-from stealthlab.cli import default_synth_config, run_stage
+from stealthlab.cli import RunConfig, run_stage
 
 PIPELINE_STAGES = ["data", "ids", "gan", "cvae", "sweep", "detect", "report"]
 
@@ -15,7 +15,7 @@ PIPELINE_STAGES = ["data", "ids", "gan", "cvae", "sweep", "detect", "report"]
 def pipeline_run(tmp_path_factory):
     """One full default synthetic pipeline, shared by the acceptance tests."""
     out_dir = tmp_path_factory.mktemp("pipeline")
-    config = default_synth_config(out_dir=str(out_dir), seed=0)
+    config = RunConfig(seed=0, out_dir=str(out_dir))
     timings = {}
     started = time.perf_counter()
     for stage in PIPELINE_STAGES:
@@ -42,7 +42,7 @@ def separable_ids(tmp_path_factory):
     train_scaled = data.apply_minmax(train, scaler)
     test_scaled = data.apply_minmax(test, scaler)
     t0 = time.perf_counter()
-    model, curve = ids.train_ids(train_scaled, ids.IdsTrainConfig(seed=43))
+    model, curve = ids.train_ids(train_scaled, ids.IdsTrainConfig(), 43)
     train_seconds = time.perf_counter() - t0
     return {
         "model": model,

@@ -185,12 +185,12 @@ def test_c03_clip_invariant():
         n_ref = int(rng.choice(attack.DEFAULT_N_REF_GRID))
         x_att = rng.uniform(0.0, 1.0, size=(3, data.N_FEATURES))
         labels = rng.integers(1, 5, size=3)
-        batch = attack.refine(gen, x_att, labels,
-                              attack.RefinementConfig(epsilon, n_ref,
-                                                      seed=run))
-        if np.abs(batch.x_adv - batch.x_att).max() > epsilon + 1e-9:
+        snapshots, _ = attack.refine_trajectory(gen, x_att, labels, epsilon,
+                                                [n_ref], run)
+        x_adv = snapshots[n_ref]
+        if np.abs(x_adv - x_att).max() > epsilon + 1e-9:
             violations += 1
-        if batch.x_adv.min() < 0.0 or batch.x_adv.max() > 1.0:
+        if x_adv.min() < 0.0 or x_adv.max() > 1.0:
             violations += 1
     check("03", violations == 0,
           f"{violations} violations over 1000 randomized runs")

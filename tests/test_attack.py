@@ -62,15 +62,15 @@ class TestRefine:
             n_ref = int(rng.choice(attack.DEFAULT_N_REF_GRID))
             x_att = rng.uniform(0.0, 1.0, size=(3, N))
             labels = rng.integers(1, 5, size=3)
-            batch = attack.refine(gen, x_att, labels,
-                                  attack.RefinementConfig(epsilon, n_ref,
-                                                          seed=run))
-            dev = np.abs(batch.x_adv - batch.x_att).max()
+            snapshots, trace = attack.refine_trajectory(
+                gen, x_att, labels, epsilon, [n_ref], run)
+            x_adv = snapshots[n_ref]
+            dev = np.abs(x_adv - x_att).max()
             if dev > epsilon + 1e-9:
                 violations += 1
-            assert batch.x_adv.min() >= 0.0 and batch.x_adv.max() <= 1.0
-            assert np.all(np.diff(batch.max_dev_trace) >= 0.0)
-            assert batch.max_dev_trace[-1] <= epsilon + 1e-9
+            assert x_adv.min() >= 0.0 and x_adv.max() <= 1.0
+            assert np.all(np.diff(trace) >= 0.0)
+            assert trace[-1] <= epsilon + 1e-9
         assert violations == 0
 
     def test_prefix_snapshots_match_standalone_runs(self):
@@ -81,38 +81,36 @@ class TestRefine:
         snapshots, _ = attack.refine_trajectory(gen, x_att, labels, 0.05,
                                                 [5, 10, 20], seed=99)
         for n_ref in (5, 10, 20):
-            solo = attack.refine(gen, x_att, labels,
-                                 attack.RefinementConfig(0.05, n_ref, seed=99))
-            assert np.array_equal(snapshots[n_ref], solo.x_adv)
+            solo, _ = attack.refine_trajectory(gen, x_att, labels, 0.05,
+                                               [n_ref], 99)
+            assert np.array_equal(snapshots[n_ref], solo[n_ref])
 
     def test_zero_generator_leaves_input_unchanged(self):
         gen = zero_generator()
         x_att = np.random.default_rng(3).uniform(size=(4, N))
         labels = np.array([1, 2, 3, 4])
         for n_ref in (1, 7):
-            batch = attack.refine(gen, x_att, labels,
-                                  attack.RefinementConfig(0.05, n_ref, seed=0))
-            assert np.array_equal(batch.x_adv, x_att)
+            snapshots, _ = attack.refine_trajectory(gen, x_att, labels, 0.05,
+                                                    [n_ref], 0)
+            assert np.array_equal(snapshots[n_ref], x_att)
 
     def test_constant_generator_saturates_in_one_step(self):
         gen = constant_generator()
         x_att = np.random.default_rng(4).uniform(size=(6, N))
         labels = np.array([1, 2, 3, 4, 1, 2])
         expected = np.minimum(x_att + 0.05, 1.0)
-        one = attack.refine(gen, x_att, labels,
-                            attack.RefinementConfig(0.05, 1, seed=0))
-        many = attack.refine(gen, x_att, labels,
-                             attack.RefinementConfig(0.05, 9, seed=0))
-        assert np.array_equal(one.x_adv, expected)
-        assert np.array_equal(many.x_adv, expected)
+        one, _ = attack.refine_trajectory(gen, x_att, labels, 0.05, [1], 0)
+        many, _ = attack.refine_trajectory(gen, x_att, labels, 0.05, [9], 0)
+        assert np.array_equal(one[1], expected)
+        assert np.array_equal(many[9], expected)
 
     def test_zero_steps_is_identity_not_an_error(self):
         gen = small_generator(2)
         x_att = np.full((2, N), 0.4)
-        batch = attack.refine(gen, x_att, np.array([1, 2]),
-                              attack.RefinementConfig(0.05, 0, seed=0))
-        assert np.array_equal(batch.x_adv, x_att)
-        assert batch.max_dev_trace.size == 0
+        snapshots, trace = attack.refine_trajectory(
+            gen, x_att, np.array([1, 2]), 0.05, [0], 0)
+        assert np.array_equal(snapshots[0], x_att)
+        assert trace.size == 0
 
 
 class TestOod:
@@ -270,10 +268,10 @@ class TestObjective:
         labels = np.random.default_rng(16).integers(1, 5, size=40)
         distances = []
         for epsilon in attack.DEFAULT_EPSILON_GRID:
-            batch = attack.refine(gen, x_att, labels,
-                                  attack.RefinementConfig(epsilon, 5, seed=0))
-            distances.append(attack.wasserstein_features(batch.x_adv,
-                                                         batch.x_att))
+            snapshots, _ = attack.refine_trajectory(gen, x_att, labels,
+                                                    epsilon, [5], 0)
+            distances.append(attack.wasserstein_features(snapshots[5],
+                                                         x_att))
         assert all(b >= a for a, b in zip(distances, distances[1:]))
 
 
@@ -342,23 +340,22 @@ class TestSweep:
         result = attack.sweep(gen, model, x_att, labels, *grids, eta_max=0.0,
                               seed=seed, x_benign=x_ben)
         for report in result.reports:
-            solo = attack.refine(
-                gen, x_att, labels,
-                attack.RefinementConfig(
-                    report.epsilon, report.n_ref,
-                    derive_seed(seed, "sweep-refine", report.epsilon)))
+            snapshots, _ = attack.refine_trajectory(
+                gen, x_att, labels, report.epsilon, [report.n_ref],
+                derive_seed(seed, "sweep-refine", report.epsilon))
+            solo_x_adv = snapshots[report.n_ref]
             x_ood = attack.gen_ood(
                 x_att, attack.OodConfig(
                     report.rho, derive_seed(seed, "sweep-ood", report.rho)))
-            assert report.w_adv_att == attack.wasserstein_features(solo.x_adv,
+            assert report.w_adv_att == attack.wasserstein_features(solo_x_adv,
                                                                    x_att)
             assert report.w_ood_att == attack.wasserstein_features(x_ood,
                                                                    x_att)
-            assert report.succ_adv == attack.success_rate(model, solo.x_adv,
+            assert report.succ_adv == attack.success_rate(model, solo_x_adv,
                                                           x_att.shape[0])
             assert report.succ_ood == attack.success_rate(model, x_ood,
                                                           x_att.shape[0])
-            assert report.w_adv_ben == attack.wasserstein_features(solo.x_adv,
+            assert report.w_adv_ben == attack.wasserstein_features(solo_x_adv,
                                                                    x_ben)
 
     def test_csv_round_trip(self, tmp_path):

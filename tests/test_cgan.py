@@ -56,12 +56,12 @@ def toy_attack_lab():
     train = contrast_dataset(seed=11)
     holdout = contrast_dataset(n_per_class=40, seed=12)
     ids_model, _ = ids.train_ids(train, ids.IdsTrainConfig(
-        epochs=40, batch_size=64, learning_rate=0.001, seed=13))
-    base = dict(learning_rate=0.003, epochs=40, batch_size=64, seed=14)
+        epochs=40, batch_size=64, learning_rate=0.001), 13)
+    base = dict(learning_rate=0.003, epochs=40, batch_size=64)
     gen_mild, _, curve_mild = cgan.train_cgan(
-        ids_model, train, cgan.GanConfig(lambda_stealth=10.0, **base))
+        ids_model, train, cgan.GanConfig(lambda_stealth=10.0, **base), 14)
     gen_heavy, _, _ = cgan.train_cgan(
-        ids_model, train, cgan.GanConfig(lambda_stealth=1e4, **base))
+        ids_model, train, cgan.GanConfig(lambda_stealth=1e4, **base), 14)
     return {"train": train, "holdout": holdout, "ids": ids_model,
             "gen_mild": gen_mild, "gen_heavy": gen_heavy,
             "curve_mild": curve_mild}
@@ -220,17 +220,17 @@ class TestTraining:
         ids_model = toy_attack_lab["ids"]
         before = [p.copy() for p in ids_model.net.params()]
         cgan.train_cgan(ids_model, train,
-                        cgan.GanConfig(epochs=2, batch_size=64, seed=21))
+                        cgan.GanConfig(epochs=2, batch_size=64), 21)
         for old, new in zip(before, ids_model.net.params()):
             assert np.array_equal(old, new)
 
     def test_training_deterministic(self, toy_attack_lab):
         train = toy_attack_lab["train"]
-        config = cgan.GanConfig(epochs=2, batch_size=64, seed=22)
+        config = cgan.GanConfig(epochs=2, batch_size=64)
         gen_a, disc_a, curve_a = cgan.train_cgan(toy_attack_lab["ids"],
-                                                 train, config)
+                                                 train, config, 22)
         gen_b, disc_b, curve_b = cgan.train_cgan(toy_attack_lab["ids"],
-                                                 train, config)
+                                                 train, config, 22)
         assert curve_a == curve_b
         for pa, pb in zip(gen_a.net.params(), gen_b.net.params()):
             assert np.array_equal(pa, pb)
@@ -243,11 +243,10 @@ class TestTraining:
                                 "g_gan"}
 
     def test_divergence_aborts_with_epoch(self, toy_attack_lab):
-        config = cgan.GanConfig(lambda_stealth=1e9, epochs=1, batch_size=64,
-                                seed=23)
+        config = cgan.GanConfig(lambda_stealth=1e9, epochs=1, batch_size=64)
         with pytest.raises(NumericError, match="epoch"):
             cgan.train_cgan(toy_attack_lab["ids"], toy_attack_lab["train"],
-                            config)
+                            config, 23)
 
     def test_perturbation_raises_benign_probability(self, toy_attack_lab):
         holdout = toy_attack_lab["holdout"]

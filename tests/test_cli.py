@@ -1,7 +1,9 @@
 import csv
+import dataclasses
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,11 +27,67 @@ TINY_CONFIG = {
 PIPELINE_COMMANDS = ["synth", "train-ids", "train-gan", "train-cvae",
                      "sweep", "detect", "report"]
 
+ROOT = Path(__file__).resolve().parents[1]
+
+# the default RunConfig as the manifest and the digests see it; a change here
+# changes every recorded digest and the accepted config keys
+DEFAULT_CONFIG = {
+    "schema_version": 1, "seed": 0, "out_dir": "runs/out",
+    "dataset": {"source": "synthetic", "csv_path": None,
+                "train_fraction": 0.8, "samples_per_class": 600,
+                "separation": 0.08, "std": 0.1},
+    "ids": {"epochs": 200, "batch_size": 64, "learning_rate": 0.001},
+    "gan": {"epochs": 60, "batch_size": 64, "learning_rate": 0.001,
+            "lambda_cls": 1.0, "lambda_stealth": 10.0, "lambda_gan": 0.1,
+            "noise_dim": 32, "out_scale": 0.1, "label_smoothing": 0.01},
+    "cvae": {"epochs": 120, "batch_size": 64, "learning_rate": 0.001,
+             "latent_dim": 200, "kl_weight": 0.02,
+             "train_baseline_vae": True},
+    "sweep": {"epsilon_grid": [0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07,
+                               0.08, 0.09, 0.1],
+              "rho_grid": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0],
+              "n_ref_grid": [5, 10, 15, 20, 25, 30, 35, 40, 45, 50, 55, 60],
+              "eta_max": 0.8},
+    "detect": {"k": 50, "label_mode": "ids", "max_samples_per_tag": 192,
+               "benign_calibration": 64, "shrinkage": 0.1,
+               "histogram_bins": 40,
+               "regret": {"steps": 100, "learning_rate": 0.001}},
+}
+
+DEFAULT_STAGE_DIGESTS = {
+    "data": "88da87c9a3e9c5b8a7ab2133658e05b4188039380e5b7c0bcdd2547897b2997d",
+    "ids": "23cf002debb2af0be649a67e0fc89a7d067e23d53d2714d13b6ce7c6f2e7afe0",
+    "gan": "0edef37be1451bee74e4aa51a823e12679522f1758b0f3cce69cb8ee32030261",
+    "cvae": "d21c9fc5c6d61ffd3b0ea2bad1445bbda5f455681a70a617880ecf3a1d20185b",
+    "sweep":
+        "dd1068f06a31128abd9a3fac5308fe1e35c587bab051fa911bf3caf7d3457c24",
+    "detect":
+        "e7b01debbaf64f53e0f68b2281952ec015775a06828daf81c446d5ab11a4d414",
+    "report":
+        "e7b01debbaf64f53e0f68b2281952ec015775a06828daf81c446d5ab11a4d414",
+}
+
 
 def write_config(path, payload):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
     return str(path)
+
+
+def write_csv(tmp_path, counts):
+    """A telemetry CSV with counts[c] rows of class c."""
+    ds = data.synth_generate(data.SyntheticSpec(
+        samples_per_class=max(counts), separation=0.3, std=0.05, seed=3))
+    rows = np.concatenate([ds.class_rows(c)[:n] for c, n in enumerate(counts)])
+    path = tmp_path / "telemetry.csv"
+    data.save_csv(path, ds.subset(rows))
+    return path
+
+
+def csv_config(tmp_path, csv_path):
+    """TINY_CONFIG reading `csv_path` instead of generating data."""
+    return write_config(tmp_path / "csv.json", dict(
+        TINY_CONFIG, dataset={"source": "csv", "csv_path": str(csv_path)}))
 
 
 def run_pipeline(config_path, out_dir):
@@ -98,6 +156,31 @@ class TestConfigParsing:
         assert config.out_dir == "elsewhere"
         assert config.seed == 7
 
+    def test_default_schema_and_digests_are_pinned(self):
+        config = cli.RunConfig()
+        assert dataclasses.asdict(config) == DEFAULT_CONFIG
+        assert cli.config_digest(config) == (
+            "caeca4ffcf9bda9b77306a9f56e8459f90234d6601b5885fa4b362229ecd290b")
+        assert {stage: cli.stage_digest(config, stage)
+                for stage in cli.STAGES} == DEFAULT_STAGE_DIGESTS
+
+    def test_benchmark_workload_sections_parse(self):
+        # a subprocess, so the BLAS variables run.py sets stay out of this one
+        script = (
+            "import runpy, sys\n"
+            f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+            "from stealthlab import cli\n"
+            f"bench = runpy.run_path({str(ROOT / 'perfbench' / 'run.py')!r})\n"
+            "for name in bench['WORKLOADS']:\n"
+            "    for tiny in (False, True):\n"
+            "        sections = bench['workload_sections'](name, tiny)\n"
+            "        cli.parse_config({'schema_version': 1, **sections})\n"
+            "print(len(bench['WORKLOADS']))\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) == 3
+
     def test_digest_ignores_out_dir_but_not_seed(self):
         base = cli.RunConfig()
         moved = cli.RunConfig(out_dir="somewhere/else")
@@ -114,6 +197,31 @@ class TestExitCodes:
                        str(tmp_path / "out")])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("dataset", "samples_per_class", 0),
+        ("dataset", "separation", 0.0),
+        ("dataset", "std", -0.1),
+        ("sweep", "epsilon_grid", [0.05, 0.0]),
+        ("sweep", "rho_grid", [-0.2]),
+        ("sweep", "n_ref_grid", [5, -1]),
+        ("detect", "shrinkage", 1.5),
+        ("detect", "shrinkage", -0.1),
+        ("detect", "histogram_bins", 1),
+        ("ids", "epochs", -1),
+        ("gan", "label_smoothing", 0.7),
+        ("cvae", "kl_weight", -1.0),
+        ("detect", "regret", {"steps": 0}),
+    ])
+    def test_value_a_stage_would_reject_is_2(self, tmp_path, capsys, section,
+                                             key, value):
+        path = write_config(tmp_path / "bad.json",
+                            {"schema_version": 1, section: {key: value}})
+        out = tmp_path / "out"
+        rc = cli.main(["synth", "--config", path, "--out", str(out)])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_invalid_json_is_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -197,6 +305,41 @@ class TestExitCodes:
         assert str(manifest) in err
         assert "corrupt manifest" in err and "rerun" in err
 
+    def test_class_too_small_to_split_is_5(self, tmp_path, capsys):
+        csv_path = write_csv(tmp_path, counts=(10, 10, 10, 10, 3))
+        rc = cli.main(["ingest", "--config", csv_config(tmp_path, csv_path),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 5
+        err = capsys.readouterr().err
+        assert "i/o error" in err and "class 'fdi' has 3 samples" in err
+
+    @pytest.mark.parametrize("counts, missing", [
+        ((0, 10, 10, 10, 10), "benign"), ((10, 0, 0, 0, 0), "attack")])
+    def test_gan_without_benign_or_attack_rows_is_5(self, tmp_path, capsys,
+                                                    counts, missing):
+        csv_path = write_csv(tmp_path, counts)
+        config = csv_config(tmp_path, csv_path)
+        out = str(tmp_path / "out")
+        for command in ("ingest", "train-ids"):
+            assert cli.main([command, "--config", config, "--out", out]) == 0
+        rc = cli.main(["train-gan", "--config", config, "--out", out])
+        assert rc == 5
+        err = capsys.readouterr().err
+        assert "i/o error" in err and f"no {missing} rows" in err
+
+    def test_class_missing_from_the_csv_is_5_at_detect(self, tmp_path,
+                                                       capsys):
+        csv_path = write_csv(tmp_path, counts=(10, 10, 10, 10, 0))
+        config = csv_config(tmp_path, csv_path)
+        out = str(tmp_path / "out")
+        for command in ("ingest", "train-ids", "train-gan", "train-cvae",
+                        "sweep"):
+            assert cli.main([command, "--config", config, "--out", out]) == 0
+        rc = cli.main(["detect", "--config", config, "--out", out])
+        assert rc == 5
+        err = capsys.readouterr().err
+        assert "i/o error" in err and "class 'fdi' has 0 training rows" in err
+
     def test_missing_csv_file_is_5(self, tmp_path, capsys):
         path = write_config(tmp_path / "csv.json", {
             "schema_version": 1,
@@ -216,6 +359,30 @@ class TestExitCodes:
         rc = cli.main(["synth", "--config", path, "--out",
                        str(tmp_path / "out")])
         assert rc == 2
+
+
+class TestManifest:
+    def test_failed_write_keeps_the_previous_manifest(self, tiny_config,
+                                                      tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        assert cli.main(["synth", "--config", tiny_config, "--out",
+                         str(out)]) == 0
+        path = out / cli.MANIFEST_NAME
+        before = path.read_bytes()
+
+        def dump_then_fail(payload, fh, **kwargs):
+            fh.write('{"stages": {"ids": ')
+            raise OSError("disk full")
+
+        manifest = cli.Manifest(out)
+        monkeypatch.setattr(cli.json, "dump", dump_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            manifest.record("ids", "0" * 64, [], {}, 1.0, out)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert list(cli.Manifest(out).payload["stages"]) == ["data"]
+        assert sorted(p.name for p in out.iterdir()) == ["data",
+                                                         cli.MANIFEST_NAME]
 
 
 class TestCommandSurface:

@@ -61,8 +61,8 @@ def trained_cvae():
     train, test = data.stratified_split(ds, 0.8, seed=32)
     config = cvae.CvaeTrainConfig(epochs=30, batch_size=64,
                                   learning_rate=0.001, kl_weight=0.02,
-                                  conditional=True, latent_dim=16, seed=33)
-    model, curve = cvae.train_cvae(train, config)
+                                  latent_dim=16)
+    model, curve = cvae.train_cvae(train, config, 33, conditional=True)
     return {"model": model, "curve": curve, "train": train, "test": test,
             "config": config}
 
@@ -199,9 +199,9 @@ class TestTraining:
     def test_same_seed_bitwise_identical(self):
         ds = data.synth_generate(data.SyntheticSpec(20, 0.3, 0.05, seed=41))
         config = cvae.CvaeTrainConfig(epochs=2, batch_size=32,
-                                      latent_dim=8, seed=42)
-        model_a, curve_a = cvae.train_cvae(ds, config)
-        model_b, curve_b = cvae.train_cvae(ds, config)
+                                      latent_dim=8, kl_weight=1.0)
+        model_a, curve_a = cvae.train_cvae(ds, config, 42)
+        model_b, curve_b = cvae.train_cvae(ds, config, 42)
         assert curve_a == curve_b
         for pa, pb in zip(model_a.params(), model_b.params()):
             assert np.array_equal(pa, pb)
@@ -209,15 +209,15 @@ class TestTraining:
     def test_divergence_aborts_with_epoch(self):
         ds = data.synth_generate(data.SyntheticSpec(20, 0.3, 0.05, seed=43))
         config = cvae.CvaeTrainConfig(epochs=1, batch_size=32, latent_dim=8,
-                                      kl_weight=1e12, seed=44)
+                                      kl_weight=1e12)
         with pytest.raises(NumericError, match="epoch"):
-            cvae.train_cvae(ds, config)
+            cvae.train_cvae(ds, config, 44)
 
     def test_unconditional_variant_ignores_labels(self):
         ds = data.synth_generate(data.SyntheticSpec(10, 0.3, 0.05, seed=45))
         config = cvae.CvaeTrainConfig(epochs=1, batch_size=32, latent_dim=8,
-                                      conditional=False, seed=46)
-        model, _ = cvae.train_cvae(ds, config)
+                                      kl_weight=1.0)
+        model, _ = cvae.train_cvae(ds, config, 46, conditional=False)
         assert not model.conditional
         assert model.encoder.in_dim == 30
         mu_a, _ = cvae.encode(model, ds.features[:3])
@@ -267,11 +267,11 @@ class TestImportanceWeights:
 
 class TestLogMeanExp:
     def test_single_weight_identity(self):
-        assert cvae.nll_from_log_weights(np.array([-3.0])) == 3.0
+        assert -cvae.log_mean_exp(np.array([-3.0])) == 3.0
 
     def test_equal_weights(self):
         assert cvae.log_mean_exp(np.full(5, -2.5)) == -2.5
-        assert cvae.nll_from_log_weights(np.array([0.0, 0.0])) == 0.0
+        assert -cvae.log_mean_exp(np.array([0.0, 0.0])) == 0.0
 
     def test_matches_naive_for_moderate_weights(self):
         rng = np.random.default_rng(18)
@@ -310,14 +310,6 @@ class TestIwae:
             cvae.iwae_bound(trained_cvae["model"],
                             trained_cvae["test"].features[0], 0, 0,
                             np.random.default_rng(0))
-
-    def test_nll_is_negated_bound(self, trained_cvae):
-        model = trained_cvae["model"]
-        x = trained_cvae["test"].features[1]
-        label = int(trained_cvae["test"].labels[1])
-        bound = cvae.iwae_bound(model, x, label, 5, np.random.default_rng(20))
-        score = cvae.nll(model, x, label, 5, np.random.default_rng(20))
-        assert score == -bound
 
     def test_ordering_in_k_over_test_batch(self, trained_cvae):
         model = trained_cvae["model"]

@@ -110,15 +110,6 @@ class TestScaler:
         scaled = data.apply_minmax(ds, params)
         assert np.all(scaled.features == 0.0)
 
-    def test_apply_then_invert_round_trip(self, rng):
-        features = rng.uniform(-3.0, 9.0, size=(20, 30))
-        ds = data.Dataset(features, np.zeros(20, dtype=np.int64),
-                          data.default_feature_names(), list(data.CLASS_NAMES))
-        params = data.fit_minmax(ds)
-        scaled = data.apply_minmax(ds, params)
-        back = data.invert_minmax(scaled, params)
-        assert np.abs(back.features - features).max() < 1e-12
-
     def test_out_of_range_values_clip(self):
         train = data.Dataset(
             np.tile(np.array([[0.0], [1.0]]), (1, 30)), np.array([0, 1]),
@@ -151,18 +142,6 @@ class TestScaler:
         once = data.apply_minmax(ds, data.fit_minmax(ds))
         twice = data.apply_minmax(once, data.fit_minmax(once))
         assert np.array_equal(once.features, twice.features)
-
-    def test_save_load_round_trip(self, tmp_path, rng):
-        features = rng.uniform(size=(10, 30))
-        ds = data.Dataset(features, np.zeros(10, dtype=np.int64),
-                          data.default_feature_names(), list(data.CLASS_NAMES))
-        params = data.fit_minmax(ds)
-        path = tmp_path / "scaler.json"
-        data.save_scaler(path, params)
-        loaded = data.load_scaler(path)
-        assert loaded.feature_names == params.feature_names
-        assert np.array_equal(loaded.mins, params.mins)
-        assert np.array_equal(loaded.maxs, params.maxs)
 
 
 class TestSplit:

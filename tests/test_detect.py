@@ -72,11 +72,11 @@ def lab():
                               std=0.05, seed=41)
     ds = data.synth_generate(spec)
     train, test = data.stratified_split(ds, 0.8, seed=42)
-    ids_model, _ = train_ids(train, IdsTrainConfig(epochs=40, seed=44))
+    ids_model, _ = train_ids(train, IdsTrainConfig(epochs=40), 44)
     config = cvae.CvaeTrainConfig(epochs=30, batch_size=64,
                                   learning_rate=0.001, kl_weight=0.02,
-                                  conditional=True, latent_dim=16, seed=43)
-    model, _ = cvae.train_cvae(train, config)
+                                  latent_dim=16)
+    model, _ = cvae.train_cvae(train, config, 43, conditional=True)
     return {"ids": ids_model, "cvae": model, "train": train, "test": test}
 
 
@@ -355,9 +355,9 @@ class TestRegret:
     def test_non_negative_and_deterministic(self, lab):
         batch = lab["test"].features[:6]
         labels = lab["test"].labels[:6]
-        config = detect.RegretConfig(steps=5, seed=11)
-        scores = detect.score_regret(lab["cvae"], batch, labels, config)
-        again = detect.score_regret(lab["cvae"], batch, labels, config)
+        config = detect.RegretConfig(steps=5)
+        scores = detect.score_regret(lab["cvae"], batch, labels, config, 11)
+        again = detect.score_regret(lab["cvae"], batch, labels, config, 11)
         assert scores.n == 6
         assert scores.n_invalid == 0
         assert np.all(scores.scores >= -1e-6)
@@ -369,24 +369,24 @@ class TestRegret:
         # the work encoder and optimiser carried across rows leak nothing
         batch = lab["test"].features[:4]
         labels = lab["test"].labels[:4]
-        config = detect.RegretConfig(steps=4, seed=3)
-        together = detect.score_regret(lab["cvae"], batch, labels, config)
+        config = detect.RegretConfig(steps=4)
+        together = detect.score_regret(lab["cvae"], batch, labels, config, 3)
         alone = [detect.score_regret(lab["cvae"], batch[i:i + 1],
-                                     labels[i:i + 1], config).scores[0]
+                                     labels[i:i + 1], config, 3).scores[0]
                  for i in range(4)]
         assert np.array_equal(together.scores, np.array(alone))
 
     def test_already_optimal_sample_has_tiny_regret(self):
         model = flat_cvae(mu=[0.0], probs=[0.5, 0.5])
         scores = detect.score_regret(model, np.array([[0.5, 0.5]]), None,
-                                     detect.RegretConfig(steps=50))
+                                     detect.RegretConfig(steps=50), 0)
         assert 0.0 <= scores.scores[0] <= 0.1
 
     def test_model_untouched_after_scoring(self, lab):
         before = model_params(lab["cvae"])
         detect.score_regret(lab["cvae"], lab["test"].features[:4],
                             lab["test"].labels[:4],
-                            detect.RegretConfig(steps=3, seed=1))
+                            detect.RegretConfig(steps=3), 1)
         after = model_params(lab["cvae"])
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
@@ -395,10 +395,10 @@ class TestRegret:
         # a colossal learning rate overflows the posterior mean on step one
         model = toy_cvae(seed=8)
         batch = np.array([[0.2, 0.7], [0.4, 0.1], [0.9, 0.6]])
-        config = detect.RegretConfig(steps=2, learning_rate=1e160, seed=0)
+        config = detect.RegretConfig(steps=2, learning_rate=1e160)
         before = model_params(model)
         with caplog.at_level("WARNING", logger="stealthlab.detect"):
-            scores = detect.score_regret(model, batch, None, config)
+            scores = detect.score_regret(model, batch, None, config, 0)
         assert scores.n == 0
         assert scores.n_invalid == 3
         assert "dropped 3" in caplog.text
