@@ -16,9 +16,7 @@ import sys
 import time
 from pathlib import Path
 
-from stealthlab.cli import RunConfig, run_stage
-
-STAGES = ["data", "ids", "gan", "cvae", "sweep", "detect", "report"]
+from stealthlab.cli import STAGES, RunConfig, run_stage
 
 
 def main() -> int:

@@ -10,12 +10,18 @@ distance of (adversarial vs attack) marginals and that of (noise-OOD vs
 attack) marginals, averaged per feature. The sweep scans (epsilon,
 noise_scale, n_ref) and keeps the most stealthy point whose evasion success
 meets the floor.
+
+`SweepConfig` holds the grids and the floor and is the run config's `sweep`
+section; `sweep(..., config, seed)` takes the seed as an argument. Each grid
+point's crafted and OOD batches are seeded from the sweep seed and the
+point's coordinates, and `operating_point` rebuilds the pair the sweep scored
+at one point, so downstream stages never derive those seeds themselves.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,20 +30,28 @@ from .errors import ShapeError
 from .ids import IdsModel, predict_label
 from .rng import derive_rng, derive_seed
 
-DEFAULT_EPSILON_GRID = [round(0.01 * k, 2) for k in range(1, 11)]
-DEFAULT_RHO_GRID = [round(0.1 * k, 1) for k in range(1, 11)]
-DEFAULT_N_REF_GRID = list(range(5, 65, 5))
-DEFAULT_ETA_MAX = 0.8
-
 
 @dataclass
-class OodConfig:
-    noise_scale: float = 0.3  # std of the additive Gaussian noise
-    seed: int = 0
+class SweepConfig:
+    epsilon_grid: list[float] = field(
+        default_factory=lambda: [round(0.01 * k, 2) for k in range(1, 11)])
+    rho_grid: list[float] = field(      # OOD noise scales
+        default_factory=lambda: [round(0.1 * k, 1) for k in range(1, 11)])
+    n_ref_grid: list[int] = field(      # refinement steps
+        default_factory=lambda: list(range(5, 65, 5)))
+    eta_max: float = 0.8                # evasion success floor
 
     def __post_init__(self):
-        if self.noise_scale <= 0.0:
-            raise ValueError("noise_scale must be > 0")
+        if not self.epsilon_grid or not self.rho_grid or not self.n_ref_grid:
+            raise ValueError("all three grids must be non-empty")
+        if min(self.epsilon_grid) <= 0.0:
+            raise ValueError("epsilon_grid values must be > 0")
+        if min(self.rho_grid) <= 0.0:
+            raise ValueError("rho_grid values must be > 0")
+        if min(self.n_ref_grid) < 0:
+            raise ValueError("n_ref_grid values must be >= 0")
+        if not 0.0 <= self.eta_max <= 1.0:
+            raise ValueError("eta_max must be in [0, 1]")
 
 
 @dataclass
@@ -58,9 +72,7 @@ class StealthReport:
 @dataclass
 class SweepResult:
     reports: list[StealthReport]
-    selection: StealthReport | None
-    feasible: bool
-    eta_max: float
+    selection: StealthReport | None     # None: no point meets eta_max
 
 
 def refine_trajectory(gen: Generator, x_att: np.ndarray, labels: np.ndarray,
@@ -102,12 +114,39 @@ def refine_trajectory(gen: Generator, x_att: np.ndarray, labels: np.ndarray,
     return snapshots, trace
 
 
-def gen_ood(x_att: np.ndarray, config: OodConfig) -> np.ndarray:
+def gen_ood(x_att: np.ndarray, noise_scale: float, seed: int) -> np.ndarray:
     """clip(x_att + N(0, noise_scale^2), 0, 1): unstructured out-of-distribution."""
+    if noise_scale <= 0.0:
+        raise ValueError("noise_scale must be > 0")
     x_att = np.asarray(x_att, dtype=np.float64)
-    rng = derive_rng(config.seed, "ood-noise")
-    noise = rng.normal(0.0, config.noise_scale, size=x_att.shape)
+    rng = derive_rng(seed, "ood-noise")
+    noise = rng.normal(0.0, noise_scale, size=x_att.shape)
     return np.clip(x_att + noise, 0.0, 1.0)
+
+
+# A grid point's batches are seeded from its coordinates as floats, the form
+# they take in a StealthReport, so an integer grid value in a config seeds the
+# same batch the selected report names.
+def _trajectory(gen: Generator, x_att: np.ndarray, labels: np.ndarray,
+                epsilon: float, n_refs: list[int],
+                seed: int) -> dict[int, np.ndarray]:
+    snapshots, _ = refine_trajectory(
+        gen, x_att, labels, epsilon, n_refs,
+        derive_seed(seed, "sweep-refine", float(epsilon)))
+    return snapshots
+
+
+def _ood(x_att: np.ndarray, rho: float, seed: int) -> np.ndarray:
+    return gen_ood(x_att, rho, derive_seed(seed, "sweep-ood", float(rho)))
+
+
+def operating_point(gen: Generator, x_att: np.ndarray, labels: np.ndarray,
+                    epsilon: float, rho: float, n_ref: int,
+                    seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (x_adv, x_ood) pair that sweep(..., seed) scored at one grid
+    point, bit for bit."""
+    return (_trajectory(gen, x_att, labels, epsilon, [n_ref], seed)[n_ref],
+            _ood(x_att, rho, seed))
 
 
 def success_rate(ids_model: IdsModel, batch: np.ndarray, n_att: int) -> float:
@@ -157,10 +196,7 @@ def stealth_objective(w_adv_att: float, w_ood_att: float) -> float:
 
 
 def sweep(gen: Generator, ids_model: IdsModel, x_att: np.ndarray,
-          labels: np.ndarray, epsilon_grid: list[float] | None = None,
-          rho_grid: list[float] | None = None,
-          n_ref_grid: list[int] | None = None,
-          eta_max: float = DEFAULT_ETA_MAX, seed: int = 0,
+          labels: np.ndarray, config: SweepConfig, seed: int,
           x_benign: np.ndarray | None = None) -> SweepResult:
     """Scan the (epsilon, noise_scale, n_ref) grid and pick the stealthiest
     feasible point: argmin |W(adv, att) - W(ood, att)| s.t. success >= eta_max.
@@ -170,21 +206,14 @@ def sweep(gen: Generator, ids_model: IdsModel, x_att: np.ndarray,
     across epsilon and n_ref, so results are independent of evaluation order.
     Ties resolve to the first grid point in (epsilon, rho, n_ref) order.
     """
-    epsilon_grid = list(DEFAULT_EPSILON_GRID if epsilon_grid is None
-                        else epsilon_grid)
-    rho_grid = list(DEFAULT_RHO_GRID if rho_grid is None else rho_grid)
-    n_ref_grid = list(DEFAULT_N_REF_GRID if n_ref_grid is None else n_ref_grid)
-    if not epsilon_grid or not rho_grid or not n_ref_grid:
-        raise ValueError("all three grids must be non-empty")
     x_att = np.asarray(x_att, dtype=np.float64)
     if x_att.shape[0] == 0:
         raise ValueError("x_att must be non-empty")
     n_att = x_att.shape[0]
 
     ood_stats: dict[float, dict] = {}
-    for rho in rho_grid:
-        config = OodConfig(rho, derive_seed(seed, "sweep-ood", rho))
-        x_ood = gen_ood(x_att, config)
+    for rho in config.rho_grid:
+        x_ood = _ood(x_att, rho, seed)
         stats = {
             "w": wasserstein_features(x_ood, x_att),
             "succ": success_rate(ids_model, x_ood, n_att),
@@ -194,11 +223,10 @@ def sweep(gen: Generator, ids_model: IdsModel, x_att: np.ndarray,
         ood_stats[rho] = stats
 
     adv_stats: dict[tuple[float, int], dict] = {}
-    for epsilon in epsilon_grid:
-        snapshots, _ = refine_trajectory(
-            gen, x_att, labels, epsilon, n_ref_grid,
-            derive_seed(seed, "sweep-refine", epsilon))
-        for n_ref in n_ref_grid:
+    for epsilon in config.epsilon_grid:
+        snapshots = _trajectory(gen, x_att, labels, epsilon, config.n_ref_grid,
+                                seed)
+        for n_ref in config.n_ref_grid:
             x_adv = snapshots[n_ref]
             stats = {
                 "w": wasserstein_features(x_adv, x_att),
@@ -209,9 +237,9 @@ def sweep(gen: Generator, ids_model: IdsModel, x_att: np.ndarray,
             adv_stats[(epsilon, n_ref)] = stats
 
     reports: list[StealthReport] = []
-    for epsilon in epsilon_grid:
-        for rho in rho_grid:
-            for n_ref in n_ref_grid:
+    for epsilon in config.epsilon_grid:
+        for rho in config.rho_grid:
+            for n_ref in config.n_ref_grid:
                 adv = adv_stats[(epsilon, n_ref)]
                 ood = ood_stats[rho]
                 reports.append(StealthReport(
@@ -219,7 +247,7 @@ def sweep(gen: Generator, ids_model: IdsModel, x_att: np.ndarray,
                     w_adv_att=adv["w"], w_ood_att=ood["w"],
                     objective=stealth_objective(adv["w"], ood["w"]),
                     succ_adv=adv["succ"], succ_ood=ood["succ"],
-                    feasible=adv["succ"] >= eta_max,
+                    feasible=adv["succ"] >= config.eta_max,
                     w_adv_ben=adv.get("w_ben"), w_ood_ben=ood.get("w_ben")))
 
     selection = None
@@ -227,7 +255,7 @@ def sweep(gen: Generator, ids_model: IdsModel, x_att: np.ndarray,
         if report.feasible and (selection is None
                                 or report.objective < selection.objective):
             selection = report
-    return SweepResult(reports, selection, selection is not None, eta_max)
+    return SweepResult(reports, selection)
 
 
 SWEEP_CSV_COLUMNS = ["epsilon", "rho", "n_ref", "w_adv_att", "w_ood_att",

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .data import Dataset, N_CLASSES, N_FEATURES, one_hot
+from .data import Dataset, N_CLASSES, N_FEATURES, one_hot, write_json
 from .errors import NumericError, SchemaError, ShapeError
 from .ids import IdsModel
 from .rng import derive_rng
@@ -281,10 +281,8 @@ def save_generator(gen: Generator, directory, name: str = "gen") -> dict:
     weights_path = directory / f"{name}.weights"
     meta_path = directory / f"{name}.json"
     nn.save_mlp(weights_path, gen.net)
-    with open(meta_path, "w", encoding="utf-8") as fh:
-        json.dump({"noise_dim": gen.noise_dim, "out_scale": gen.out_scale},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(meta_path, {"noise_dim": gen.noise_dim,
+                           "out_scale": gen.out_scale})
     return {"weights": str(weights_path), "meta": str(meta_path)}
 
 
@@ -302,7 +300,3 @@ def save_discriminator(disc: Discriminator, directory,
     weights_path = directory / f"{name}.weights"
     nn.save_mlp(weights_path, disc.net)
     return {"weights": str(weights_path)}
-
-
-def load_discriminator(directory, name: str = "disc") -> Discriminator:
-    return Discriminator(nn.load_mlp(Path(directory) / f"{name}.weights"))

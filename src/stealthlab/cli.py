@@ -4,10 +4,12 @@ Stages form a chain (data -> ids -> gan -> sweep; data -> cvae; sweep + cvae
 -> detect -> report), described by the one table STAGES. Each command runs
 exactly one stage, fails with a dependency error when upstream artifacts are
 missing, and records every file it wrote (with a sha256) in
-<out>/manifest.json. The ids, gan, cvae and detect.regret config sections
-are the library configs themselves; every value is validated when the config
-is parsed. Stage seeds derive from the global seed plus the stage tag, so
-reruns are bit-identical.
+<out>/manifest.json. The dataset, ids, gan, cvae, sweep and detect.regret
+config sections are the library configs themselves; every value is checked
+against its field's type and the section's own checks when the config is
+parsed. Stage seeds derive from the global seed plus the stage tag, so reruns
+are bit-identical; how a sweep grid point's batches are seeded is attack's
+business alone (`attack.operating_point`).
 
 Exit codes: 0 success, 2 config error, 3 missing dependency, 4 numeric
 failure, 5 I/O or data-file problem.
@@ -19,9 +21,10 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import os
 import sys
 import time
+import types
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -40,49 +43,6 @@ MANIFEST_NAME = "manifest.json"
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
-
-@dataclass
-class DatasetSection:
-    source: str = "synthetic"          # "synthetic" or "csv"
-    csv_path: str | None = None
-    train_fraction: float = 0.8
-    samples_per_class: int = 600
-    separation: float = 0.08
-    std: float = 0.10
-
-    def __post_init__(self):
-        if self.source not in ("synthetic", "csv"):
-            raise ConfigError("dataset.source must be 'synthetic' or 'csv'")
-        if self.source == "csv" and not self.csv_path:
-            raise ConfigError("dataset.csv_path is required when source='csv'")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ConfigError("dataset.train_fraction must be in (0, 1)")
-        # the generator's own checks, so a bad value fails before any stage
-        data.SyntheticSpec(self.samples_per_class, self.separation, self.std)
-
-
-@dataclass
-class SweepSection:
-    epsilon_grid: list[float] = field(
-        default_factory=lambda: list(attack.DEFAULT_EPSILON_GRID))
-    rho_grid: list[float] = field(
-        default_factory=lambda: list(attack.DEFAULT_RHO_GRID))
-    n_ref_grid: list[int] = field(
-        default_factory=lambda: list(attack.DEFAULT_N_REF_GRID))
-    eta_max: float = attack.DEFAULT_ETA_MAX
-
-    def __post_init__(self):
-        if not self.epsilon_grid or not self.rho_grid or not self.n_ref_grid:
-            raise ConfigError("sweep grids must be non-empty")
-        if min(self.epsilon_grid) <= 0.0:
-            raise ConfigError("sweep.epsilon_grid values must be > 0")
-        if min(self.rho_grid) <= 0.0:
-            raise ConfigError("sweep.rho_grid values must be > 0")
-        if min(self.n_ref_grid) < 0:
-            raise ConfigError("sweep.n_ref_grid values must be >= 0")
-        if not 0.0 <= self.eta_max <= 1.0:
-            raise ConfigError("sweep.eta_max must be in [0, 1]")
-
 
 @dataclass
 class DetectSection:
@@ -114,28 +74,51 @@ class RunConfig:
     schema_version: int = SCHEMA_VERSION
     seed: int = 0
     out_dir: str = "runs/out"
-    dataset: DatasetSection = field(default_factory=DatasetSection)
+    dataset: data.DatasetConfig = field(default_factory=data.DatasetConfig)
     ids: ids.IdsTrainConfig = field(default_factory=ids.IdsTrainConfig)
     gan: cgan.GanConfig = field(default_factory=cgan.GanConfig)
     cvae: cvae.CvaeTrainConfig = field(default_factory=cvae.CvaeTrainConfig)
-    sweep: SweepSection = field(default_factory=SweepSection)
+    sweep: attack.SweepConfig = field(default_factory=attack.SweepConfig)
     detect: DetectSection = field(default_factory=DetectSection)
 
 
+def _has_type(value, hint) -> bool:
+    """isinstance against a field annotation: a bool is not an int, an int
+    passes for a float (unconverted, so digests do not move), list elements
+    and `X | None` unions are checked too."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is list:
+        return isinstance(value, list) and all(_has_type(v, args[0])
+                                               for v in value)
+    if origin in (typing.Union, types.UnionType):
+        return any(_has_type(value, arg) for arg in args)
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
+
+
 def _build_section(cls, payload: dict, where: str):
-    """cls(**payload), recursing into fields whose default is a dataclass;
-    unknown keys and values the section's checks reject are ConfigErrors."""
+    """cls(**payload), recursing into dataclass-typed fields; unknown keys,
+    values of the wrong type and values the section's checks reject are
+    ConfigErrors."""
     if not isinstance(payload, dict):
         raise ConfigError(f"{where or 'config'} must be a JSON object")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
+    hints = typing.get_type_hints(cls)
     kwargs = {}
     for key, value in payload.items():
-        if key not in fields:
-            raise ConfigError(f"unknown key '{where + '.' if where else ''}{key}'")
-        section = fields[key].default_factory
-        if dataclasses.is_dataclass(section):
-            value = _build_section(section, value,
-                                   f"{where}.{key}" if where else key)
+        name = f"{where}.{key}" if where else key
+        if key not in hints:
+            raise ConfigError(f"unknown key '{name}'")
+        hint = hints[key]
+        if dataclasses.is_dataclass(hint):
+            value = _build_section(hint, value, name)
+        elif not _has_type(value, hint):
+            raise ConfigError(
+                f"'{name}' must be of type "
+                f"{hint.__name__ if isinstance(hint, type) else hint}, "
+                f"got {json.dumps(value)}")
         kwargs[key] = value
     try:
         return cls(**kwargs)
@@ -242,7 +225,7 @@ class Manifest:
         }
         self.payload["stages"][stage] = entry
         self.payload["timings"][stage] = round(wall_clock, 3)
-        _write_json(self.path, self.payload)
+        data.write_json(self.path, self.payload)
 
     def check_requirements(self, stage: str, config: RunConfig,
                            out_dir: Path, stage_only: bool) -> None:
@@ -302,20 +285,6 @@ def _write_curve_csv(path: Path, rows: list[dict], columns: list[str]) -> None:
             fh.write(",".join(cells) + "\n")
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    """Write through a temp file in the same directory and swap it in, so a
-    failed write leaves any previous file whole."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 def _selected_operating_point(paths: dict) -> dict:
     with open(paths["selection"], "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -330,11 +299,7 @@ def stage_data(config: RunConfig, out_dir: Path) -> tuple[list[Path], dict]:
     if section.source == "csv":
         raw = data.load_csv(section.csv_path)
     else:
-        spec = data.SyntheticSpec(
-            samples_per_class=section.samples_per_class,
-            separation=section.separation, std=section.std,
-            seed=derive_seed(config.seed, "synth"))
-        raw = data.synth_generate(spec)
+        raw = data.synth_generate(section, derive_seed(config.seed, "synth"))
     train, test = data.stratified_split(raw, section.train_fraction,
                                         seed=derive_seed(config.seed, "split"))
     scaler = data.fit_minmax(train)
@@ -439,17 +404,14 @@ def stage_sweep(config: RunConfig, out_dir: Path) -> tuple[list[Path], dict]:
     labels = test.labels[rows]
     benign_rows = np.flatnonzero(test.labels == 0)
     x_benign = test.features[benign_rows] if benign_rows.size else None
-    section = config.sweep
-    result = attack.sweep(
-        generator, ids_model, x_att, labels,
-        epsilon_grid=section.epsilon_grid, rho_grid=section.rho_grid,
-        n_ref_grid=section.n_ref_grid, eta_max=section.eta_max,
-        seed=derive_seed(config.seed, "sweep"), x_benign=x_benign)
+    result = attack.sweep(generator, ids_model, x_att, labels, config.sweep,
+                          derive_seed(config.seed, "sweep"), x_benign)
     paths["sweep_csv"].parent.mkdir(parents=True, exist_ok=True)
     attack.sweep_to_csv(result, paths["sweep_csv"])
-    selection_payload = {"feasible": result.feasible,
-                         "eta_max": result.eta_max, "selected": None}
-    if result.selection is not None:
+    feasible = result.selection is not None
+    selection_payload = {"feasible": feasible,
+                         "eta_max": config.sweep.eta_max, "selected": None}
+    if feasible:
         sel = result.selection
         selection_payload["selected"] = {
             "epsilon": sel.epsilon, "rho": sel.rho, "n_ref": sel.n_ref,
@@ -457,9 +419,8 @@ def stage_sweep(config: RunConfig, out_dir: Path) -> tuple[list[Path], dict]:
             "objective": sel.objective, "succ_adv": sel.succ_adv,
             "succ_ood": sel.succ_ood,
         }
-    _write_json(paths["selection"], selection_payload)
-    meta = {"n_grid_points": len(result.reports),
-            "feasible": result.feasible}
+    data.write_json(paths["selection"], selection_payload)
+    meta = {"n_grid_points": len(result.reports), "feasible": feasible}
     return [paths["sweep_csv"], paths["selection"]], meta
 
 
@@ -477,19 +438,11 @@ def stage_detect(config: RunConfig, out_dir: Path) -> tuple[list[Path], dict]:
             "grids or eta_max and rerun 'sweep'")
     point = selection["selected"]
     section = config.detect
-    sweep_seed = derive_seed(config.seed, "sweep")
 
     rows = _attack_rows(test)
-    x_att = test.features[rows]
-    att_labels = test.labels[rows]
-    # reproduce the sweep's batches bit for bit: same trajectory seed, same
-    # prefix property, same noise draw for the OOD baseline
-    snapshots, _ = attack.refine_trajectory(
-        generator, x_att, att_labels, point["epsilon"], [point["n_ref"]],
-        derive_seed(sweep_seed, "sweep-refine", point["epsilon"]))
-    x_adv_full = snapshots[point["n_ref"]]
-    x_ood_full = attack.gen_ood(x_att, attack.OodConfig(
-        point["rho"], derive_seed(sweep_seed, "sweep-ood", point["rho"])))
+    x_adv_full, x_ood_full = attack.operating_point(
+        generator, test.features[rows], test.labels[rows], point["epsilon"],
+        point["rho"], point["n_ref"], derive_seed(config.seed, "sweep"))
 
     subset_rng = np.random.default_rng(
         derive_seed(config.seed, "detect-subset"))
@@ -549,7 +502,7 @@ def stage_detect(config: RunConfig, out_dir: Path) -> tuple[list[Path], dict]:
         "n_regret_invalid": regret_all.n_invalid,
         "operating_point": point,
     }
-    _write_json(paths["detect_meta"], meta)
+    data.write_json(paths["detect_meta"], meta)
     return [paths["scores_csv"], paths["nll_scores_csv"],
             paths["detect_meta"]], meta
 
@@ -597,7 +550,7 @@ def stage_report(config: RunConfig, out_dir: Path) -> tuple[list[Path], dict]:
         "k": detect_meta["k"],
         "n_per_tag": detect_meta["n_per_tag"],
     }
-    _write_json(paths["summary"], summary)
+    data.write_json(paths["summary"], summary)
     artifacts.append(paths["summary"])
     return artifacts, {"auc": aucs}
 

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .data import Dataset, N_CLASSES, N_FEATURES, one_hot
+from .data import Dataset, N_CLASSES, N_FEATURES, one_hot, write_json
 from .errors import NumericError, ShapeError
 from .rng import derive_rng, stable_hash
 
@@ -349,11 +349,9 @@ def save_cvae(model: CvaeModel, directory, name: str = "cvae") -> dict:
     meta_path = directory / f"{name}.json"
     nn.save_mlp(enc_path, model.encoder)
     nn.save_mlp(dec_path, model.decoder)
-    with open(meta_path, "w", encoding="utf-8") as fh:
-        json.dump({"latent_dim": model.latent_dim,
-                   "conditional": model.conditional,
-                   "n_classes": model.n_classes}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(meta_path, {"latent_dim": model.latent_dim,
+                           "conditional": model.conditional,
+                           "n_classes": model.n_classes})
     return {"encoder": str(enc_path), "decoder": str(dec_path),
             "meta": str(meta_path)}
 

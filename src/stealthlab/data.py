@@ -4,13 +4,20 @@ A dataset is a float64 feature matrix plus integer labels over the fixed
 class vocabulary below (index 0 is always benign). The synthetic generator
 builds five Gaussian clusters in the unit hypercube so the whole pipeline
 runs, and is exercised in CI, without the recorded telemetry CSV.
+
+`DatasetConfig` is the run config's `dataset` section: where the rows come
+from, the train fraction and the synthetic generator's shape. The seed is an
+argument, `synth_generate(config, seed)`. `write_json` is the package's one
+JSON artifact writer.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -205,13 +212,25 @@ def apply_minmax(dataset: Dataset, params: ScalerParams) -> Dataset:
 
 
 def save_scaler(path, params: ScalerParams) -> None:
-    payload = {
+    write_json(path, {
         name: {"min": float(lo), "max": float(hi)}
         for name, lo, hi in zip(params.feature_names, params.mins, params.maxs)
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
+
+
+def write_json(path, payload: dict) -> None:
+    """Sorted, indented JSON written through a temp file in the same directory
+    and swapped in, so a failed write leaves any previous file whole."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +268,21 @@ def stratified_split(dataset: Dataset, train_fraction: float = 0.8,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class SyntheticSpec:
+class DatasetConfig:
+    source: str = "synthetic"  # "synthetic" or "csv"
+    csv_path: str | None = None
+    train_fraction: float = 0.8
     samples_per_class: int = 600
     separation: float = 0.08   # benign/attack mean gap on the contrast block
     std: float = 0.10          # within-class standard deviation, every axis
-    seed: int = 0
 
     def __post_init__(self):
+        if self.source not in ("synthetic", "csv"):
+            raise ValueError("source must be 'synthetic' or 'csv'")
+        if self.source == "csv" and not self.csv_path:
+            raise ValueError("csv_path is required when source='csv'")
+        if not 0.0 < self.train_fraction < 1.0:
+            raise ValueError("train_fraction must be in (0, 1)")
         if self.samples_per_class < 1:
             raise ValueError("samples_per_class must be >= 1")
         if self.separation <= 0.0:
@@ -293,11 +320,11 @@ def synthetic_class_means(separation: float) -> np.ndarray:
     return means
 
 
-def synth_generate(spec: SyntheticSpec) -> Dataset:
+def synth_generate(config: DatasetConfig, seed: int) -> Dataset:
     """Five isotropic Gaussian clusters clipped into the unit hypercube."""
-    rng = derive_rng(spec.seed, "synthetic-data")
-    means = synthetic_class_means(spec.separation)
-    labels = np.repeat(np.arange(N_CLASSES), spec.samples_per_class)
+    rng = derive_rng(seed, "synthetic-data")
+    means = synthetic_class_means(config.separation)
+    labels = np.repeat(np.arange(N_CLASSES), config.samples_per_class)
     noise = rng.standard_normal((labels.size, N_FEATURES))
-    features = np.clip(means[labels] + spec.std * noise, 0.0, 1.0)
+    features = np.clip(means[labels] + config.std * noise, 0.0, 1.0)
     return Dataset(features, labels, default_feature_names(), list(CLASS_NAMES))

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .data import Dataset, N_CLASSES, N_FEATURES
+from .data import Dataset, N_CLASSES, N_FEATURES, write_json
 from .errors import NumericError, ShapeError
 from .rng import derive_rng
 
@@ -119,15 +119,9 @@ def save_ids(model: IdsModel, directory, name: str = "ids",
     weights_path = directory / f"{name}.weights"
     meta_path = directory / f"{name}.json"
     nn.save_mlp(weights_path, model.net)
-    meta = {
-        "class_names": model.class_names,
-        "scaler_ref": model.scaler_ref,
-    }
-    if extra_meta:
-        meta.update(extra_meta)
-    with open(meta_path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(meta_path, {"class_names": model.class_names,
+                           "scaler_ref": model.scaler_ref,
+                           **(extra_meta or {})})
     return {"weights": str(weights_path), "meta": str(meta_path)}
 
 

@@ -34,9 +34,8 @@ def pipeline_run(tmp_path_factory):
 @pytest.fixture(scope="session")
 def separable_ids(tmp_path_factory):
     """IDS trained on well-separated synthetic data (mean gap 8x the std)."""
-    spec = data.SyntheticSpec(samples_per_class=100, separation=0.4, std=0.05,
-                              seed=41)
-    raw = data.synth_generate(spec)
+    spec = data.DatasetConfig(samples_per_class=100, separation=0.4, std=0.05)
+    raw = data.synth_generate(spec, 41)
     train, test = data.stratified_split(raw, 0.8, seed=42)
     scaler = data.fit_minmax(train)
     train_scaled = data.apply_minmax(train, scaler)

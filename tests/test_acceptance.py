@@ -72,7 +72,7 @@ def real_run(tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("real_pipeline")
     config = cli.RunConfig(
         seed=0, out_dir=str(out_dir),
-        dataset=cli.DatasetSection(source="csv", csv_path=REAL_CSV))
+        dataset=data.DatasetConfig(source="csv", csv_path=REAL_CSV))
     started = time.perf_counter()
     for stage in PIPELINE_STAGES:
         cli.run_stage(stage, config)
@@ -174,6 +174,7 @@ def test_c02_real_dataset_ids_accuracy(real_run):
 # --------------------------------------------------------------------------
 
 def test_c03_clip_invariant():
+    grids = attack.SweepConfig()
     rng = np.random.default_rng(20250815)
     violations = 0
     for run in range(1000):
@@ -181,8 +182,8 @@ def test_c03_clip_invariant():
                                    out_scale=0.1, hidden=(8,))
         for p in gen.net.params():
             p *= 5.0
-        epsilon = float(rng.choice(attack.DEFAULT_EPSILON_GRID))
-        n_ref = int(rng.choice(attack.DEFAULT_N_REF_GRID))
+        epsilon = float(rng.choice(grids.epsilon_grid))
+        n_ref = int(rng.choice(grids.n_ref_grid))
         x_att = rng.uniform(0.0, 1.0, size=(3, data.N_FEATURES))
         labels = rng.integers(1, 5, size=3)
         snapshots, _ = attack.refine_trajectory(gen, x_att, labels, epsilon,

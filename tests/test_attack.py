@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from stealthlab import attack, cgan, data, ids, nn
 from stealthlab.errors import ShapeError
-from stealthlab.rng import derive_rng, derive_seed
+from stealthlab.rng import derive_rng
 
 N = data.N_FEATURES
+DEFAULT_SWEEP = attack.SweepConfig()
 
 
 def small_generator(seed, gain=1.0, hidden=(16, 16)):
@@ -58,8 +59,8 @@ class TestRefine:
         violations = 0
         for run in range(1000):
             gen = small_generator(run, gain=5.0, hidden=(8,))
-            epsilon = float(rng.choice(attack.DEFAULT_EPSILON_GRID))
-            n_ref = int(rng.choice(attack.DEFAULT_N_REF_GRID))
+            epsilon = float(rng.choice(DEFAULT_SWEEP.epsilon_grid))
+            n_ref = int(rng.choice(DEFAULT_SWEEP.n_ref_grid))
             x_att = rng.uniform(0.0, 1.0, size=(3, N))
             labels = rng.integers(1, 5, size=3)
             snapshots, trace = attack.refine_trajectory(
@@ -116,26 +117,26 @@ class TestRefine:
 class TestOod:
     def test_vanishing_noise_is_near_identity(self):
         x_att = np.random.default_rng(5).uniform(0.1, 0.9, size=(8, N))
-        x_ood = attack.gen_ood(x_att, attack.OodConfig(1e-9, seed=1))
+        x_ood = attack.gen_ood(x_att, 1e-9, seed=1)
         assert np.abs(x_ood - x_att).max() < 1e-6
 
     def test_seed_reproducible(self):
         x_att = np.random.default_rng(6).uniform(size=(8, N))
-        a = attack.gen_ood(x_att, attack.OodConfig(0.3, seed=2))
-        b = attack.gen_ood(x_att, attack.OodConfig(0.3, seed=2))
+        a = attack.gen_ood(x_att, 0.3, seed=2)
+        b = attack.gen_ood(x_att, 0.3, seed=2)
         assert np.array_equal(a, b)
 
     def test_noise_scale_matches_sample_std(self):
         # interior base point, small scale: clipping never engages
         x_att = np.full((3000, N), 0.5)
         rho = 0.05
-        x_ood = attack.gen_ood(x_att, attack.OodConfig(rho, seed=3))
+        x_ood = attack.gen_ood(x_att, rho, seed=3)
         sample_std = (x_ood - x_att).std()
         assert abs(sample_std - rho) / rho < 0.1
 
     def test_output_clipped_to_unit_cube(self):
         x_att = np.random.default_rng(8).uniform(size=(50, N))
-        x_ood = attack.gen_ood(x_att, attack.OodConfig(1.5, seed=4))
+        x_ood = attack.gen_ood(x_att, 1.5, seed=4)
         assert x_ood.min() >= 0.0 and x_ood.max() <= 1.0
 
 
@@ -267,7 +268,7 @@ class TestObjective:
         x_att = np.random.default_rng(15).uniform(0.0, 0.9, size=(40, N))
         labels = np.random.default_rng(16).integers(1, 5, size=40)
         distances = []
-        for epsilon in attack.DEFAULT_EPSILON_GRID:
+        for epsilon in DEFAULT_SWEEP.epsilon_grid:
             snapshots, _ = attack.refine_trajectory(gen, x_att, labels,
                                                     epsilon, [5], 0)
             distances.append(attack.wasserstein_features(snapshots[5],
@@ -285,17 +286,18 @@ class TestSweep:
 
     def test_single_point_grid(self):
         x_att, labels, _ = self.setup_inputs()
+        config = attack.SweepConfig([0.05], [0.3], [5], 0.0)
         result = attack.sweep(constant_generator(), threshold_ids(), x_att,
-                              labels, [0.05], [0.3], [5], eta_max=0.0, seed=1)
+                              labels, config, 1)
         assert len(result.reports) == 1
-        assert result.feasible
+        assert result.selection is not None
         assert result.selection is result.reports[0]
 
     def test_selection_is_feasible_argmin(self):
         x_att, labels, _ = self.setup_inputs()
+        config = attack.SweepConfig([0.02, 0.08], [0.1, 0.5], [5, 15], 0.0)
         result = attack.sweep(small_generator(18, gain=4.0), threshold_ids(),
-                              x_att, labels, [0.02, 0.08], [0.1, 0.5],
-                              [5, 15], eta_max=0.0, seed=2)
+                              x_att, labels, config, 2)
         assert len(result.reports) == 8
         best = min(result.reports, key=lambda r: r.objective)
         assert result.selection.objective == best.objective
@@ -306,47 +308,43 @@ class TestSweep:
         # constant generator pushes x below the cut when epsilon is large
         x_att, labels, _ = self.setup_inputs()
         gen = constant_generator(-40.0)    # constant -1 per feature
+        config = attack.SweepConfig([0.01, 0.1], [0.2], [5], 0.8)
         result = attack.sweep(gen, threshold_ids(cut=0.93), x_att, labels,
-                              [0.01, 0.1], [0.2], [5], eta_max=0.8, seed=3)
-        assert result.feasible
+                              config, 3)
+        assert result.selection is not None
         assert result.selection.succ_adv >= 0.8
 
     def test_infeasible_grid_flagged_not_raised(self):
         x_att, labels, _ = self.setup_inputs()
+        config = attack.SweepConfig([0.05], [0.3], [5, 10], 0.8)
         result = attack.sweep(zero_generator(), threshold_ids(), x_att,
-                              labels, [0.05], [0.3], [5, 10], eta_max=0.8,
-                              seed=4)
-        assert not result.feasible
+                              labels, config, 4)
         assert result.selection is None
         assert all(not r.feasible for r in result.reports)
 
     def test_ties_resolve_to_first_grid_point(self):
         x_att, labels, _ = self.setup_inputs()
+        config = attack.SweepConfig([0.03, 0.07], [0.2, 0.4], [5, 10], 0.0)
         result = attack.sweep(zero_generator(), threshold_ids(), x_att,
-                              labels, [0.03, 0.07], [0.2, 0.4], [5, 10],
-                              eta_max=0.0, seed=5)
+                              labels, config, 5)
         # zero generator: objective depends only on rho, ties across the rest
         assert result.selection.epsilon == 0.03
         assert result.selection.n_ref == 5
 
     def test_factorization_matches_independent_evaluation(self):
-        # the per-coordinate seeds are a contract: downstream stages rebuild
-        # the selected batches from them
+        # downstream stages rebuild the selected batches through
+        # operating_point, one grid point at a time
         x_att, labels, x_ben = self.setup_inputs(n=20, seed=19)
         gen = small_generator(20, gain=4.0)
         model = threshold_ids()
         seed = 6
-        grids = ([0.02, 0.06], [0.1, 0.3], [5, 10])
-        result = attack.sweep(gen, model, x_att, labels, *grids, eta_max=0.0,
-                              seed=seed, x_benign=x_ben)
+        config = attack.SweepConfig([0.02, 0.06], [0.1, 0.3], [5, 10], 0.0)
+        result = attack.sweep(gen, model, x_att, labels, config, seed,
+                              x_benign=x_ben)
         for report in result.reports:
-            snapshots, _ = attack.refine_trajectory(
-                gen, x_att, labels, report.epsilon, [report.n_ref],
-                derive_seed(seed, "sweep-refine", report.epsilon))
-            solo_x_adv = snapshots[report.n_ref]
-            x_ood = attack.gen_ood(
-                x_att, attack.OodConfig(
-                    report.rho, derive_seed(seed, "sweep-ood", report.rho)))
+            solo_x_adv, x_ood = attack.operating_point(
+                gen, x_att, labels, report.epsilon, report.rho, report.n_ref,
+                seed)
             assert report.w_adv_att == attack.wasserstein_features(solo_x_adv,
                                                                    x_att)
             assert report.w_ood_att == attack.wasserstein_features(x_ood,
@@ -360,9 +358,9 @@ class TestSweep:
 
     def test_csv_round_trip(self, tmp_path):
         x_att, labels, x_ben = self.setup_inputs(n=10, seed=21)
+        config = attack.SweepConfig([0.05], [0.2], [5], 0.0)
         result = attack.sweep(small_generator(22), threshold_ids(), x_att,
-                              labels, [0.05], [0.2], [5], eta_max=0.0, seed=7,
-                              x_benign=x_ben)
+                              labels, config, 7, x_benign=x_ben)
         path = tmp_path / "sweep.csv"
         attack.sweep_to_csv(result, path)
         lines = path.read_text().splitlines()
@@ -376,7 +374,21 @@ class TestSweep:
         assert row["feasible"] == "true"
 
     def test_empty_grid_rejected(self):
-        x_att, labels, _ = self.setup_inputs(n=5, seed=23)
         with pytest.raises(ValueError):
-            attack.sweep(zero_generator(), threshold_ids(), x_att, labels,
-                         [], [0.1], [5])
+            attack.SweepConfig([], [0.1], [5])
+
+    def test_integer_grid_values_seed_the_selected_batches(self):
+        # a config may give 1 for 1.0; the report, and selection.json after
+        # it, names the point as a float, and operating_point rebuilds from
+        # that the very batches the sweep scored
+        x_att, labels, _ = self.setup_inputs(n=12, seed=24)
+        gen = small_generator(25, gain=4.0)
+        model = threshold_ids()
+        result = attack.sweep(gen, model, x_att, labels,
+                              attack.SweepConfig([1], [1], [5], 0.0), 8)
+        report = result.selection
+        assert (report.epsilon, report.rho) == (1.0, 1.0)
+        x_adv, x_ood = attack.operating_point(
+            gen, x_att, labels, report.epsilon, report.rho, report.n_ref, 8)
+        assert report.w_adv_att == attack.wasserstein_features(x_adv, x_att)
+        assert report.w_ood_att == attack.wasserstein_features(x_ood, x_att)

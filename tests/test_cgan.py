@@ -283,6 +283,6 @@ class TestPersistence:
     def test_discriminator_round_trip(self, tmp_path):
         disc = cgan.build_discriminator(derive_rng(5, "d"))
         cgan.save_discriminator(disc, tmp_path)
-        loaded = cgan.load_discriminator(tmp_path)
-        for pa, pb in zip(disc.net.params(), loaded.net.params()):
+        loaded = nn.load_mlp(tmp_path / "disc.weights")
+        for pa, pb in zip(disc.net.params(), loaded.params()):
             assert np.array_equal(pa, pb)

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -76,8 +77,8 @@ def write_config(path, payload):
 
 def write_csv(tmp_path, counts):
     """A telemetry CSV with counts[c] rows of class c."""
-    ds = data.synth_generate(data.SyntheticSpec(
-        samples_per_class=max(counts), separation=0.3, std=0.05, seed=3))
+    ds = data.synth_generate(data.DatasetConfig(
+        samples_per_class=max(counts), separation=0.3, std=0.05), 3)
     rows = np.concatenate([ds.class_rows(c)[:n] for c, n in enumerate(counts)])
     path = tmp_path / "telemetry.csv"
     data.save_csv(path, ds.subset(rows))
@@ -181,6 +182,13 @@ class TestConfigParsing:
         assert proc.returncode == 0, proc.stderr
         assert int(proc.stdout) == 3
 
+    def test_readme_config_examples_parse(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        examples = re.findall(r"```json\n(.*?)```", readme, re.S)
+        assert len(examples) == 2       # the minimal one and the CSV one
+        for example in examples:
+            cli.parse_config(json.loads(example))
+
     def test_digest_ignores_out_dir_but_not_seed(self):
         base = cli.RunConfig()
         moved = cli.RunConfig(out_dir="somewhere/else")
@@ -212,11 +220,25 @@ class TestExitCodes:
         ("gan", "label_smoothing", 0.7),
         ("cvae", "kl_weight", -1.0),
         ("detect", "regret", {"steps": 0}),
+        # values of the wrong type; section None is a top-level key
+        (None, "seed", "abc"),
+        (None, "seed", 1.5),
+        (None, "seed", True),
+        (None, "schema_version", True),
+        ("dataset", "samples_per_class", 10.5),
+        ("dataset", "csv_path", 3),
+        ("ids", "epochs", 2.5),
+        ("cvae", "train_baseline_vae", 1),
+        ("sweep", "n_ref_grid", [5.5]),
+        ("sweep", "epsilon_grid", [0.05, True]),
+        ("sweep", "eta_max", "0.5"),
+        ("detect", "k", 2.5),
     ])
     def test_value_a_stage_would_reject_is_2(self, tmp_path, capsys, section,
                                              key, value):
+        entry = {key: value} if section is None else {section: {key: value}}
         path = write_config(tmp_path / "bad.json",
-                            {"schema_version": 1, section: {key: value}})
+                            {"schema_version": 1, **entry})
         out = tmp_path / "out"
         rc = cli.main(["synth", "--config", path, "--out", str(out)])
         assert rc == 2
@@ -272,8 +294,8 @@ class TestExitCodes:
         assert "i/o error" in capsys.readouterr().err
 
     def test_nan_csv_cell_is_5(self, tmp_path, capsys):
-        ds = data.synth_generate(data.SyntheticSpec(
-            samples_per_class=10, separation=0.3, std=0.05, seed=3))
+        ds = data.synth_generate(data.DatasetConfig(
+            samples_per_class=10, separation=0.3, std=0.05), 3)
         ds.features[4, 2] = np.nan
         csv_path = tmp_path / "telemetry.csv"
         data.save_csv(csv_path, ds)
@@ -362,12 +384,14 @@ class TestExitCodes:
 
 
 class TestManifest:
-    def test_failed_write_keeps_the_previous_manifest(self, tiny_config,
-                                                      tmp_path, monkeypatch):
+    @pytest.mark.parametrize("target", ["manifest", "scaler"])
+    def test_failed_write_keeps_the_previous_file(self, tiny_config, tmp_path,
+                                                  monkeypatch, target):
         out = tmp_path / "out"
         assert cli.main(["synth", "--config", tiny_config, "--out",
                          str(out)]) == 0
-        path = out / cli.MANIFEST_NAME
+        path = {"manifest": out / cli.MANIFEST_NAME,
+                "scaler": out / "data" / "scaler.json"}[target]
         before = path.read_bytes()
 
         def dump_then_fail(payload, fh, **kwargs):
@@ -377,12 +401,18 @@ class TestManifest:
         manifest = cli.Manifest(out)
         monkeypatch.setattr(cli.json, "dump", dump_then_fail)
         with pytest.raises(OSError, match="disk full"):
-            manifest.record("ids", "0" * 64, [], {}, 1.0, out)
+            if target == "manifest":
+                manifest.record("ids", "0" * 64, [], {}, 1.0, out)
+            else:
+                data.save_scaler(path, data.ScalerParams(["f00"], [0.0],
+                                                         [1.0]))
         monkeypatch.undo()
         assert path.read_bytes() == before
         assert list(cli.Manifest(out).payload["stages"]) == ["data"]
         assert sorted(p.name for p in out.iterdir()) == ["data",
                                                          cli.MANIFEST_NAME]
+        assert sorted(p.name for p in (out / "data").iterdir()) == [
+            "scaler.json", "test.csv", "train.csv"]
 
 
 class TestCommandSurface:
@@ -404,8 +434,8 @@ class TestCommandSurface:
 
 class TestIngest:
     def test_real_csv_round_trip(self, tmp_path):
-        ds = data.synth_generate(data.SyntheticSpec(
-            samples_per_class=10, separation=0.3, std=0.05, seed=3))
+        ds = data.synth_generate(data.DatasetConfig(
+            samples_per_class=10, separation=0.3, std=0.05), 3)
         csv_path = tmp_path / "telemetry.csv"
         data.save_csv(csv_path, ds)
         config = write_config(tmp_path / "cfg.json", {

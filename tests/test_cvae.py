@@ -53,11 +53,15 @@ def flat_model(mu=0.0, logvar=0.0, probs=(0.5, 0.5), conditional=False):
     return cvae.CvaeModel(encoder, decoder, latent_dim, conditional)
 
 
+def small_spec(samples_per_class):
+    return data.DatasetConfig(samples_per_class=samples_per_class,
+                              separation=0.3, std=0.05)
+
+
 @pytest.fixture(scope="module")
 def trained_cvae():
-    spec = data.SyntheticSpec(samples_per_class=100, separation=0.3,
-                              std=0.05, seed=31)
-    ds = data.synth_generate(spec)
+    spec = data.DatasetConfig(samples_per_class=100, separation=0.3, std=0.05)
+    ds = data.synth_generate(spec, 31)
     train, test = data.stratified_split(ds, 0.8, seed=32)
     config = cvae.CvaeTrainConfig(epochs=30, batch_size=64,
                                   learning_rate=0.001, kl_weight=0.02,
@@ -197,7 +201,7 @@ class TestTraining:
             assert later <= earlier + 1e-6
 
     def test_same_seed_bitwise_identical(self):
-        ds = data.synth_generate(data.SyntheticSpec(20, 0.3, 0.05, seed=41))
+        ds = data.synth_generate(small_spec(20), 41)
         config = cvae.CvaeTrainConfig(epochs=2, batch_size=32,
                                       latent_dim=8, kl_weight=1.0)
         model_a, curve_a = cvae.train_cvae(ds, config, 42)
@@ -207,14 +211,14 @@ class TestTraining:
             assert np.array_equal(pa, pb)
 
     def test_divergence_aborts_with_epoch(self):
-        ds = data.synth_generate(data.SyntheticSpec(20, 0.3, 0.05, seed=43))
+        ds = data.synth_generate(small_spec(20), 43)
         config = cvae.CvaeTrainConfig(epochs=1, batch_size=32, latent_dim=8,
                                       kl_weight=1e12)
         with pytest.raises(NumericError, match="epoch"):
             cvae.train_cvae(ds, config, 44)
 
     def test_unconditional_variant_ignores_labels(self):
-        ds = data.synth_generate(data.SyntheticSpec(10, 0.3, 0.05, seed=45))
+        ds = data.synth_generate(small_spec(10), 45)
         config = cvae.CvaeTrainConfig(epochs=1, batch_size=32, latent_dim=8,
                                       kl_weight=1.0)
         model, _ = cvae.train_cvae(ds, config, 46, conditional=False)

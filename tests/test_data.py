@@ -11,9 +11,9 @@ from stealthlab.rng import derive_rng
 
 
 def tiny_dataset(n_per_class=6, seed=0):
-    spec = data.SyntheticSpec(samples_per_class=n_per_class, separation=0.3,
-                              std=0.05, seed=seed)
-    return data.synth_generate(spec)
+    spec = data.DatasetConfig(samples_per_class=n_per_class, separation=0.3,
+                              std=0.05)
+    return data.synth_generate(spec, seed)
 
 
 class TestCsv:
@@ -146,9 +146,9 @@ class TestScaler:
 
 class TestSplit:
     def test_per_class_counts(self):
-        spec = data.SyntheticSpec(samples_per_class=20, separation=0.3,
-                                  std=0.05, seed=1)
-        ds = data.synth_generate(spec)
+        spec = data.DatasetConfig(samples_per_class=20, separation=0.3,
+                                  std=0.05)
+        ds = data.synth_generate(spec, 1)
         train, test = data.stratified_split(ds, 0.8, seed=2)
         for c in range(5):
             assert len(train.class_rows(c)) == 16
@@ -186,30 +186,30 @@ class TestSplit:
 
 class TestSynthetic:
     def test_seed_determinism(self):
-        spec = data.SyntheticSpec(samples_per_class=50, separation=0.2,
-                                  std=0.05, seed=77)
-        a = data.synth_generate(spec)
-        b = data.synth_generate(spec)
+        spec = data.DatasetConfig(samples_per_class=50, separation=0.2,
+                                  std=0.05)
+        a = data.synth_generate(spec, 77)
+        b = data.synth_generate(spec, 77)
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
 
     def test_row_count(self):
-        spec = data.SyntheticSpec(samples_per_class=100, separation=0.2,
-                                  std=0.05, seed=0)
-        assert data.synth_generate(spec).n == 500
+        spec = data.DatasetConfig(samples_per_class=100, separation=0.2,
+                                  std=0.05)
+        assert data.synth_generate(spec, 0).n == 500
 
     def test_values_in_unit_cube(self):
-        spec = data.SyntheticSpec(samples_per_class=100, separation=0.6,
-                                  std=0.3, seed=0)
-        ds = data.synth_generate(spec)
+        spec = data.DatasetConfig(samples_per_class=100, separation=0.6,
+                                  std=0.3)
+        ds = data.synth_generate(spec, 0)
         assert ds.features.min() >= 0.0
         assert ds.features.max() <= 1.0
 
     def test_wide_separation_linearly_separable(self):
         # one-layer softmax as the linear oracle, mean gap 8x the std
-        spec = data.SyntheticSpec(samples_per_class=60, separation=0.4,
-                                  std=0.05, seed=5)
-        ds = data.synth_generate(spec)
+        spec = data.DatasetConfig(samples_per_class=60, separation=0.4,
+                                  std=0.05)
+        ds = data.synth_generate(spec, 5)
         train, test = data.stratified_split(ds, 0.8, seed=6)
         net = nn.build_mlp([30, 5], ["softmax"], derive_rng(7, "oracle"))
         state = nn.adam_init(net.params(), 0.05)
@@ -223,9 +223,9 @@ class TestSynthetic:
         assert (pred == test.labels).mean() == 1.0
 
     def test_per_class_covariance_nearly_diagonal(self):
-        spec = data.SyntheticSpec(samples_per_class=100, separation=0.2,
-                                  std=0.05, seed=13)
-        ds = data.synth_generate(spec)
+        spec = data.DatasetConfig(samples_per_class=100, separation=0.2,
+                                  std=0.05)
+        ds = data.synth_generate(spec, 13)
         for c in range(5):
             block = ds.features[ds.class_rows(c)]
             corr = np.corrcoef(block, rowvar=False)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stealthlab import cvae, data, detect, nn
-from stealthlab.attack import OodConfig, gen_ood
+from stealthlab.attack import gen_ood
 from stealthlab.errors import NumericError, ShapeError
 from stealthlab.ids import IdsTrainConfig, train_ids
 from stealthlab.rng import derive_rng
@@ -68,9 +68,8 @@ def model_params(model):
 @pytest.fixture(scope="module")
 def lab():
     """Small trained detector lab: intrusion classifier plus CVAE."""
-    spec = data.SyntheticSpec(samples_per_class=100, separation=0.3,
-                              std=0.05, seed=41)
-    ds = data.synth_generate(spec)
+    spec = data.DatasetConfig(samples_per_class=100, separation=0.3, std=0.05)
+    ds = data.synth_generate(spec, 41)
     train, test = data.stratified_split(ds, 0.8, seed=42)
     ids_model, _ = train_ids(train, IdsTrainConfig(epochs=40), 44)
     config = cvae.CvaeTrainConfig(epochs=30, batch_size=64,
@@ -343,7 +342,7 @@ class TestNll:
 
     def test_benign_rows_beat_far_ood_rows(self, lab):
         benign = lab["train"].features[lab["train"].class_rows(0)][:30]
-        ood = gen_ood(benign, OodConfig(noise_scale=1.0, seed=7))
+        ood = gen_ood(benign, noise_scale=1.0, seed=7)
         low = detect.score_nll(lab["cvae"], lab["ids"], benign, k=10,
                                tag=detect.TAG_BENIGN, seed=5)
         high = detect.score_nll(lab["cvae"], lab["ids"], ood, k=10,

@@ -7,9 +7,9 @@ from stealthlab.rng import derive_rng
 
 
 def make_dataset(n_per_class=20, separation=0.4, std=0.05, seed=0):
-    spec = data.SyntheticSpec(samples_per_class=n_per_class,
-                              separation=separation, std=std, seed=seed)
-    return data.synth_generate(spec)
+    spec = data.DatasetConfig(samples_per_class=n_per_class,
+                              separation=separation, std=std)
+    return data.synth_generate(spec, seed)
 
 
 def zero_weight_model():
