@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cgan import Generator, generate_perturbation
+from .data import atomic_write
 from .errors import ShapeError
 from .ids import IdsModel, predict_label
 from .rng import derive_rng, derive_seed
@@ -266,7 +267,7 @@ def sweep_to_csv(result: SweepResult, path) -> None:
     with_benign = any(r.w_adv_ben is not None for r in result.reports)
     columns = SWEEP_CSV_COLUMNS + (["w_adv_ben", "w_ood_ben"] if with_benign
                                    else [])
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for r in result.reports:

@@ -273,8 +273,7 @@ def _paths(out_dir: Path) -> dict:
 
 
 def _write_curve_csv(path: Path, rows: list[dict], columns: list[str]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with data.atomic_write(path) as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:
             cells = []
@@ -508,7 +507,7 @@ def stage_detect(config: RunConfig, out_dir: Path) -> tuple[list[Path], dict]:
 
 
 def _write_nll_csv(path: Path, scores: detect.ScoreSet, k: int) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with data.atomic_write(path) as fh:
         fh.write("sample_id,source_tag,label_used,k,nll\n")
         labels = scores.labels_used
         for i in range(scores.n):

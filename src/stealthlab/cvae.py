@@ -151,13 +151,27 @@ def gaussian_kl(mu: np.ndarray, logvar: np.ndarray) -> np.ndarray:
     return 0.5 * (mu * mu + np.exp(logvar) - 1.0 - logvar).sum(axis=1)
 
 
+def conditioned_inputs(model: CvaeModel, x: np.ndarray,
+                       labels: np.ndarray | None
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """The encoder input (x [, one-hot]) and a decoder input buffer whose
+    one-hot columns are filled in and whose first latent_dim columns take
+    z. `elbo_loss` builds them per call; a caller that evaluates the same
+    rows many times builds them once and passes them as `inputs`."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    enc_in = _conditioned(model, x, labels)
+    dec_in = np.empty((x.shape[0], model.decoder.in_dim))
+    dec_in[:, model.latent_dim:] = enc_in[:, model.input_dim:]
+    return enc_in, dec_in
+
+
 @dataclass
 class ElboResult:
     loss: float          # recon + kl_weight * kl, meaned over the batch
     recon: float         # mean per-sample reconstruction NLL
     kl: float            # mean per-sample posterior KL
-    # encoder params then decoder params; encoder params only when the loss
-    # was taken with encoder_only; None without with_grads
+    # encoder params then decoder params; with encoder_only, the encoder's
+    # per-layer deltas (`Mlp.backprop`) instead; None without with_grads
     grads: list[np.ndarray] | None
 
 
@@ -166,18 +180,23 @@ def elbo_loss(model: CvaeModel, x: np.ndarray,
               rng: np.random.Generator | None = None,
               noise: np.ndarray | None = None, kl_weight: float = 1.0,
               with_grads: bool = True,
-              encoder_only: bool = False) -> ElboResult:
+              encoder_only: bool = False,
+              inputs: tuple[np.ndarray, np.ndarray] | None = None
+              ) -> ElboResult:
     """Single-draw negative ELBO and its gradients for every parameter.
 
     Pass `noise` to freeze the reparameterization draw (gradient checks,
     per-sample refits); otherwise it is drawn from `rng`. With
     `encoder_only` the decoder is backpropagated for its input gradient
-    alone and `grads` holds only the encoder gradients, bitwise equal to
-    the encoder prefix of the full list.
+    alone, the encoder's input gradient is skipped, and `grads` holds the
+    encoder's per-layer deltas: `model.encoder.grads_from_deltas` turns them
+    into the encoder prefix of the full list, bitwise. `inputs` is
+    `conditioned_inputs(model, x, labels)`, built once by the caller.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     n = x.shape[0]
-    enc_in = _conditioned(model, x, labels)
+    enc_in, dec_in = (conditioned_inputs(model, x, labels) if inputs is None
+                      else inputs)
     enc_out = model.encoder.forward(enc_in, keep_cache=with_grads)
     mu = enc_out[:, :model.latent_dim]
     raw_logvar = enc_out[:, model.latent_dim:]
@@ -190,9 +209,8 @@ def elbo_loss(model: CvaeModel, x: np.ndarray,
     if noise.shape != mu.shape:
         raise ShapeError("noise shape must match (n, latent_dim)")
     sigma = np.exp(0.5 * logvar)
-    z = mu + sigma * noise
+    np.add(mu, sigma * noise, out=dec_in[:, :model.latent_dim])   # z
 
-    dec_in = _conditioned(model, z, labels)
     dec_out = model.decoder.forward(dec_in, keep_cache=with_grads)
     probs = np.clip(dec_out, nn.PROB_CLAMP, 1.0 - nn.PROB_CLAMP)
     recon_rows = -bernoulli_log_likelihood(x, probs)
@@ -220,9 +238,10 @@ def elbo_loss(model: CvaeModel, x: np.ndarray,
         + kl_weight * (np.exp(logvar) - 1.0) / (2.0 * n)
     logvar_open = (raw_logvar > LOGVAR_MIN) & (raw_logvar < LOGVAR_MAX)
     enc_upstream = np.hstack([d_mu, np.where(logvar_open, d_logvar, 0.0)])
-    enc_grads, _ = model.encoder.backward(enc_upstream)
     if encoder_only:
-        return ElboResult(loss, recon, kl, enc_grads)
+        deltas, _ = model.encoder.backprop(enc_upstream, input_grad=False)
+        return ElboResult(loss, recon, kl, deltas)
+    enc_grads, _ = model.encoder.backward(enc_upstream)
     return ElboResult(loss, recon, kl, enc_grads + dec_grads)
 
 
@@ -266,6 +285,10 @@ def train_cvae(train: Dataset, config: CvaeTrainConfig, seed: int,
 # importance-weighted bounds
 # ---------------------------------------------------------------------------
 
+def _label_rows(label: int | None, n: int) -> np.ndarray | None:
+    return None if label is None else np.full(n, label, dtype=np.int64)
+
+
 def importance_weights(model: CvaeModel, x: np.ndarray,
                        label: int | None, z: np.ndarray) -> np.ndarray:
     """Log importance weights for one sample and k latent draws from q.
@@ -274,14 +297,18 @@ def importance_weights(model: CvaeModel, x: np.ndarray,
     prior and the diagonal-Gaussian posterior returned by encode().
     """
     x = np.asarray(x, dtype=np.float64).ravel()
+    mu, logvar = encode(model, x[None, :], _label_rows(label, 1))
+    return _importance_weights(model, x, label, z, mu, logvar)
+
+
+def _importance_weights(model: CvaeModel, x: np.ndarray, label: int | None,
+                        z: np.ndarray, mu: np.ndarray,
+                        logvar: np.ndarray) -> np.ndarray:
+    """`importance_weights` given the row's posterior (mu, logvar)."""
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     if z.shape[1] != model.latent_dim:
         raise ShapeError(f"z must have {model.latent_dim} columns")
-    labels = None if label is None else np.full(1, label, dtype=np.int64)
-    mu, logvar = encode(model, x[None, :], labels)
-    z_labels = None if label is None else np.full(z.shape[0], label,
-                                                  dtype=np.int64)
-    probs = decode(model, z, z_labels)
+    probs = decode(model, z, _label_rows(label, z.shape[0]))
     log_px = bernoulli_log_likelihood(np.broadcast_to(x, probs.shape), probs)
     log_prior = -0.5 * (z * z + LOG_2PI).sum(axis=1)
     var = np.exp(logvar)
@@ -308,12 +335,11 @@ def iwae_bound(model: CvaeModel, x: np.ndarray, label: int | None, k: int,
     if k < 1:
         raise ValueError("k must be >= 1")
     x = np.asarray(x, dtype=np.float64).ravel()
-    labels = None if label is None else np.full(1, label, dtype=np.int64)
-    mu, logvar = encode(model, x[None, :], labels)
+    mu, logvar = encode(model, x[None, :], _label_rows(label, 1))
     noise = rng.standard_normal((k, model.latent_dim))
     z = reparameterize(np.broadcast_to(mu, noise.shape),
                        np.broadcast_to(logvar, noise.shape), noise)
-    return log_mean_exp(importance_weights(model, x, label, z))
+    return log_mean_exp(_importance_weights(model, x, label, z, mu, logvar))
 
 
 @dataclass

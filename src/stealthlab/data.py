@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -163,7 +164,7 @@ def save_csv(path, dataset: Dataset) -> None:
 
     Floats are serialised with repr so a load round-trips bit exactly.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(list(dataset.feature_names) + [LABEL_COLUMN])
         for row, label in zip(dataset.features, dataset.labels):
@@ -218,19 +219,28 @@ def save_scaler(path, params: ScalerParams) -> None:
     })
 
 
-def write_json(path, payload: dict) -> None:
-    """Sorted, indented JSON written through a temp file in the same directory
-    and swapped in, so a failed write leaves any previous file whole."""
+@contextmanager
+def atomic_write(path, mode: str = "w"):
+    """Open a temp file beside `path` ("w" for UTF-8 text with untranslated
+    newlines, "wb" for bytes) and swap it in with os.replace when the block
+    ends, so a failed write leaves any previous file whole."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
+    text = {"encoding": "utf-8", "newline": ""} if "b" not in mode else {}
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        with open(tmp, mode, **text) as fh:
+            yield fh
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def write_json(path, payload: dict) -> None:
+    """Sorted, indented JSON, written through `atomic_write`."""
+    with atomic_write(path) as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,11 @@ Three scores, all oriented so that higher means "more likely adversarial":
                (or the minimum over all labels);
 * mahalanobis  minimum over classes of the Mahalanobis distance between the
                encoder mean and a per-class Gaussian fit on training data;
-* regret       ELBO improvement from a short per-sample encoder-only refit;
-               its sign is calibrated once against benign reference scores.
+* regret       ELBO improvement from a short per-sample encoder-only refit
+               (`nn.LiveRowRefit`, which updates only the encoder weight
+               rows that ever see a non-zero input, bit for bit a dense
+               refit); its sign is calibrated once against benign
+               reference scores.
 
 `score_regret(model, batch, labels, config, seed)` takes its seed as an
 argument; `RegretConfig` holds the hyperparameters only and is the run
@@ -25,8 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .cvae import CvaeModel, elbo_loss, encode, iwae_batch
-from .data import Dataset
+from .cvae import (CvaeModel, conditioned_inputs, elbo_loss, encode,
+                   iwae_batch)
+from .data import Dataset, atomic_write
 from .errors import NumericError, SchemaError, ShapeError
 from .ids import IdsModel, predict_label
 from .rng import stable_hash
@@ -207,11 +211,15 @@ def score_regret(model: CvaeModel, batch: np.ndarray,
 
     Each sample gets a frozen reparameterization draw seeded from its
     content, and the reported regret is best-minus-initial, so it is never
-    negative. One work copy of the encoder and one Adam state serve every
-    sample: before each refit the copy gets the trained weights back and
-    the optimiser its initial state. Each step backpropagates the decoder
-    for its input gradient only. Samples whose refit diverges are dropped
-    and counted in n_invalid.
+    negative. One `nn.LiveRowRefit` of the encoder serves every sample; it
+    goes back to the trained weights and a fresh optimiser before each
+    refit. Each step backpropagates the decoder for its input gradient only,
+    and the last evaluation is taken without gradients. The refit keeps
+    weight state only for encoder rows whose input has ever been non-zero:
+    with one row, every other weight row has had zero gradients, so Adam
+    would leave it bitwise unchanged, and the scores equal a dense refit's
+    bit for bit. Samples whose refit diverges are dropped and counted in
+    n_invalid.
     """
     batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     if sample_ids is None:
@@ -219,29 +227,29 @@ def score_regret(model: CvaeModel, batch: np.ndarray,
     sample_ids = np.asarray(sample_ids, dtype=np.int64)
     kept_ids, kept_tags, kept_scores, kept_labels = [], [], [], []
     n_invalid = 0
-    work = CvaeModel(model.encoder.copy(), model.decoder, model.latent_dim,
+    refit = nn.LiveRowRefit(model.encoder, config.learning_rate)
+    work = CvaeModel(refit.work, model.decoder, model.latent_dim,
                      model.conditional, model.n_classes)
-    trained, refit = model.encoder.params(), work.encoder.params()
-    optimiser = nn.adam_init(refit, config.learning_rate)
     for i, row in enumerate(batch):
         label = None if labels is None else int(labels[i])
         row_seed = stable_hash(seed, "regret", row.tobytes(),
                                -1 if label is None else label)
         noise = np.random.default_rng(row_seed).standard_normal(
             (1, model.latent_dim))
-        for dst, src in zip(refit, trained):
-            np.copyto(dst, src)
-        optimiser.reset()
+        refit.reset()
+        x = row[None, :]
         row_labels = None if label is None else np.array([label])
+        inputs = conditioned_inputs(model, x, row_labels)
         try:
-            result = elbo_loss(work, row[None, :], row_labels, noise=noise,
-                               encoder_only=True)
+            result = elbo_loss(work, x, row_labels, noise=noise,
+                               encoder_only=True, inputs=inputs)
             initial = -result.loss
             best = initial
-            for _ in range(config.steps):
-                nn.adam_step(optimiser, refit, result.grads)
-                result = elbo_loss(work, row[None, :], row_labels,
-                                   noise=noise, encoder_only=True)
+            for step in range(1, config.steps + 1):
+                refit.step(result.grads)
+                result = elbo_loss(work, x, row_labels, noise=noise,
+                                   with_grads=step < config.steps,
+                                   encoder_only=True, inputs=inputs)
                 best = max(best, -result.loss)
         except NumericError:
             n_invalid += 1
@@ -362,7 +370,7 @@ SCORES_CSV_COLUMNS = ["sample_id", "tag", "detector", "score"]
 
 
 def scores_to_csv(parts: list[ScoreSet], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(SCORES_CSV_COLUMNS)
         for part in parts:
@@ -389,7 +397,7 @@ def scores_from_csv(path) -> dict[str, ScoreSet]:
 
 
 def roc_to_csv(curve: RocCurve, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["threshold", "fpr", "tpr"])
         for thr, fpr, tpr in zip(curve.thresholds, curve.fpr, curve.tpr):
@@ -399,7 +407,7 @@ def roc_to_csv(curve: RocCurve, path) -> None:
 
 def histograms_to_csv(hist: dict, path) -> None:
     edges = hist["edges"]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["tag", "bin_lo", "bin_hi", "count"])
         for tag in sorted(hist["counts"]):

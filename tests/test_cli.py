@@ -4,12 +4,13 @@ import json
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stealthlab import cli, data
+from stealthlab import cli, data, nn
 from stealthlab.errors import ConfigError
 
 TINY_CONFIG = {
@@ -384,30 +385,60 @@ class TestExitCodes:
 
 
 class TestManifest:
-    @pytest.mark.parametrize("target", ["manifest", "scaler"])
+    @pytest.mark.parametrize("target", ["manifest", "scaler", "weights",
+                                        "csv"])
     def test_failed_write_keeps_the_previous_file(self, tiny_config, tmp_path,
                                                   monkeypatch, target):
         out = tmp_path / "out"
         assert cli.main(["synth", "--config", tiny_config, "--out",
                          str(out)]) == 0
         path = {"manifest": out / cli.MANIFEST_NAME,
-                "scaler": out / "data" / "scaler.json"}[target]
+                "scaler": out / "data" / "scaler.json",
+                "weights": tmp_path / "net.weights",
+                "csv": out / "data" / "train.csv"}[target]
+        if target == "weights":
+            nn.save_mlp(path, nn.build_mlp([3, 2], ["linear"],
+                                           np.random.default_rng(0)))
         before = path.read_bytes()
+        files = sorted(tmp_path.rglob("*"))
+        other_net = nn.build_mlp([3, 2], ["linear"], np.random.default_rng(1))
+        other_rows = data.synth_generate(
+            data.DatasetConfig(samples_per_class=2), 1)
 
         def dump_then_fail(payload, fh, **kwargs):
             fh.write('{"stages": {"ids": ')
             raise OSError("disk full")
 
+        def pack_fails(*args):
+            raise OSError("disk full")
+
+        class WriterThatFails:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def writerow(self, row):
+                self.fh.write(",".join(str(cell) for cell in row)[:7])
+                raise OSError("disk full")
+
         manifest = cli.Manifest(out)
         monkeypatch.setattr(cli.json, "dump", dump_then_fail)
+        monkeypatch.setattr(nn, "struct", types.SimpleNamespace(
+            pack=pack_fails))
+        monkeypatch.setattr(data, "csv", types.SimpleNamespace(
+            writer=WriterThatFails))
         with pytest.raises(OSError, match="disk full"):
             if target == "manifest":
                 manifest.record("ids", "0" * 64, [], {}, 1.0, out)
-            else:
+            elif target == "scaler":
                 data.save_scaler(path, data.ScalerParams(["f00"], [0.0],
                                                          [1.0]))
+            elif target == "weights":
+                nn.save_mlp(path, other_net)
+            else:
+                data.save_csv(path, other_rows)
         monkeypatch.undo()
         assert path.read_bytes() == before
+        assert sorted(tmp_path.rglob("*")) == files
         assert list(cli.Manifest(out).payload["stages"]) == ["data"]
         assert sorted(p.name for p in out.iterdir()) == ["data",
                                                          cli.MANIFEST_NAME]

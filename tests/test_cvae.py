@@ -155,7 +155,7 @@ class TestElbo:
         with pytest.raises(NumericError, match="reconstruction"):
             cvae.elbo_loss(model, x, noise=np.zeros((1, 1)))
 
-    def test_encoder_only_grads_are_the_encoder_prefix(self):
+    def test_encoder_only_deltas_give_the_encoder_prefix(self):
         model = toy_model(15)
         rng = derive_rng(16, "enc-only")
         x = rng.uniform(0.2, 0.8, size=(3, 4))
@@ -166,11 +166,31 @@ class TestElbo:
                              encoder_only=True)
         n_enc = len(model.encoder.params())
         assert len(full.grads) == len(model.params())
-        assert len(enc.grads) == n_enc
+        assert len(enc.grads) == len(model.encoder.layers)
+        enc_grads = model.encoder.grads_from_deltas(enc.grads)
+        assert len(enc_grads) == n_enc
         assert all(np.array_equal(a, b)
-                   for a, b in zip(enc.grads, full.grads[:n_enc]))
+                   for a, b in zip(enc_grads, full.grads[:n_enc]))
         assert (enc.loss, enc.recon, enc.kl) == (full.loss, full.recon,
                                                  full.kl)
+
+    @pytest.mark.parametrize("conditional", [True, False])
+    def test_prebuilt_inputs_match_per_call_conditioning(self, conditional):
+        # the one buffer set is reused across calls, as a refit reuses it
+        model = toy_model(17, conditional=conditional)
+        rng = derive_rng(18, "prebuilt")
+        x = rng.uniform(0.2, 0.8, size=(2, 4))
+        labels = np.array([4, 1]) if conditional else None
+        inputs = cvae.conditioned_inputs(model, x, labels)
+        for draw in range(3):
+            noise = rng.standard_normal((2, 3))
+            fresh = cvae.elbo_loss(model, x, labels, noise=noise)
+            reused = cvae.elbo_loss(model, x, labels, noise=noise,
+                                    inputs=inputs)
+            assert (reused.loss, reused.recon, reused.kl) == (
+                fresh.loss, fresh.recon, fresh.kl)
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(reused.grads, fresh.grads))
 
     def test_gradcheck_with_frozen_noise(self):
         model = toy_model(13)
@@ -307,6 +327,24 @@ class TestIwae:
         noise = seed_rng.standard_normal((1, model.latent_dim))
         z = cvae.reparameterize(mu, logvar, noise)
         want = cvae.importance_weights(model, x, label, z)[0]
+        assert got == want
+
+    def test_each_bound_encodes_its_row_once(self, trained_cvae,
+                                             monkeypatch):
+        model = trained_cvae["model"]
+        x = trained_cvae["test"].features[1]
+        label = int(trained_cvae["test"].labels[1])
+        want = cvae.iwae_bound(model, x, label, 7, np.random.default_rng(5))
+        calls = []
+        encode = cvae.encode
+
+        def counting_encode(*args, **kwargs):
+            calls.append(args)
+            return encode(*args, **kwargs)
+
+        monkeypatch.setattr(cvae, "encode", counting_encode)
+        got = cvae.iwae_bound(model, x, label, 7, np.random.default_rng(5))
+        assert len(calls) == 1
         assert got == want
 
     def test_k_zero_rejected(self, trained_cvae):

@@ -7,7 +7,7 @@ from stealthlab import cvae, data, detect, nn
 from stealthlab.attack import gen_ood
 from stealthlab.errors import NumericError, ShapeError
 from stealthlab.ids import IdsTrainConfig, train_ids
-from stealthlab.rng import derive_rng
+from stealthlab.rng import derive_rng, stable_hash
 
 
 def make_scores(adv, ood, detector="nll"):
@@ -58,6 +58,35 @@ def toy_cvae(seed=0, input_dim=2, latent_dim=1):
     decoder = nn.build_mlp([latent_dim, 6, input_dim], ["tanh", "sigmoid"],
                            rng)
     return cvae.CvaeModel(encoder, decoder, latent_dim, conditional=False)
+
+
+def dense_reference_regret(model, row, label, config, seed):
+    """One row's regret from a dense refit: full `elbo_loss` gradients and
+    the whole-tensor Adam formula on every encoder parameter."""
+    work = cvae.CvaeModel(model.encoder.copy(), model.decoder,
+                          model.latent_dim, model.conditional,
+                          model.n_classes)
+    params = work.encoder.params()
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    labels = None if label is None else np.array([label])
+    noise = np.random.default_rng(stable_hash(
+        seed, "regret", row.tobytes(), -1 if label is None else label)
+    ).standard_normal((1, model.latent_dim))
+    lr, beta1, beta2, eps = config.learning_rate, 0.9, 0.999, 1e-8
+    result = cvae.elbo_loss(work, row[None, :], labels, noise=noise)
+    initial = best = -result.loss
+    for t in range(1, config.steps + 1):
+        for p, g, m_p, v_p in zip(params, result.grads[:len(params)], m, v):
+            m_p *= beta1
+            m_p += (1.0 - beta1) * g
+            v_p *= beta2
+            v_p += (1.0 - beta2) * g * g
+            p -= lr * (m_p / (1.0 - beta1 ** t)) / (
+                np.sqrt(v_p / (1.0 - beta2 ** t)) + eps)
+        result = cvae.elbo_loss(work, row[None, :], labels, noise=noise)
+        best = max(best, -result.loss)
+    return best - initial
 
 
 def model_params(model):
@@ -374,6 +403,53 @@ class TestRegret:
                                      labels[i:i + 1], config, 3).scores[0]
                  for i in range(4)]
         assert np.array_equal(together.scores, np.array(alone))
+
+    @pytest.mark.parametrize("conditional", [True, False])
+    def test_scores_equal_a_dense_refit_bitwise(self, lab, conditional,
+                                               monkeypatch):
+        if conditional:
+            model = lab["cvae"]
+            labels = lab["test"].labels[:3]
+        else:
+            model = cvae.build_cvae(derive_rng(5, "regret-vae"),
+                                    latent_dim=8, conditional=False,
+                                    hidden=(64, 64))
+            labels = None
+        batch = lab["test"].features[:3].copy()
+        batch[2, ::3] = 0.0      # exact-zero features, scored last
+        config = detect.RegretConfig(steps=6, learning_rate=0.05)
+        refits, live_counts = [], []
+        step = nn.LiveRowRefit.step
+
+        def recording_step(self, deltas):
+            step(self, deltas)
+            refits.append(self)
+            live_counts.append(sum(self.n_live))
+
+        monkeypatch.setattr(nn.LiveRowRefit, "step", recording_step)
+        scores = detect.score_regret(model, batch, labels, config, 9)
+        want = [dense_reference_regret(
+                    model, row, None if labels is None else int(labels[i]),
+                    config, 9)
+                for i, row in enumerate(batch)]
+        assert scores.n_invalid == 0
+        assert scores.scores.tobytes() == np.array(want).tobytes()
+        # the live set grows after the first step of some row's refit
+        per_row = [live_counts[i:i + config.steps]
+                   for i in range(0, len(live_counts), config.steps)]
+        assert any(counts[-1] > counts[0] for counts in per_row)
+        # the last refit (the zero row): its never-live rows are the
+        # trained weights byte for byte, and a zero input never went live
+        refit = refits[-1]
+        assert all(r is refit for r in refits)
+        n_features = batch.shape[1]
+        assert (refit.live[0][:n_features].tolist()
+                == (batch[2] != 0.0).tolist())
+        for work, trained, live in zip(refit.work.layers,
+                                       model.encoder.layers, refit.live):
+            assert not live.all()
+            assert (work.weights[~live].tobytes()
+                    == trained.weights[~live].tobytes())
 
     def test_already_optimal_sample_has_tiny_regret(self):
         model = flat_cvae(mu=[0.0], probs=[0.5, 0.5])
