@@ -20,14 +20,14 @@ section.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import nn
-from .data import Dataset, N_CLASSES, N_FEATURES, one_hot, write_json
+from .data import (Dataset, N_CLASSES, N_FEATURES, one_hot, read_json,
+                   write_json)
 from .errors import NumericError, SchemaError, ShapeError
 from .ids import IdsModel
 from .rng import derive_rng
@@ -289,9 +289,9 @@ def save_generator(gen: Generator, directory, name: str = "gen") -> dict:
 def load_generator(directory, name: str = "gen") -> Generator:
     directory = Path(directory)
     net = nn.load_mlp(directory / f"{name}.weights")
-    with open(directory / f"{name}.json", "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    return Generator(net, int(meta["noise_dim"]), float(meta["out_scale"]))
+    meta = read_json(directory / f"{name}.json", {"noise_dim": int,
+                                                  "out_scale": float})
+    return Generator(net, meta["noise_dim"], float(meta["out_scale"]))
 
 
 def save_discriminator(disc: Discriminator, directory,

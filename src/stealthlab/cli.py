@@ -23,7 +23,6 @@ import hashlib
 import json
 import sys
 import time
-import types
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -82,23 +81,6 @@ class RunConfig:
     detect: DetectSection = field(default_factory=DetectSection)
 
 
-def _has_type(value, hint) -> bool:
-    """isinstance against a field annotation: a bool is not an int, an int
-    passes for a float (unconverted, so digests do not move), list elements
-    and `X | None` unions are checked too."""
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin is list:
-        return isinstance(value, list) and all(_has_type(v, args[0])
-                                               for v in value)
-    if origin in (typing.Union, types.UnionType):
-        return any(_has_type(value, arg) for arg in args)
-    if isinstance(value, bool):
-        return hint is bool
-    if hint is float:
-        return isinstance(value, (int, float))
-    return isinstance(value, hint)
-
-
 def _build_section(cls, payload: dict, where: str):
     """cls(**payload), recursing into dataclass-typed fields; unknown keys,
     values of the wrong type and values the section's checks reject are
@@ -114,7 +96,7 @@ def _build_section(cls, payload: dict, where: str):
         hint = hints[key]
         if dataclasses.is_dataclass(hint):
             value = _build_section(hint, value, name)
-        elif not _has_type(value, hint):
+        elif not data.has_type(value, hint):
             raise ConfigError(
                 f"'{name}' must be of type "
                 f"{hint.__name__ if isinstance(hint, type) else hint}, "
@@ -202,17 +184,12 @@ class Manifest:
         self.payload = {"config_digest": None, "stages": {}, "timings": {}}
         if self.path.exists():
             try:
-                with open(self.path, "r", encoding="utf-8") as fh:
-                    payload = json.load(fh)
-            except ValueError:          # truncated JSON or bad UTF-8
-                payload = None
-            if not (isinstance(payload, dict)
-                    and isinstance(payload.get("stages"), dict)
-                    and isinstance(payload.get("timings"), dict)):
+                self.payload = data.read_json(self.path, {"stages": dict,
+                                                          "timings": dict})
+            except ParseError as exc:
                 raise ParseError(
-                    f"{self.path}: corrupt manifest; delete it and rerun the "
-                    f"stages from '{STAGES['data'].command}'")
-            self.payload = payload
+                    f"{exc}; corrupt manifest: delete it and rerun the "
+                    f"stages from '{STAGES['data'].command}'") from None
 
     def record(self, stage: str, digest: str, artifacts: list[Path],
                meta: dict, wall_clock: float, out_dir: Path) -> None:
@@ -285,8 +262,16 @@ def _write_curve_csv(path: Path, rows: list[dict], columns: list[str]) -> None:
 
 
 def _selected_operating_point(paths: dict) -> dict:
-    with open(paths["selection"], "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    """The selected point in selection.json; DependencyError if none."""
+    selection = data.read_json(paths["selection"], {"feasible": bool,
+                                                    "selected": dict | None})
+    if not selection["feasible"] or selection["selected"] is None:
+        raise DependencyError(
+            "sweep found no feasible operating point; adjust the sweep "
+            "grids or eta_max and rerun 'sweep'")
+    return data.check_keys(selection["selected"],
+                           {"epsilon": float, "rho": float, "n_ref": int},
+                           f"{paths['selection']}: 'selected'")
 
 
 # ---------------------------------------------------------------------------
@@ -430,12 +415,7 @@ def stage_detect(config: RunConfig, out_dir: Path) -> tuple[list[Path], dict]:
     ids_model = ids.load_ids(paths["models"])
     generator = cgan.load_generator(paths["models"])
     cvae_model = cvae.load_cvae(paths["models"])
-    selection = _selected_operating_point(paths)
-    if not selection["feasible"] or selection["selected"] is None:
-        raise DependencyError(
-            "sweep found no feasible operating point; adjust the sweep "
-            "grids or eta_max and rerun 'sweep'")
-    point = selection["selected"]
+    point = _selected_operating_point(paths)
     section = config.detect
 
     rows = _attack_rows(test)
@@ -479,7 +459,8 @@ def stage_detect(config: RunConfig, out_dir: Path) -> tuple[list[Path], dict]:
                                                     tag, sample_ids))
         regret_parts.append(detect.score_regret(
             cvae_model, x, labels if cvae_model.conditional else None,
-            section.regret, regret_seed, tag, sample_ids))
+            section.regret, regret_seed, tag, sample_ids,
+            kl_weight=config.cvae.kl_weight))
     regret_all = detect.concat_scores(regret_parts)
     scored_mask = regret_all.tags != detect.TAG_BENIGN
     orientation = detect.choose_orientation(
@@ -519,8 +500,9 @@ def _write_nll_csv(path: Path, scores: detect.ScoreSet, k: int) -> None:
 def stage_report(config: RunConfig, out_dir: Path) -> tuple[list[Path], dict]:
     paths = _paths(out_dir)
     by_detector = detect.scores_from_csv(paths["scores_csv"])
-    with open(paths["detect_meta"], "r", encoding="utf-8") as fh:
-        detect_meta = json.load(fh)
+    detect_meta = data.read_json(paths["detect_meta"], {
+        "operating_point": dict, "regret_orientation": int,
+        "label_mode": str, "k": int, "n_per_tag": int})
     report_dir = paths["report_dir"]
     report_dir.mkdir(parents=True, exist_ok=True)
     artifacts = []

@@ -16,6 +16,10 @@ Scoring uses the importance-weighted bound: with z_i ~ q(z|x,c),
     L_k = log(1/k sum_i exp(w_i))    (computed with max-shift)
     NLL = -L_k
 
+`elbo_loss(..., posterior=...)` takes the ELBO and its gradient at a given
+posterior [mu | log-variance] instead of the encoder's; the likelihood-regret
+detector refits each row's posterior through it.
+
 With conditional=False the class input is ignored everywhere and the model
 is a plain VAE; both variants train through the same routine,
 `train_cvae(train, config, seed, conditional)`. The seed and the variant are
@@ -25,14 +29,14 @@ config's `cvae` section.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import nn
-from .data import Dataset, N_CLASSES, N_FEATURES, one_hot, write_json
+from .data import (Dataset, N_CLASSES, N_FEATURES, one_hot, read_json,
+                   write_json)
 from .errors import NumericError, ShapeError
 from .rng import derive_rng, stable_hash
 
@@ -151,27 +155,13 @@ def gaussian_kl(mu: np.ndarray, logvar: np.ndarray) -> np.ndarray:
     return 0.5 * (mu * mu + np.exp(logvar) - 1.0 - logvar).sum(axis=1)
 
 
-def conditioned_inputs(model: CvaeModel, x: np.ndarray,
-                       labels: np.ndarray | None
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """The encoder input (x [, one-hot]) and a decoder input buffer whose
-    one-hot columns are filled in and whose first latent_dim columns take
-    z. `elbo_loss` builds them per call; a caller that evaluates the same
-    rows many times builds them once and passes them as `inputs`."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    enc_in = _conditioned(model, x, labels)
-    dec_in = np.empty((x.shape[0], model.decoder.in_dim))
-    dec_in[:, model.latent_dim:] = enc_in[:, model.input_dim:]
-    return enc_in, dec_in
-
-
 @dataclass
 class ElboResult:
     loss: float          # recon + kl_weight * kl, meaned over the batch
     recon: float         # mean per-sample reconstruction NLL
     kl: float            # mean per-sample posterior KL
-    # encoder params then decoder params; with encoder_only, the encoder's
-    # per-layer deltas (`Mlp.backprop`) instead; None without with_grads
+    # encoder params then decoder params; with `posterior`, [d posterior]
+    # alone; None without with_grads
     grads: list[np.ndarray] | None
 
 
@@ -180,26 +170,29 @@ def elbo_loss(model: CvaeModel, x: np.ndarray,
               rng: np.random.Generator | None = None,
               noise: np.ndarray | None = None, kl_weight: float = 1.0,
               with_grads: bool = True,
-              encoder_only: bool = False,
-              inputs: tuple[np.ndarray, np.ndarray] | None = None
-              ) -> ElboResult:
+              posterior: np.ndarray | None = None) -> ElboResult:
     """Single-draw negative ELBO and its gradients for every parameter.
 
     Pass `noise` to freeze the reparameterization draw (gradient checks,
-    per-sample refits); otherwise it is drawn from `rng`. With
-    `encoder_only` the decoder is backpropagated for its input gradient
-    alone, the encoder's input gradient is skipped, and `grads` holds the
-    encoder's per-layer deltas: `model.encoder.grads_from_deltas` turns them
-    into the encoder prefix of the full list, bitwise. `inputs` is
-    `conditioned_inputs(model, x, labels)`, built once by the caller.
+    per-sample refits); otherwise it is drawn from `rng`. Pass `posterior`,
+    an (n, 2 * latent_dim) array [mu | log-variance] such as the encoder's
+    output, to take the ELBO at that posterior instead of the encoder's: the
+    encoder does not run, the decoder is backpropagated for its input
+    gradient alone, and `grads` is [dLoss/dposterior], the upstream gradient
+    that `model.encoder.backward` turns into the encoder's parameter
+    gradients.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     n = x.shape[0]
-    enc_in, dec_in = (conditioned_inputs(model, x, labels) if inputs is None
-                      else inputs)
-    enc_out = model.encoder.forward(enc_in, keep_cache=with_grads)
-    mu = enc_out[:, :model.latent_dim]
-    raw_logvar = enc_out[:, model.latent_dim:]
+    if posterior is None:
+        post = model.encoder.forward(_conditioned(model, x, labels),
+                                     keep_cache=with_grads)
+    else:
+        post = np.asarray(posterior, dtype=np.float64)
+        if post.shape != (n, 2 * model.latent_dim):
+            raise ShapeError("posterior shape must be (n, 2 * latent_dim)")
+    mu = post[:, :model.latent_dim]
+    raw_logvar = post[:, model.latent_dim:]
     logvar = np.clip(raw_logvar, LOGVAR_MIN, LOGVAR_MAX)
     if noise is None:
         if rng is None:
@@ -209,8 +202,9 @@ def elbo_loss(model: CvaeModel, x: np.ndarray,
     if noise.shape != mu.shape:
         raise ShapeError("noise shape must match (n, latent_dim)")
     sigma = np.exp(0.5 * logvar)
-    np.add(mu, sigma * noise, out=dec_in[:, :model.latent_dim])   # z
+    z = mu + sigma * noise
 
+    dec_in = _conditioned(model, z, labels)
     dec_out = model.decoder.forward(dec_in, keep_cache=with_grads)
     probs = np.clip(dec_out, nn.PROB_CLAMP, 1.0 - nn.PROB_CLAMP)
     recon_rows = -bernoulli_log_likelihood(x, probs)
@@ -230,18 +224,17 @@ def elbo_loss(model: CvaeModel, x: np.ndarray,
     d_probs = np.where(clamp_open,
                        (probs - x) / (probs * (1.0 - probs) * n), 0.0)
     dec_grads, d_dec_in = model.decoder.backward(
-        d_probs, param_grads=not encoder_only)
+        d_probs, param_grads=posterior is None)
     dz = d_dec_in[:, :model.latent_dim]
 
     d_mu = dz + kl_weight * mu / n
     d_logvar = dz * (0.5 * sigma * noise) \
         + kl_weight * (np.exp(logvar) - 1.0) / (2.0 * n)
     logvar_open = (raw_logvar > LOGVAR_MIN) & (raw_logvar < LOGVAR_MAX)
-    enc_upstream = np.hstack([d_mu, np.where(logvar_open, d_logvar, 0.0)])
-    if encoder_only:
-        deltas, _ = model.encoder.backprop(enc_upstream, input_grad=False)
-        return ElboResult(loss, recon, kl, deltas)
-    enc_grads, _ = model.encoder.backward(enc_upstream)
+    d_post = np.hstack([d_mu, np.where(logvar_open, d_logvar, 0.0)])
+    if posterior is not None:
+        return ElboResult(loss, recon, kl, [d_post])
+    enc_grads, _ = model.encoder.backward(d_post)
     return ElboResult(loss, recon, kl, enc_grads + dec_grads)
 
 
@@ -384,9 +377,9 @@ def save_cvae(model: CvaeModel, directory, name: str = "cvae") -> dict:
 
 def load_cvae(directory, name: str = "cvae") -> CvaeModel:
     directory = Path(directory)
-    with open(directory / f"{name}.json", "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
+    meta = read_json(directory / f"{name}.json", {
+        "latent_dim": int, "conditional": bool, "n_classes": int})
     return CvaeModel(nn.load_mlp(directory / f"{name}_encoder.weights"),
                      nn.load_mlp(directory / f"{name}_decoder.weights"),
-                     int(meta["latent_dim"]), bool(meta["conditional"]),
-                     int(meta["n_classes"]))
+                     meta["latent_dim"], meta["conditional"],
+                     meta["n_classes"])

@@ -8,7 +8,8 @@ runs, and is exercised in CI, without the recorded telemetry CSV.
 `DatasetConfig` is the run config's `dataset` section: where the rows come
 from, the train fraction and the synthetic generator's shape. The seed is an
 argument, `synth_generate(config, seed)`. `write_json` is the package's one
-JSON artifact writer.
+JSON artifact writer and `read_json` its one reader: a file that is not a
+JSON object with the keys and types its reader names is a ParseError.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from __future__ import annotations
 import csv
 import json
 import os
+import types
+import typing
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -241,6 +244,51 @@ def write_json(path, payload: dict) -> None:
     with atomic_write(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def read_json(path, keys: dict | None = None) -> dict:
+    """The JSON object in `path`, with the `keys` ({key: type hint}) that
+    `check_keys` checks; anything else is a ParseError naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except ValueError as exc:            # invalid JSON or bad UTF-8
+        raise ParseError(f"{path}: not valid JSON ({exc})") from None
+    return check_keys(payload, keys or {}, str(path))
+
+
+def check_keys(payload, keys: dict, where: str) -> dict:
+    """`payload` if it is a dict holding every key in `keys` with a value of
+    the key's type (`has_type`); otherwise a ParseError naming `where`."""
+    if not isinstance(payload, dict):
+        raise ParseError(f"{where}: expected a JSON object, got "
+                         f"{json.dumps(payload)[:60]}")
+    for key, hint in keys.items():
+        if key not in payload:
+            raise ParseError(f"{where}: missing key '{key}'")
+        if not has_type(payload[key], hint):
+            raise ParseError(
+                f"{where}: '{key}' must be of type "
+                f"{hint.__name__ if isinstance(hint, type) else hint}, "
+                f"got {json.dumps(payload[key])[:60]}")
+    return payload
+
+
+def has_type(value, hint) -> bool:
+    """isinstance against a type hint: a bool is not an int, an int passes
+    for a float (unconverted, so digests do not move), list elements and
+    `X | None` unions are checked too."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is list:
+        return isinstance(value, list) and all(has_type(v, args[0])
+                                               for v in value)
+    if origin in (typing.Union, types.UnionType):
+        return any(has_type(value, arg) for arg in args)
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
 
 
 # ---------------------------------------------------------------------------

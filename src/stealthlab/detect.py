@@ -8,15 +8,15 @@ Three scores, all oriented so that higher means "more likely adversarial":
                (or the minimum over all labels);
 * mahalanobis  minimum over classes of the Mahalanobis distance between the
                encoder mean and a per-class Gaussian fit on training data;
-* regret       ELBO improvement from a short per-sample encoder-only refit
-               (`nn.LiveRowRefit`, which updates only the encoder weight
-               rows that ever see a non-zero input, bit for bit a dense
-               refit); its sign is calibrated once against benign
-               reference scores.
+* regret       ELBO improvement from a short per-sample Adam refit of the
+               row's posterior (mu, log-variance) with the decoder and the
+               encoder frozen: the amortization gap of the encoder, under
+               the KL weight the CVAE was trained with; its sign is
+               calibrated once against benign reference scores.
 
-`score_regret(model, batch, labels, config, seed)` takes its seed as an
-argument; `RegretConfig` holds the hyperparameters only and is the run
-config's `detect.regret` section.
+`score_regret(model, batch, labels, config, seed, kl_weight=...)` takes its
+seed and the trained KL weight as arguments; `RegretConfig` holds the
+hyperparameters only and is the run config's `detect.regret` section.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .cvae import (CvaeModel, conditioned_inputs, elbo_loss, encode,
-                   iwae_batch)
+from .cvae import CvaeModel, elbo_loss, encode, iwae_batch
 from .data import Dataset, atomic_write
 from .errors import NumericError, SchemaError, ShapeError
 from .ids import IdsModel, predict_label
@@ -46,7 +45,7 @@ DETECTORS = ("nll", "mahalanobis", "regret")
 @dataclass
 class RegretConfig:
     steps: int = 100
-    learning_rate: float = 0.001
+    learning_rate: float = 0.05     # Adam step size on the posterior
 
     def __post_init__(self):
         if self.steps < 1:
@@ -206,20 +205,18 @@ def score_mahalanobis(gaussians: GaussianClassModel, model: CvaeModel,
 def score_regret(model: CvaeModel, batch: np.ndarray,
                  labels: np.ndarray | None, config: RegretConfig, seed: int,
                  tag: str = TAG_ADVERSARIAL,
-                 sample_ids: np.ndarray | None = None) -> ScoreSet:
-    """Best ELBO improvement from `steps` encoder-only Adam refits per sample.
+                 sample_ids: np.ndarray | None = None, *,
+                 kl_weight: float) -> ScoreSet:
+    """Best ELBO improvement from `steps` Adam steps on each sample's
+    posterior (likelihood regret, Xiao, Yan & Amit 2020).
 
-    Each sample gets a frozen reparameterization draw seeded from its
-    content, and the reported regret is best-minus-initial, so it is never
-    negative. One `nn.LiveRowRefit` of the encoder serves every sample; it
-    goes back to the trained weights and a fresh optimiser before each
-    refit. Each step backpropagates the decoder for its input gradient only,
-    and the last evaluation is taken without gradients. The refit keeps
-    weight state only for encoder rows whose input has ever been non-zero:
-    with one row, every other weight row has had zero gradients, so Adam
-    would leave it bitwise unchanged, and the scores equal a dense refit's
-    bit for bit. Samples whose refit diverges are dropped and counted in
-    n_invalid.
+    Each sample is refit alone: its posterior [mu | log-variance] starts at
+    the encoder's output and a fresh optimiser steps it through
+    `elbo_loss(..., posterior=)` under `kl_weight`, which should be the
+    weight the model was trained with. The reparameterization draw is
+    frozen and seeded from the sample's content, and the reported regret is
+    best-minus-initial, so it is never negative. The model is not modified.
+    Samples whose refit diverges are dropped and counted in n_invalid.
     """
     batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     if sample_ids is None:
@@ -227,29 +224,26 @@ def score_regret(model: CvaeModel, batch: np.ndarray,
     sample_ids = np.asarray(sample_ids, dtype=np.int64)
     kept_ids, kept_tags, kept_scores, kept_labels = [], [], [], []
     n_invalid = 0
-    refit = nn.LiveRowRefit(model.encoder, config.learning_rate)
-    work = CvaeModel(refit.work, model.decoder, model.latent_dim,
-                     model.conditional, model.n_classes)
     for i, row in enumerate(batch):
         label = None if labels is None else int(labels[i])
         row_seed = stable_hash(seed, "regret", row.tobytes(),
                                -1 if label is None else label)
         noise = np.random.default_rng(row_seed).standard_normal(
             (1, model.latent_dim))
-        refit.reset()
         x = row[None, :]
         row_labels = None if label is None else np.array([label])
-        inputs = conditioned_inputs(model, x, row_labels)
         try:
-            result = elbo_loss(work, x, row_labels, noise=noise,
-                               encoder_only=True, inputs=inputs)
-            initial = -result.loss
-            best = initial
+            post = np.hstack(encode(model, x, row_labels))
+            optimiser = nn.adam_init([post], config.learning_rate)
+            result = elbo_loss(model, x, row_labels, noise=noise,
+                               kl_weight=kl_weight, posterior=post)
+            initial = best = -result.loss
             for step in range(1, config.steps + 1):
-                refit.step(result.grads)
-                result = elbo_loss(work, x, row_labels, noise=noise,
+                nn.adam_step(optimiser, [post], result.grads)
+                result = elbo_loss(model, x, row_labels, noise=noise,
+                                   kl_weight=kl_weight,
                                    with_grads=step < config.steps,
-                                   encoder_only=True, inputs=inputs)
+                                   posterior=post)
                 best = max(best, -result.loss)
         except NumericError:
             n_invalid += 1

@@ -7,14 +7,13 @@ section, and the pipeline derives the seed from the global one.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import nn
-from .data import Dataset, N_CLASSES, N_FEATURES, write_json
+from .data import Dataset, N_CLASSES, N_FEATURES, read_json, write_json
 from .errors import NumericError, ShapeError
 from .rng import derive_rng
 
@@ -128,6 +127,5 @@ def save_ids(model: IdsModel, directory, name: str = "ids",
 def load_ids(directory, name: str = "ids") -> IdsModel:
     directory = Path(directory)
     net = nn.load_mlp(directory / f"{name}.weights")
-    with open(directory / f"{name}.json", "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    return IdsModel(net, list(meta["class_names"]), meta.get("scaler_ref"))
+    meta = read_json(directory / f"{name}.json", {"class_names": list[str]})
+    return IdsModel(net, meta["class_names"], meta.get("scaler_ref"))

@@ -6,16 +6,11 @@ deliberately small -- dense layers, five activations, reverse-mode gradients
 from a cached forward pass, and a deterministic Adam. The reference path is
 single threaded; the same seed produces the same bits every run.
 
-Three paths avoid work without changing a bit of any result:
-
-* `adam_step` updates each tensor in place, walking it in cache-sized chunks
-  through two preallocated scratch buffers in the textbook operation order;
-* `Mlp.backward(..., param_grads=False)` propagates only the input gradient
-  when the caller would throw the weight gradients away, and `Mlp.backprop`
-  returns the per-layer deltas, optionally without the input gradient;
-* `LiveRowRefit` refits a copy of a net on one row from those deltas,
-  keeping Adam state only for the weight rows whose input has ever been
-  non-zero, and runs the same chunked kernel as `adam_step` on them.
+Two paths avoid work without changing a bit of any result: `adam_step`
+updates each tensor in place, walking it in cache-sized chunks through two
+preallocated scratch buffers in the textbook operation order, and
+`Mlp.backward(..., param_grads=False)` propagates only the input gradient
+when the caller would throw the weight gradients away.
 
 Weight files are written through `data.atomic_write`.
 """
@@ -122,10 +117,6 @@ class Mlp:
     def in_dim(self) -> int:
         return self.layers[0].fan_in
 
-    @property
-    def out_dim(self) -> int:
-        return self.layers[-1].fan_out
-
     def forward(self, x: np.ndarray, keep_cache: bool = False) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2:
@@ -164,21 +155,12 @@ class Mlp:
         With `param_grads=False` the db/dW products are skipped and the first
         element is None; dLoss/dInput is bitwise the same either way.
         """
-        deltas, grad = self.backprop(upstream, from_logits)
-        return (self.grads_from_deltas(deltas) if param_grads else None), grad
-
-    def backprop(self, upstream: np.ndarray, from_logits: bool = False,
-                 input_grad: bool = True
-                 ) -> tuple[list[np.ndarray], np.ndarray | None]:
-        """The layer loop of `backward`: each layer's delta dLoss/dz (its
-        pre-activation gradient, (n, fan_out)), in layer order, and
-        dLoss/dInput, skipped (None) without `input_grad`."""
         if self._cache is None:
             raise StateError("backward called without a cached forward pass")
         upstream = np.asarray(upstream, dtype=np.float64)
         if upstream.shape != (self._cache[-1][2].shape):
             raise ShapeError("upstream gradient shape does not match output")
-        deltas: list[np.ndarray] = []
+        grads: list[np.ndarray] = []
         grad = upstream
         for idx in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[idx]
@@ -187,19 +169,14 @@ class Mlp:
                 dz = grad
             else:
                 dz = _activation_backward(layer.activation, grad, z, out)
-            deltas.append(dz)
-            grad = dz @ layer.weights.T if idx or input_grad else None
-        deltas.reverse()
-        return deltas, grad
-
-    def grads_from_deltas(self, deltas: list[np.ndarray]) -> list[np.ndarray]:
-        """[dW0, db0, dW1, db1, ...] from `backprop`'s deltas: dW = x^T dz for
-        the layer's cached input x, db = dz summed over the batch."""
-        grads = []
-        for (x_in, _, _), dz in zip(self._cache, deltas):
-            grads.append(x_in.T @ dz)
-            grads.append(dz.sum(axis=0))
-        return grads
+            if param_grads:
+                grads.append(dz.sum(axis=0))      # db
+                grads.append(x_in.T @ dz)         # dW
+            grad = dz @ layer.weights.T
+        if not param_grads:
+            return None, grad
+        grads.reverse()
+        return grads, grad
 
     def clear_cache(self) -> None:
         self._cache = None
@@ -211,15 +188,6 @@ class Mlp:
             out.append(layer.weights)
             out.append(layer.bias)
         return out
-
-    def set_params(self, values: list[np.ndarray]) -> None:
-        current = self.params()
-        if len(values) != len(current):
-            raise ShapeError("parameter count mismatch")
-        for dst, src in zip(current, values):
-            if dst.shape != src.shape:
-                raise ShapeError("parameter shape mismatch")
-            dst[...] = src
 
     def copy(self) -> "Mlp":
         return Mlp([DenseLayer(l.weights.copy(), l.bias.copy(), l.activation)
@@ -383,15 +351,7 @@ def adam_step(state: AdamState, params: list[np.ndarray],
                              f"C-contiguous; they cannot be updated in place")
         if not np.isfinite(g).all():
             raise NumericError(f"non-finite gradient for parameter {i}")
-    _adam_update(state, list(zip(params, grads, state.m, state.v)))
-    return params
-
-
-def _adam_update(state: AdamState, tensors: list[tuple[np.ndarray, ...]]
-                 ) -> None:
-    """Advance `state` one step and update each checked, C-contiguous
-    (p, g, m, v) in place, ADAM_CHUNK elements at a time."""
-    chunk = min(ADAM_CHUNK, max((t[0].size for t in tensors), default=0))
+    chunk = min(ADAM_CHUNK, max((p.size for p in params), default=0))
     if state.scratch is None or state.scratch.shape[1] < chunk:
         state.scratch = np.empty((2, chunk))
     state.step_count += 1
@@ -399,8 +359,8 @@ def _adam_update(state: AdamState, tensors: list[tuple[np.ndarray, ...]]
     lr, eps = state.learning_rate, state.epsilon
     correction1 = 1.0 - beta1 ** state.step_count
     correction2 = 1.0 - beta2 ** state.step_count
-    for tensor in tensors:
-        p, g, m, v = (t.reshape(-1) for t in tensor)
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        p, g, m, v = (t.reshape(-1) for t in (p, g, m, v))
         for lo in range(0, p.size, ADAM_CHUNK):
             ps, gs, ms, vs = (t[lo:lo + ADAM_CHUNK] for t in (p, g, m, v))
             a, b = state.scratch[0, :ps.size], state.scratch[1, :ps.size]
@@ -418,103 +378,7 @@ def _adam_update(state: AdamState, tensors: list[tuple[np.ndarray, ...]]
             np.multiply(b, lr, out=b)
             np.divide(b, a, out=b)
             np.subtract(ps, b, out=ps)
-
-
-class LiveRowRefit:
-    """Adam refit of a work copy of `net` on a single row, with weight state
-    only for the rows that have carried signal.
-
-    With batch 1, layer l's weight gradient is outer(a, dz) for its input a.
-    A weight row whose input has been exactly zero at every evaluation so far
-    has had a zero gradient, so its moments are zero and Adam leaves it
-    bitwise unchanged. A row goes live the first time its input is non-zero:
-    its weights are gathered into compact (live rows x fan_out) arrays p, g,
-    m and v, with zero moments. Each step forms g = a[live] x dz directly,
-    runs the `adam_step` kernel on the compact arrays and the dense biases,
-    and scatters p back into the work weights. Weights, moments and results
-    are bitwise those of `adam_step` on the dense gradients of `backward`;
-    g and the bias gradient dz may differ from those in the sign of a zero,
-    which no Adam output depends on: m and v start at +0.0 and never reach
-    -0.0, and x + 0.0 and x + -0.0 are the same bits for any other x.
-    """
-
-    def __init__(self, net: Mlp, learning_rate: float = 0.001):
-        self.trained = net
-        self.work = net.copy()
-        self.state = adam_init([layer.bias for layer in self.work.layers],
-                               learning_rate)
-        self.live = [np.zeros(layer.fan_in, dtype=bool)
-                     for layer in net.layers]
-        # per layer: live row indices in the order they went live, and the
-        # compact p, g, m, v; the first n_live[l] entries are in use
-        self.n_live = [0] * len(net.layers)
-        self._rows = [np.empty(layer.fan_in, dtype=np.int64)
-                      for layer in net.layers]
-        self._compact = [np.empty((4, 0, layer.fan_out))
-                         for layer in net.layers]
-
-    def reset(self) -> None:
-        """Back to the trained weights and a fresh optimiser; only the live
-        rows and the biases can differ from the trained net."""
-        for l, (work, trained) in enumerate(zip(self.work.layers,
-                                                self.trained.layers)):
-            rows = self._rows[l][:self.n_live[l]]
-            work.weights[rows] = trained.weights[rows]
-            np.copyto(work.bias, trained.bias)
-            self.live[l].fill(False)
-            self.n_live[l] = 0
-        self.state.reset()
-
-    def step(self, deltas: list[np.ndarray]) -> None:
-        """One Adam step from the per-layer deltas (`Mlp.backprop`) of the
-        work net's last cached batch-1 forward pass.
-
-        Raises NumericError before any weight or moment changes if a gradient
-        is non-finite; rows gone live in the failed step hold their unchanged
-        weights and zero moments, which is the state of a row not yet live.
-        """
-        cache = self.work._cache
-        if cache is None:
-            raise StateError("step called without a cached forward pass")
-        if cache[0][0].shape[0] != 1 or len(deltas) != len(cache):
-            raise ShapeError("a live-row refit takes one row's deltas")
-        tensors = []
-        for l, ((x_in, _, _), dz, layer) in enumerate(
-                zip(cache, deltas, self.work.layers)):
-            a, dz = x_in[0], dz[0]
-            fresh = np.flatnonzero((a != 0.0) & ~self.live[l])
-            if fresh.size:
-                self._grow(l, fresh)
-            n = self.n_live[l]
-            p, g, m, v = self._compact[l][:, :n]
-            a_live = a[self._rows[l][:n]]
-            # |g| peaks at |a|max * |dz|max, and a NaN or inf in a or dz
-            # makes that product non-finite, so it stands for all of g
-            bound = (np.abs(a_live).max() if n else 0.0) * np.abs(dz).max()
-            if not np.isfinite(bound):
-                raise NumericError(f"non-finite gradient for layer {l}")
-            # outer(a_live, dz): twice as fast as a stride-0 multiply here
-            np.einsum("i,j->ij", a_live, dz, out=g)
-            tensors.append((p, g, m, v))
-            tensors.append((layer.bias, dz, self.state.m[l],
-                            self.state.v[l]))
-        _adam_update(self.state, tensors)
-        for l, layer in enumerate(self.work.layers):
-            n = self.n_live[l]
-            layer.weights[self._rows[l][:n]] = self._compact[l][0, :n]
-
-    def _grow(self, l: int, fresh: np.ndarray) -> None:
-        n, k = self.n_live[l], fresh.size
-        compact = self._compact[l]
-        if n + k > compact.shape[1]:
-            grown = np.empty((4, n + k, compact.shape[2]))
-            grown[:, :n] = compact[:, :n]
-            self._compact[l] = compact = grown
-        self._rows[l][n:n + k] = fresh
-        compact[0, n:n + k] = self.work.layers[l].weights[fresh]
-        compact[2:, n:n + k] = 0.0
-        self.live[l][fresh] = True
-        self.n_live[l] = n + k
+    return params
 
 
 # ---------------------------------------------------------------------------

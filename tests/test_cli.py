@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import re
+import shutil
 import subprocess
 import sys
 import types
@@ -53,7 +54,7 @@ DEFAULT_CONFIG = {
     "detect": {"k": 50, "label_mode": "ids", "max_samples_per_tag": 192,
                "benign_calibration": 64, "shrinkage": 0.1,
                "histogram_bins": 40,
-               "regret": {"steps": 100, "learning_rate": 0.001}},
+               "regret": {"steps": 100, "learning_rate": 0.05}},
 }
 
 DEFAULT_STAGE_DIGESTS = {
@@ -64,9 +65,9 @@ DEFAULT_STAGE_DIGESTS = {
     "sweep":
         "dd1068f06a31128abd9a3fac5308fe1e35c587bab051fa911bf3caf7d3457c24",
     "detect":
-        "e7b01debbaf64f53e0f68b2281952ec015775a06828daf81c446d5ab11a4d414",
+        "11c0341ef0a07a24ecdc7fd314c252707fc2d2385253fb1f502eae9b8cc9cee5",
     "report":
-        "e7b01debbaf64f53e0f68b2281952ec015775a06828daf81c446d5ab11a4d414",
+        "11c0341ef0a07a24ecdc7fd314c252707fc2d2385253fb1f502eae9b8cc9cee5",
 }
 
 
@@ -162,7 +163,7 @@ class TestConfigParsing:
         config = cli.RunConfig()
         assert dataclasses.asdict(config) == DEFAULT_CONFIG
         assert cli.config_digest(config) == (
-            "caeca4ffcf9bda9b77306a9f56e8459f90234d6601b5885fa4b362229ecd290b")
+            "63095195629dbe330d80a0bc68f202515eb260f851489444dbc86e20201a6b45")
         assert {stage: cli.stage_digest(config, stage)
                 for stage in cli.STAGES} == DEFAULT_STAGE_DIGESTS
 
@@ -363,6 +364,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "i/o error" in err and "class 'fdi' has 0 training rows" in err
 
+    @pytest.mark.parametrize("sidecar, text, command, message", [
+        ("models/ids.json", "{}", "detect", "missing key 'class_names'"),
+        ("models/cvae.json", "latent_dim: 8", "detect", "not valid JSON"),
+        ("sweep/selection.json", "[]", "detect", "expected a JSON object"),
+        ("models/gen.json", '{"noise_dim": "x", "out_scale": 0.1}', "detect",
+         "'noise_dim' must be of type int, got \"x\""),
+        ("detect/detect_meta.json", '{"k": 3}', "report",
+         "missing key 'operating_point'"),
+    ], ids=["ids-empty", "cvae-not-json", "selection-array", "gen-mistyped",
+            "detect-meta-partial"])
+    def test_corrupt_sidecar_is_5(self, pipeline, tiny_config, tmp_path,
+                                  capsys, sidecar, text, command, message):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline["out"], out)
+        (out / sidecar).write_text(text, encoding="utf-8")
+        rc = cli.main([command, "--config", tiny_config, "--out", str(out)])
+        assert rc == 5
+        err = capsys.readouterr().err
+        assert "i/o error" in err
+        assert str(out / sidecar) in err and message in err
+
     def test_missing_csv_file_is_5(self, tmp_path, capsys):
         path = write_config(tmp_path / "csv.json", {
             "schema_version": 1,
@@ -382,6 +404,28 @@ class TestExitCodes:
         rc = cli.main(["synth", "--config", path, "--out",
                        str(tmp_path / "out")])
         assert rc == 2
+
+
+class TestBenchmarkHarness:
+    def test_names_the_benchmark_reaches_by_name_resolve(self):
+        # perfbench wraps methods and functions named in spantrace's METHODS
+        # and INFO and rebinds selftest's REBOUND; a refactor that drops one
+        # fails here, not only in the benchmark
+        bench = ROOT / "perfbench"
+        script = (
+            "import functools, runpy, sys\n"
+            f"sys.path[:0] = [{str(ROOT / 'src')!r}, {str(bench)!r}]\n"
+            "import stealthlab, stealthlab.cli\n"
+            f"trace = runpy.run_path({str(bench / 'spantrace.py')!r})\n"
+            f"selftest = runpy.run_path({str(bench / 'selftest.py')!r})\n"
+            "names = [f'{m}.{c}.{a}' for (m, c), attrs in "
+            "trace['METHODS'].items() for a in attrs] + list(trace['INFO'])\n"
+            "for name in names:\n"
+            "    functools.reduce(getattr, name.split('.'), stealthlab)\n"
+            "selftest['check_rebinding']()\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestManifest:

@@ -155,42 +155,26 @@ class TestElbo:
         with pytest.raises(NumericError, match="reconstruction"):
             cvae.elbo_loss(model, x, noise=np.zeros((1, 1)))
 
-    def test_encoder_only_deltas_give_the_encoder_prefix(self):
+    def test_posterior_path_gives_the_encoder_upstream(self):
         model = toy_model(15)
-        rng = derive_rng(16, "enc-only")
+        rng = derive_rng(16, "posterior")
         x = rng.uniform(0.2, 0.8, size=(3, 4))
         labels = np.array([1, 0, 3])
         noise = rng.standard_normal((3, 3))
+        post = np.hstack(cvae.encode(model, x, labels))
         full = cvae.elbo_loss(model, x, labels, noise=noise, kl_weight=0.4)
-        enc = cvae.elbo_loss(model, x, labels, noise=noise, kl_weight=0.4,
-                             encoder_only=True)
+        at_post = cvae.elbo_loss(model, x, labels, noise=noise,
+                                 kl_weight=0.4, posterior=post)
+        assert (at_post.loss, at_post.recon, at_post.kl) == (
+            full.loss, full.recon, full.kl)
+        assert len(at_post.grads) == 1 and at_post.grads[0].shape == (3, 6)
+        # the encoder's cache still holds the full pass's forward
+        enc_grads, _ = model.encoder.backward(at_post.grads[0])
         n_enc = len(model.encoder.params())
-        assert len(full.grads) == len(model.params())
-        assert len(enc.grads) == len(model.encoder.layers)
-        enc_grads = model.encoder.grads_from_deltas(enc.grads)
-        assert len(enc_grads) == n_enc
         assert all(np.array_equal(a, b)
                    for a, b in zip(enc_grads, full.grads[:n_enc]))
-        assert (enc.loss, enc.recon, enc.kl) == (full.loss, full.recon,
-                                                 full.kl)
-
-    @pytest.mark.parametrize("conditional", [True, False])
-    def test_prebuilt_inputs_match_per_call_conditioning(self, conditional):
-        # the one buffer set is reused across calls, as a refit reuses it
-        model = toy_model(17, conditional=conditional)
-        rng = derive_rng(18, "prebuilt")
-        x = rng.uniform(0.2, 0.8, size=(2, 4))
-        labels = np.array([4, 1]) if conditional else None
-        inputs = cvae.conditioned_inputs(model, x, labels)
-        for draw in range(3):
-            noise = rng.standard_normal((2, 3))
-            fresh = cvae.elbo_loss(model, x, labels, noise=noise)
-            reused = cvae.elbo_loss(model, x, labels, noise=noise,
-                                    inputs=inputs)
-            assert (reused.loss, reused.recon, reused.kl) == (
-                fresh.loss, fresh.recon, fresh.kl)
-            assert all(np.array_equal(a, b)
-                       for a, b in zip(reused.grads, fresh.grads))
+        with pytest.raises(ShapeError):
+            cvae.elbo_loss(model, x, labels, noise=noise, posterior=post[:2])
 
     def test_gradcheck_with_frozen_noise(self):
         model = toy_model(13)
@@ -198,14 +182,19 @@ class TestElbo:
         x = rng.uniform(0.2, 0.8, size=(3, 4))
         labels = np.array([0, 2, 4])
         noise = rng.standard_normal((3, 3))
+        post = np.hstack(cvae.encode(model, x, labels))
 
-        def loss():
+        def loss(posterior=None):
             return cvae.elbo_loss(model, x, labels, noise=noise,
-                                  kl_weight=0.9, with_grads=False).loss
+                                  kl_weight=0.9, with_grads=False,
+                                  posterior=posterior).loss
 
-        analytic = cvae.elbo_loss(model, x, labels, noise=noise,
-                                  kl_weight=0.9).grads
-        numeric = finite_difference(loss, model.params())
+        analytic = (cvae.elbo_loss(model, x, labels, noise=noise,
+                                   kl_weight=0.9).grads
+                    + cvae.elbo_loss(model, x, labels, noise=noise,
+                                     kl_weight=0.9, posterior=post).grads)
+        numeric = (finite_difference(loss, model.params())
+                   + finite_difference(lambda: loss(post), [post]))
         num = max(float(np.abs(a - b).max())
                   for a, b in zip(analytic, numeric))
         den = max(float(np.abs(g).max()) for g in analytic + numeric)

@@ -60,9 +60,10 @@ def toy_cvae(seed=0, input_dim=2, latent_dim=1):
     return cvae.CvaeModel(encoder, decoder, latent_dim, conditional=False)
 
 
-def dense_reference_regret(model, row, label, config, seed):
-    """One row's regret from a dense refit: full `elbo_loss` gradients and
-    the whole-tensor Adam formula on every encoder parameter."""
+def dense_reference_regret(model, row, label, config, seed, kl_weight):
+    """One row's regret from a dense encoder refit: full `elbo_loss`
+    gradients and the whole-tensor Adam formula on every encoder parameter,
+    the amortized counterpart of `score_regret`'s posterior refit."""
     work = cvae.CvaeModel(model.encoder.copy(), model.decoder,
                           model.latent_dim, model.conditional,
                           model.n_classes)
@@ -74,7 +75,8 @@ def dense_reference_regret(model, row, label, config, seed):
         seed, "regret", row.tobytes(), -1 if label is None else label)
     ).standard_normal((1, model.latent_dim))
     lr, beta1, beta2, eps = config.learning_rate, 0.9, 0.999, 1e-8
-    result = cvae.elbo_loss(work, row[None, :], labels, noise=noise)
+    result = cvae.elbo_loss(work, row[None, :], labels, noise=noise,
+                            kl_weight=kl_weight)
     initial = best = -result.loss
     for t in range(1, config.steps + 1):
         for p, g, m_p, v_p in zip(params, result.grads[:len(params)], m, v):
@@ -84,14 +86,24 @@ def dense_reference_regret(model, row, label, config, seed):
             v_p += (1.0 - beta2) * g * g
             p -= lr * (m_p / (1.0 - beta1 ** t)) / (
                 np.sqrt(v_p / (1.0 - beta2 ** t)) + eps)
-        result = cvae.elbo_loss(work, row[None, :], labels, noise=noise)
+        result = cvae.elbo_loss(work, row[None, :], labels, noise=noise,
+                                kl_weight=kl_weight)
         best = max(best, -result.loss)
     return best - initial
+
+
+def spearman(a, b):
+    """Rank correlation of two tie-free score vectors."""
+    ranks = [np.argsort(np.argsort(v)) for v in (a, b)]
+    return float(np.corrcoef(*ranks)[0, 1])
 
 
 def model_params(model):
     return [p.copy() for net in (model.encoder, model.decoder)
             for p in net.params()]
+
+
+LAB_KL_WEIGHT = 0.02     # the lab CVAE's training objective
 
 
 @pytest.fixture(scope="module")
@@ -102,8 +114,8 @@ def lab():
     train, test = data.stratified_split(ds, 0.8, seed=42)
     ids_model, _ = train_ids(train, IdsTrainConfig(epochs=40), 44)
     config = cvae.CvaeTrainConfig(epochs=30, batch_size=64,
-                                  learning_rate=0.001, kl_weight=0.02,
-                                  latent_dim=16)
+                                  learning_rate=0.001,
+                                  kl_weight=LAB_KL_WEIGHT, latent_dim=16)
     model, _ = cvae.train_cvae(train, config, 43, conditional=True)
     return {"ids": ids_model, "cvae": model, "train": train, "test": test}
 
@@ -384,8 +396,10 @@ class TestRegret:
         batch = lab["test"].features[:6]
         labels = lab["test"].labels[:6]
         config = detect.RegretConfig(steps=5)
-        scores = detect.score_regret(lab["cvae"], batch, labels, config, 11)
-        again = detect.score_regret(lab["cvae"], batch, labels, config, 11)
+        scores = detect.score_regret(lab["cvae"], batch, labels, config, 11,
+                                     kl_weight=LAB_KL_WEIGHT)
+        again = detect.score_regret(lab["cvae"], batch, labels, config, 11,
+                                    kl_weight=LAB_KL_WEIGHT)
         assert scores.n == 6
         assert scores.n_invalid == 0
         assert np.all(scores.scores >= -1e-6)
@@ -394,74 +408,61 @@ class TestRegret:
         assert np.array_equal(scores.labels_used, labels)
 
     def test_batch_scores_equal_rows_scored_alone(self, lab):
-        # the work encoder and optimiser carried across rows leak nothing
+        # each row is encoded and refit on its own: no state, and no batched
+        # kernel, is shared with its neighbours
         batch = lab["test"].features[:4]
         labels = lab["test"].labels[:4]
         config = detect.RegretConfig(steps=4)
-        together = detect.score_regret(lab["cvae"], batch, labels, config, 3)
+        together = detect.score_regret(lab["cvae"], batch, labels, config, 3,
+                                       kl_weight=LAB_KL_WEIGHT)
         alone = [detect.score_regret(lab["cvae"], batch[i:i + 1],
-                                     labels[i:i + 1], config, 3).scores[0]
+                                     labels[i:i + 1], config, 3,
+                                     kl_weight=LAB_KL_WEIGHT).scores[0]
                  for i in range(4)]
         assert np.array_equal(together.scores, np.array(alone))
 
-    @pytest.mark.parametrize("conditional", [True, False])
-    def test_scores_equal_a_dense_refit_bitwise(self, lab, conditional,
-                                               monkeypatch):
-        if conditional:
-            model = lab["cvae"]
-            labels = lab["test"].labels[:3]
-        else:
-            model = cvae.build_cvae(derive_rng(5, "regret-vae"),
-                                    latent_dim=8, conditional=False,
-                                    hidden=(64, 64))
-            labels = None
-        batch = lab["test"].features[:3].copy()
-        batch[2, ::3] = 0.0      # exact-zero features, scored last
-        config = detect.RegretConfig(steps=6, learning_rate=0.05)
-        refits, live_counts = [], []
-        step = nn.LiveRowRefit.step
-
-        def recording_step(self, deltas):
-            step(self, deltas)
-            refits.append(self)
-            live_counts.append(sum(self.n_live))
-
-        monkeypatch.setattr(nn.LiveRowRefit, "step", recording_step)
-        scores = detect.score_regret(model, batch, labels, config, 9)
-        want = [dense_reference_regret(
-                    model, row, None if labels is None else int(labels[i]),
-                    config, 9)
-                for i, row in enumerate(batch)]
+    # Measured on this fixture (12 clean rows plus their gen_ood copies,
+    # 100 steps, posterior step 0.05 against encoder step 0.001): at kl
+    # weight 1, Spearman 1.0000, per-row relative difference median 3.0e-5,
+    # max 8.3e-4; at the trained 0.02, Spearman 0.9957, median 2.8e-3, max
+    # 7.6e-2. The bounds leave about 2-3x headroom.
+    @pytest.mark.parametrize("kl_weight, min_rho, max_median, max_rel", [
+        (1.0, 0.999, 1e-4, 2e-3),
+        (0.02, 0.99, 1e-2, 0.15),
+    ], ids=["kl-1", "kl-0.02"])
+    def test_scores_agree_with_a_dense_encoder_refit(self, lab, kl_weight,
+                                                     min_rho, max_median,
+                                                     max_rel):
+        clean = lab["test"].features[:12]
+        batch = np.vstack([clean, gen_ood(clean, noise_scale=0.2, seed=7)])
+        labels = np.concatenate([lab["test"].labels[:12]] * 2)
+        scores = detect.score_regret(lab["cvae"], batch, labels,
+                                     detect.RegretConfig(steps=100), 9,
+                                     kl_weight=kl_weight)
+        encoder_refit = detect.RegretConfig(steps=100, learning_rate=0.001)
+        want = np.array([dense_reference_regret(lab["cvae"], row, int(label),
+                                                encoder_refit, 9, kl_weight)
+                         for row, label in zip(batch, labels)])
         assert scores.n_invalid == 0
-        assert scores.scores.tobytes() == np.array(want).tobytes()
-        # the live set grows after the first step of some row's refit
-        per_row = [live_counts[i:i + config.steps]
-                   for i in range(0, len(live_counts), config.steps)]
-        assert any(counts[-1] > counts[0] for counts in per_row)
-        # the last refit (the zero row): its never-live rows are the
-        # trained weights byte for byte, and a zero input never went live
-        refit = refits[-1]
-        assert all(r is refit for r in refits)
-        n_features = batch.shape[1]
-        assert (refit.live[0][:n_features].tolist()
-                == (batch[2] != 0.0).tolist())
-        for work, trained, live in zip(refit.work.layers,
-                                       model.encoder.layers, refit.live):
-            assert not live.all()
-            assert (work.weights[~live].tobytes()
-                    == trained.weights[~live].tobytes())
+        assert np.all(want > 0.0)
+        rel = np.abs(scores.scores - want) / want
+        assert spearman(scores.scores, want) >= min_rho
+        assert np.median(rel) <= max_median
+        assert rel.max() <= max_rel
 
     def test_already_optimal_sample_has_tiny_regret(self):
         model = flat_cvae(mu=[0.0], probs=[0.5, 0.5])
         scores = detect.score_regret(model, np.array([[0.5, 0.5]]), None,
-                                     detect.RegretConfig(steps=50), 0)
+                                     detect.RegretConfig(steps=50), 0,
+                                     kl_weight=1.0)
         assert 0.0 <= scores.scores[0] <= 0.1
 
     def test_model_untouched_after_scoring(self, lab):
         before = model_params(lab["cvae"])
         detect.score_regret(lab["cvae"], lab["test"].features[:4],
                             lab["test"].labels[:4],
-                            detect.RegretConfig(steps=3), 1)
+                            detect.RegretConfig(steps=3), 1,
+                            kl_weight=LAB_KL_WEIGHT)
         after = model_params(lab["cvae"])
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
@@ -473,12 +474,19 @@ class TestRegret:
         config = detect.RegretConfig(steps=2, learning_rate=1e160)
         before = model_params(model)
         with caplog.at_level("WARNING", logger="stealthlab.detect"):
-            scores = detect.score_regret(model, batch, None, config, 0)
+            scores = detect.score_regret(model, batch, None, config, 0,
+                                         kl_weight=1.0)
         assert scores.n == 0
         assert scores.n_invalid == 3
         assert "dropped 3" in caplog.text
         after = model_params(model)
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+    def test_kl_weight_has_no_default(self):
+        # no caller falls back to an objective the model was not trained on
+        with pytest.raises(TypeError, match="kl_weight"):
+            detect.score_regret(toy_cvae(), np.array([[0.2, 0.7]]), None,
+                                detect.RegretConfig(steps=1), 0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -130,21 +130,6 @@ class TestBackward:
         assert none is None
         assert np.array_equal(dx, dx_full)
 
-    @pytest.mark.parametrize("rows", [1, 4])
-    def test_backprop_deltas_give_the_backward_gradients(self, rows, rng):
-        net = toy_net([5, 7, 6, 3], ["relu", "tanh", "sigmoid"], seed=4)
-        upstream = rng.standard_normal((rows, 3))
-        net.forward(rng.uniform(size=(rows, 5)), keep_cache=True)
-        grads, dx = net.backward(upstream)
-        deltas, dx_again = net.backprop(upstream)
-        no_dx_deltas, none = net.backprop(upstream, input_grad=False)
-        assert [d.shape for d in deltas] == [(rows, 7), (rows, 6), (rows, 3)]
-        assert none is None
-        assert np.array_equal(dx, dx_again)
-        for got, want in zip(net.grads_from_deltas(deltas), grads):
-            assert np.array_equal(got, want)
-        assert all(np.array_equal(a, b) for a, b in zip(no_dx_deltas, deltas))
-
     def test_ce_gradient_rows_sum_to_zero(self, rng):
         logits = rng.standard_normal((10, 5))
         labels = rng.integers(0, 5, size=10)
@@ -312,77 +297,6 @@ class TestAdam:
         # strictly decreasing across 5-epoch windows, numerical noise aside
         for i in range(0, 45, 5):
             assert losses[i + 5] < losses[i] + 1e-9
-
-
-class TestLiveRowRefit:
-    """The live-row refit against backward's dense gradients and the
-    whole-tensor Adam formula, on one row with exact-zero inputs."""
-
-    X = np.array([[0.0, 0.7, 0.0, -0.4, 1.2, 0.0]])
-
-    def refit_both(self, net, steps, learning_rate, refit=None):
-        target = derive_rng(3, "live-target").standard_normal((1, 3))
-        refit = refit or nn.LiveRowRefit(net, learning_rate)
-        dense = net.copy()
-        state = nn.adam_init(dense.params(), learning_rate)
-        live_counts = []
-        for _ in range(steps):
-            out = refit.work.forward(self.X, keep_cache=True)
-            deltas, _ = refit.work.backprop(out - target, input_grad=False)
-            refit.step(deltas)
-            out = dense.forward(self.X, keep_cache=True)
-            grads, _ = dense.backward(out - target)
-            reference_adam_step(state, dense.params(), grads)
-            for got, want in zip(refit.work.params(), dense.params()):
-                assert got.tobytes() == want.tobytes()
-            live_counts.append(list(refit.n_live))
-        return refit, live_counts
-
-    def test_matches_dense_adam_bitwise_as_rows_go_live(self):
-        net = toy_net([6, 16, 12, 3], ["relu", "relu", "linear"], seed=5)
-        refit, live_counts = self.refit_both(net, 8, 0.2)
-        assert live_counts[0][0] == 3                 # the non-zero inputs
-        assert sum(live_counts[-1]) > sum(live_counts[0])   # grew after step 1
-        assert refit.live[0].tolist() == (self.X[0] != 0.0).tolist()
-        for work, trained, live in zip(refit.work.layers, net.layers,
-                                       refit.live):
-            assert live.sum() < live.size
-            assert (work.weights[~live].tobytes()
-                    == trained.weights[~live].tobytes())
-
-    def test_reset_restores_the_trained_net(self):
-        net = toy_net([6, 16, 12, 3], ["relu", "relu", "linear"], seed=5)
-        refit, _ = self.refit_both(net, 3, 0.2)
-        refit.reset()
-        assert refit.n_live == [0, 0, 0]
-        assert refit.state.step_count == 0
-        for got, want in zip(refit.work.params(), net.params()):
-            assert got.tobytes() == want.tobytes()
-        # after reset the refit is again bitwise that of a fresh state
-        self.refit_both(net, 3, 0.2, refit)
-
-    def test_non_finite_gradient_raises_before_any_write(self):
-        net = toy_net([6, 16, 12, 3], ["relu", "relu", "linear"], seed=5)
-        refit = nn.LiveRowRefit(net, 0.01)
-        out = refit.work.forward(self.X, keep_cache=True)
-        deltas, _ = refit.work.backprop(out, input_grad=False)
-        deltas[2] = deltas[2].copy()
-        deltas[2][0, 1] = np.inf
-        with pytest.raises(NumericError, match="layer 2"):
-            refit.step(deltas)
-        assert refit.state.step_count == 0
-        for got, want in zip(refit.work.params(), net.params()):
-            assert got.tobytes() == want.tobytes()
-
-    def test_needs_a_single_cached_row(self):
-        net = toy_net([6, 4, 3], ["relu", "linear"], seed=5)
-        refit = nn.LiveRowRefit(net)
-        with pytest.raises(StateError):
-            refit.step([])
-        out = refit.work.forward(np.ones((2, 6)), keep_cache=True)
-        deltas, _ = refit.work.backprop(out)
-        with pytest.raises(ShapeError):
-            refit.step(deltas)
 
 
 class TestInit:
