@@ -78,12 +78,11 @@ class SweepResult:
 
 def refine_trajectory(gen: Generator, x_att: np.ndarray, labels: np.ndarray,
                       epsilon: float, snapshot_steps: list[int],
-                      seed: int) -> tuple[dict[int, np.ndarray], np.ndarray]:
+                      seed: int) -> dict[int, np.ndarray]:
     """Run max(snapshot_steps) refinement steps, snapshotting along the way.
 
-    Returns {step: rows after that step} (step 0 is the input itself) and the
-    running maximum of the infinity-norm deviation after each step. Noise is
-    drawn once per step, so a shorter run with the same seed is an exact
+    Returns {step: rows after that step} (step 0 is the input itself). Noise
+    is drawn once per step, so a shorter run with the same seed is an exact
     prefix of a longer one; snapshots equal standalone runs bit for bit.
     """
     x_att = np.asarray(x_att, dtype=np.float64)
@@ -101,18 +100,13 @@ def refine_trajectory(gen: Generator, x_att: np.ndarray, labels: np.ndarray,
     if steps[0] == 0:
         snapshots[0] = x_att.copy()
     current = x_att.copy()
-    trace = np.zeros(steps[-1])
-    running_max = 0.0
     for step in range(1, steps[-1] + 1):
         noise = rng.standard_normal((x_att.shape[0], gen.noise_dim))
         delta = generate_perturbation(gen, noise, labels)
         current = np.clip(current + delta, lower, upper)
-        deviation = float(np.abs(current - x_att).max()) if x_att.size else 0.0
-        running_max = max(running_max, deviation)
-        trace[step - 1] = running_max
         if step in steps:
             snapshots[step] = current.copy()
-    return snapshots, trace
+    return snapshots
 
 
 def gen_ood(x_att: np.ndarray, noise_scale: float, seed: int) -> np.ndarray:
@@ -131,10 +125,8 @@ def gen_ood(x_att: np.ndarray, noise_scale: float, seed: int) -> np.ndarray:
 def _trajectory(gen: Generator, x_att: np.ndarray, labels: np.ndarray,
                 epsilon: float, n_refs: list[int],
                 seed: int) -> dict[int, np.ndarray]:
-    snapshots, _ = refine_trajectory(
-        gen, x_att, labels, epsilon, n_refs,
-        derive_seed(seed, "sweep-refine", float(epsilon)))
-    return snapshots
+    return refine_trajectory(gen, x_att, labels, epsilon, n_refs,
+                             derive_seed(seed, "sweep-refine", float(epsilon)))
 
 
 def _ood(x_att: np.ndarray, rho: float, seed: int) -> np.ndarray:

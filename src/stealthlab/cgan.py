@@ -276,27 +276,26 @@ def train_cgan(ids_model: IdsModel, train: Dataset, config: GanConfig,
 # persistence
 # ---------------------------------------------------------------------------
 
-def save_generator(gen: Generator, directory, name: str = "gen") -> dict:
+def save_generator(gen: Generator, directory) -> dict:
     directory = Path(directory)
-    weights_path = directory / f"{name}.weights"
-    meta_path = directory / f"{name}.json"
+    weights_path = directory / "gen.weights"
+    meta_path = directory / "gen.json"
     nn.save_mlp(weights_path, gen.net)
     write_json(meta_path, {"noise_dim": gen.noise_dim,
                            "out_scale": gen.out_scale})
     return {"weights": str(weights_path), "meta": str(meta_path)}
 
 
-def load_generator(directory, name: str = "gen") -> Generator:
+def load_generator(directory) -> Generator:
     directory = Path(directory)
-    net = nn.load_mlp(directory / f"{name}.weights")
-    meta = read_json(directory / f"{name}.json", {"noise_dim": int,
-                                                  "out_scale": float})
+    net = nn.load_mlp(directory / "gen.weights")
+    meta = read_json(directory / "gen.json", {"noise_dim": int,
+                                              "out_scale": float})
     return Generator(net, meta["noise_dim"], float(meta["out_scale"]))
 
 
-def save_discriminator(disc: Discriminator, directory,
-                       name: str = "disc") -> dict:
+def save_discriminator(disc: Discriminator, directory) -> dict:
     directory = Path(directory)
-    weights_path = directory / f"{name}.weights"
+    weights_path = directory / "disc.weights"
     nn.save_mlp(weights_path, disc.net)
     return {"weights": str(weights_path)}

@@ -11,6 +11,12 @@ parsed. Stage seeds derive from the global seed plus the stage tag, so reruns
 are bit-identical; how a sweep grid point's batches are seeded is attack's
 business alone (`attack.operating_point`).
 
+The detectors return bare per-row scores; the detect stage owns the score
+table. It builds the sample-id and tag columns once for the adversarial, OOD
+and benign populations, flips the regret sign, names the population when a
+detector fails, and writes scores.csv (finite rows only) and nll_scores.csv.
+The report stage reads scores.csv back as (tags, scores) per detector.
+
 Exit codes: 0 success, 2 config error, 3 missing dependency, 4 numeric
 failure, 5 I/O or data-file problem.
 """
@@ -450,51 +456,53 @@ def stage_detect(config: RunConfig, out_dir: Path) -> tuple[list[Path], dict]:
     gaussians = detect.fit_gaussians(cvae_model, train, section.shrinkage)
     nll_seed = derive_seed(config.seed, "detect-nll")
     regret_seed = derive_seed(config.seed, "detect-regret")
-    nll_parts, mahal_parts, regret_parts = [], [], []
-    for tag, x, sample_ids, labels in populations:
-        nll_parts.append(detect.score_nll(
-            cvae_model, ids_model, x, section.k, tag, nll_seed,
-            section.label_mode, sample_ids=sample_ids))
-        mahal_parts.append(detect.score_mahalanobis(gaussians, cvae_model, x,
-                                                    tag, sample_ids))
-        regret_parts.append(detect.score_regret(
-            cvae_model, x, labels if cvae_model.conditional else None,
-            section.regret, regret_seed, tag, sample_ids,
-            kl_weight=config.cvae.kl_weight))
-    regret_all = detect.concat_scores(regret_parts)
-    scored_mask = regret_all.tags != detect.TAG_BENIGN
-    orientation = detect.choose_orientation(
-        regret_all.scores[scored_mask], regret_all.for_tag(detect.TAG_BENIGN))
-    regret_all = detect.orient_scores(regret_all, orientation)
+    nll_parts, label_parts, mahal_parts, regret_parts = [], [], [], []
+    for tag, x, _, labels in populations:
+        try:
+            nll, labels_used = detect.score_nll(
+                cvae_model, ids_model, x, section.k, nll_seed,
+                section.label_mode)
+            mahal = detect.score_mahalanobis(gaussians, cvae_model, x)
+            regret = detect.score_regret(
+                cvae_model, x, labels if cvae_model.conditional else None,
+                section.regret, regret_seed, kl_weight=config.cvae.kl_weight)
+        except NumericError as exc:
+            raise NumericError(
+                f"scoring failed for tag '{tag}': {exc}") from exc
+        nll_parts.append(nll)
+        label_parts.append(labels_used)
+        mahal_parts.append(mahal)
+        regret_parts.append(regret)
+
+    # the score table: one row per (population, row), in population order
+    tags = np.concatenate([np.full(x.shape[0], tag, dtype=object)
+                           for tag, x, _, _ in populations])
+    sample_ids = np.concatenate([sid for _, _, sid, _ in populations])
+    nll = np.concatenate(nll_parts)
+    regret = np.concatenate([part.scores for part in regret_parts])
+    finite = np.isfinite(regret)
+    benign = tags == detect.TAG_BENIGN
+    orientation = detect.choose_orientation(regret[finite & ~benign],
+                                            regret[finite & benign])
 
     paths["scores_csv"].parent.mkdir(parents=True, exist_ok=True)
-    nll_all = detect.concat_scores(nll_parts)
-    mahal_all = detect.concat_scores(mahal_parts)
-    detect.scores_to_csv([nll_all, mahal_all, regret_all],
-                         paths["scores_csv"])
-    _write_nll_csv(paths["nll_scores_csv"], nll_all, section.k)
+    detect.scores_to_csv(paths["scores_csv"], sample_ids, tags, {
+        "nll": nll, "mahalanobis": np.concatenate(mahal_parts),
+        "regret": orientation * regret})
+    detect.nll_scores_to_csv(paths["nll_scores_csv"], sample_ids, tags,
+                             np.concatenate(label_parts), section.k, nll)
     meta = {
         "regret_orientation": orientation,
         "label_mode": section.label_mode,
         "k": section.k,
         "n_per_tag": int(n_keep),
         "n_benign_calibration": int(n_cal),
-        "n_regret_invalid": regret_all.n_invalid,
+        "n_regret_invalid": sum(part.n_invalid for part in regret_parts),
         "operating_point": point,
     }
     data.write_json(paths["detect_meta"], meta)
     return [paths["scores_csv"], paths["nll_scores_csv"],
             paths["detect_meta"]], meta
-
-
-def _write_nll_csv(path: Path, scores: detect.ScoreSet, k: int) -> None:
-    with data.atomic_write(path) as fh:
-        fh.write("sample_id,source_tag,label_used,k,nll\n")
-        labels = scores.labels_used
-        for i in range(scores.n):
-            label = int(labels[i]) if labels is not None else -1
-            fh.write(f"{int(scores.sample_ids[i])},{scores.tags[i]},"
-                     f"{label},{k},{repr(float(scores.scores[i]))}\n")
 
 
 def stage_report(config: RunConfig, out_dir: Path) -> tuple[list[Path], dict]:
@@ -511,15 +519,17 @@ def stage_report(config: RunConfig, out_dir: Path) -> tuple[list[Path], dict]:
         if name not in by_detector:
             raise DependencyError(f"scores.csv has no rows for detector "
                                   f"'{name}'; rerun 'detect'")
-        scores = by_detector[name]
-        adv_ood = _drop_tag(scores, detect.TAG_BENIGN)
-        curve = detect.roc_auc(adv_ood, detect.TAG_ADVERSARIAL)
+        tags, scores = by_detector[name]
+        adv_ood = tags != detect.TAG_BENIGN
+        curve = detect.roc_auc(scores[adv_ood],
+                               tags[adv_ood] == detect.TAG_ADVERSARIAL)
         aucs[name] = curve.auc
         roc_path = report_dir / f"roc_{name}.csv"
         detect.roc_to_csv(curve, roc_path)
         hist_path = report_dir / f"hist_{name}.csv"
         detect.histograms_to_csv(
-            detect.export_histograms(scores, config.detect.histogram_bins),
+            detect.export_histograms(scores, tags,
+                                     config.detect.histogram_bins),
             hist_path)
         artifacts.extend([roc_path, hist_path])
     summary = {
@@ -534,14 +544,6 @@ def stage_report(config: RunConfig, out_dir: Path) -> tuple[list[Path], dict]:
     data.write_json(paths["summary"], summary)
     artifacts.append(paths["summary"])
     return artifacts, {"auc": aucs}
-
-
-def _drop_tag(scores: detect.ScoreSet, tag: str) -> detect.ScoreSet:
-    keep = scores.tags != tag
-    return detect.ScoreSet(scores.detector, scores.sample_ids[keep],
-                           scores.tags[keep], scores.scores[keep],
-                           None if scores.labels_used is None
-                           else scores.labels_used[keep])
 
 
 @dataclass(frozen=True)

@@ -81,11 +81,6 @@ class CvaeModel:
     conditional: bool
     n_classes: int = N_CLASSES
 
-    @property
-    def input_dim(self) -> int:
-        extra = self.n_classes if self.conditional else 0
-        return self.encoder.in_dim - extra
-
     def params(self) -> list[np.ndarray]:
         return self.encoder.params() + self.decoder.params()
 
@@ -111,12 +106,11 @@ def _conditioned(model: CvaeModel, x: np.ndarray,
     return np.hstack([x, one_hot(np.asarray(labels), model.n_classes)])
 
 
-def encode(model: CvaeModel, x: np.ndarray, labels: np.ndarray | None = None,
-           keep_cache: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def encode(model: CvaeModel, x: np.ndarray,
+           labels: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Posterior parameters (mu, log-variance), the latter clamped to +-10."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    out = model.encoder.forward(_conditioned(model, x, labels),
-                                keep_cache=keep_cache)
+    out = model.encoder.forward(_conditioned(model, x, labels))
     mu = out[:, :model.latent_dim]
     logvar = np.clip(out[:, model.latent_dim:], LOGVAR_MIN, LOGVAR_MAX)
     return mu, logvar
@@ -134,14 +128,12 @@ def reparameterize(mu: np.ndarray, logvar: np.ndarray,
 
 
 def decode(model: CvaeModel, z: np.ndarray,
-           labels: np.ndarray | None = None,
-           keep_cache: bool = False) -> np.ndarray:
+           labels: np.ndarray | None = None) -> np.ndarray:
     """Feature probabilities, clamped strictly inside (0, 1) for the logs."""
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     if z.shape[1] != model.latent_dim:
         raise ShapeError(f"z must have {model.latent_dim} columns")
-    out = model.decoder.forward(_conditioned(model, z, labels),
-                                keep_cache=keep_cache)
+    out = model.decoder.forward(_conditioned(model, z, labels))
     return np.clip(out, nn.PROB_CLAMP, 1.0 - nn.PROB_CLAMP)
 
 

@@ -14,9 +14,13 @@ Three scores, all oriented so that higher means "more likely adversarial":
                the KL weight the CVAE was trained with; its sign is
                calibrated once against benign reference scores.
 
-`score_regret(model, batch, labels, config, seed, kl_weight=...)` takes its
-seed and the trained KL weight as arguments; `RegretConfig` holds the
-hyperparameters only and is the run config's `detect.regret` section.
+Each detector scores a batch and returns one value per row, in row order;
+which population a row came from, and its sample id, are the caller's
+business (the detect stage builds that table once). `score_regret(model,
+batch, labels, config, seed, kl_weight=...)` takes its seed and the trained
+KL weight as arguments; `RegretConfig` holds the hyperparameters only and is
+the run config's `detect.regret` section. This module also owns both score
+file formats: `scores.csv` (all detectors) and `nll_scores.csv`.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import numpy as np
 from . import nn
 from .cvae import CvaeModel, elbo_loss, encode, iwae_batch
 from .data import Dataset, atomic_write
-from .errors import NumericError, SchemaError, ShapeError
+from .errors import NumericError, SchemaError
 from .ids import IdsModel, predict_label
 from .rng import stable_hash
 
@@ -54,83 +58,29 @@ class RegretConfig:
             raise ValueError("learning_rate must be > 0")
 
 
-@dataclass
-class ScoreSet:
-    detector: str
-    sample_ids: np.ndarray       # int ids, unique within a tag
-    tags: np.ndarray             # source tag per row
-    scores: np.ndarray
-    labels_used: np.ndarray | None = None   # conditioning label, where defined
-    n_invalid: int = 0
-
-    def __post_init__(self):
-        self.sample_ids = np.asarray(self.sample_ids, dtype=np.int64)
-        self.tags = np.asarray(self.tags, dtype=object)
-        self.scores = np.asarray(self.scores, dtype=np.float64)
-        if not (self.sample_ids.shape == self.tags.shape
-                == self.scores.shape):
-            raise ShapeError("sample_ids, tags and scores must align")
-
-    @property
-    def n(self) -> int:
-        return self.scores.shape[0]
-
-    def for_tag(self, tag: str) -> np.ndarray:
-        return self.scores[self.tags == tag]
-
-
-def concat_scores(parts: list[ScoreSet]) -> ScoreSet:
-    if not parts:
-        raise ValueError("nothing to concatenate")
-    detector = parts[0].detector
-    if any(p.detector != detector for p in parts):
-        raise ValueError("cannot concatenate different detectors")
-    labels = None
-    if all(p.labels_used is not None for p in parts):
-        labels = np.concatenate([p.labels_used for p in parts])
-    return ScoreSet(detector,
-                    np.concatenate([p.sample_ids for p in parts]),
-                    np.concatenate([p.tags for p in parts]),
-                    np.concatenate([p.scores for p in parts]),
-                    labels, sum(p.n_invalid for p in parts))
-
-
 # ---------------------------------------------------------------------------
 # NLL detector
 # ---------------------------------------------------------------------------
 
 def score_nll(model: CvaeModel, ids_model: IdsModel, batch: np.ndarray,
-              k: int = 50, tag: str = TAG_ADVERSARIAL, seed: int = 0,
-              label_mode: str = "ids",
-              sample_ids: np.ndarray | None = None) -> ScoreSet:
-    """Importance-weighted NLL per row, conditioned per `label_mode`:
-    "ids" uses the intrusion detector's predicted label, "min" scores under
-    every label and keeps the smallest NLL."""
+              k: int = 50, seed: int = 0,
+              label_mode: str = "ids") -> tuple[np.ndarray, np.ndarray]:
+    """(importance-weighted NLL, label conditioned on) per row, per
+    `label_mode`: "ids" uses the intrusion detector's predicted label, "min"
+    scores under every label and keeps the smallest NLL."""
     batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-    if sample_ids is None:
-        sample_ids = np.arange(batch.shape[0])
     if label_mode not in ("ids", "min"):
         raise ValueError("label_mode must be 'ids' or 'min'")
-    try:
-        if label_mode == "ids" or not model.conditional:
-            labels = predict_label(ids_model, batch)
-            est = iwae_batch(model, batch,
-                             labels if model.conditional else None, k, seed)
-            scores = est.nll
-        else:
-            per_label = np.stack([
-                iwae_batch(model, batch,
-                           np.full(batch.shape[0], c, dtype=np.int64),
-                           k, seed).nll
-                for c in range(model.n_classes)
-            ])
-            scores = per_label.min(axis=0)
-            labels = per_label.argmin(axis=0)
-    except NumericError as exc:
-        raise NumericError(f"nll scoring failed for tag '{tag}': {exc}") from exc
-    return ScoreSet("nll", np.asarray(sample_ids),
-                    np.full(batch.shape[0], tag, dtype=object), scores,
-                    labels_used=np.asarray(labels, dtype=np.int64))
+    if label_mode == "ids" or not model.conditional:
+        labels = predict_label(ids_model, batch)
+        return iwae_batch(model, batch, labels if model.conditional else None,
+                          k, seed).nll, labels
+    per_label = np.stack([
+        iwae_batch(model, batch, np.full(batch.shape[0], c, dtype=np.int64),
+                   k, seed).nll
+        for c in range(model.n_classes)
+    ])
+    return per_label.min(axis=0), per_label.argmin(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -176,13 +126,10 @@ def fit_gaussians(model: CvaeModel, train: Dataset,
 
 
 def score_mahalanobis(gaussians: GaussianClassModel, model: CvaeModel,
-                      batch: np.ndarray, tag: str = TAG_ADVERSARIAL,
-                      sample_ids: np.ndarray | None = None) -> ScoreSet:
+                      batch: np.ndarray) -> np.ndarray:
     """Min over classes of sqrt((u - mean_c)^T cov_c^-1 (u - mean_c)), where
     u is the encoder mean of the row under that class's label."""
     batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-    if sample_ids is None:
-        sample_ids = np.arange(batch.shape[0])
     n_classes = gaussians.means.shape[0]
     distances = np.empty((n_classes, batch.shape[0]))
     for class_id in range(n_classes):
@@ -193,20 +140,22 @@ def score_mahalanobis(gaussians: GaussianClassModel, model: CvaeModel,
         # solve L y = diff^T, then dist^2 = sum y^2 (cov = L L^T)
         y = np.linalg.solve(gaussians.choleskys[class_id], diff.T)
         distances[class_id] = np.sqrt((y * y).sum(axis=0))
-    scores = distances.min(axis=0)
-    return ScoreSet("mahalanobis", np.asarray(sample_ids),
-                    np.full(batch.shape[0], tag, dtype=object), scores)
+    return distances.min(axis=0)
 
 
 # ---------------------------------------------------------------------------
 # likelihood-regret detector
 # ---------------------------------------------------------------------------
 
+@dataclass
+class RegretScores:
+    scores: np.ndarray      # one per row, NaN where the refit diverged
+    n_invalid: int
+
+
 def score_regret(model: CvaeModel, batch: np.ndarray,
                  labels: np.ndarray | None, config: RegretConfig, seed: int,
-                 tag: str = TAG_ADVERSARIAL,
-                 sample_ids: np.ndarray | None = None, *,
-                 kl_weight: float) -> ScoreSet:
+                 *, kl_weight: float) -> RegretScores:
     """Best ELBO improvement from `steps` Adam steps on each sample's
     posterior (likelihood regret, Xiao, Yan & Amit 2020).
 
@@ -216,13 +165,10 @@ def score_regret(model: CvaeModel, batch: np.ndarray,
     weight the model was trained with. The reparameterization draw is
     frozen and seeded from the sample's content, and the reported regret is
     best-minus-initial, so it is never negative. The model is not modified.
-    Samples whose refit diverges are dropped and counted in n_invalid.
+    A sample whose refit diverges scores NaN and is counted in n_invalid.
     """
     batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-    if sample_ids is None:
-        sample_ids = np.arange(batch.shape[0])
-    sample_ids = np.asarray(sample_ids, dtype=np.int64)
-    kept_ids, kept_tags, kept_scores, kept_labels = [], [], [], []
+    scores = np.full(batch.shape[0], np.nan)
     n_invalid = 0
     for i, row in enumerate(batch):
         label = None if labels is None else int(labels[i])
@@ -248,20 +194,11 @@ def score_regret(model: CvaeModel, batch: np.ndarray,
         except NumericError:
             n_invalid += 1
             continue
-        kept_ids.append(sample_ids[i])
-        kept_tags.append(tag)
-        kept_scores.append(best - initial)
-        if label is not None:
-            kept_labels.append(label)
+        scores[i] = best - initial
     if n_invalid:
-        log.warning("regret scoring dropped %d diverged sample(s) for tag %s",
-                    n_invalid, tag)
+        log.warning("regret scoring dropped %d diverged sample(s)", n_invalid)
     model.decoder.clear_cache()
-    labels_used = (np.asarray(kept_labels, dtype=np.int64)
-                   if labels is not None else None)
-    return ScoreSet("regret", np.asarray(kept_ids, dtype=np.int64),
-                    np.asarray(kept_tags, dtype=object),
-                    np.asarray(kept_scores), labels_used, n_invalid)
+    return RegretScores(scores, n_invalid)
 
 
 def choose_orientation(scored: np.ndarray, benign_reference: np.ndarray) -> int:
@@ -272,15 +209,6 @@ def choose_orientation(scored: np.ndarray, benign_reference: np.ndarray) -> int:
     if scored.size == 0 or benign_reference.size == 0:
         raise ValueError("need both scored and benign reference values")
     return 1 if np.median(scored) >= np.median(benign_reference) else -1
-
-
-def orient_scores(scores: ScoreSet, orientation: int) -> ScoreSet:
-    if orientation not in (1, -1):
-        raise ValueError("orientation must be +1 or -1")
-    return ScoreSet(scores.detector, scores.sample_ids.copy(),
-                    scores.tags.copy(), orientation * scores.scores,
-                    None if scores.labels_used is None
-                    else scores.labels_used.copy(), scores.n_invalid)
 
 
 # ---------------------------------------------------------------------------
@@ -295,19 +223,19 @@ class RocCurve:
     auc: float
 
 
-def roc_auc(scores: ScoreSet, positive_tag: str = TAG_ADVERSARIAL) -> RocCurve:
+def roc_auc(scores: np.ndarray, positive: np.ndarray) -> RocCurve:
     """Threshold sweep over the distinct scores; classify as positive when
-    score >= threshold. The AUC accumulates in integer pair counts before a
-    single division, so ties contribute exactly one half.
+    score >= threshold. `positive` marks the positive rows. The AUC
+    accumulates in integer pair counts before a single division, so ties
+    contribute exactly one half.
     """
-    tags = set(scores.tags.tolist())
-    if positive_tag not in tags or len(tags) < 2:
-        raise ValueError("scores must contain the positive tag and at least "
-                         "one other tag")
-    positive = scores.tags == positive_tag
-    values = scores.scores
+    values = np.asarray(scores, dtype=np.float64)
+    positive = np.asarray(positive, dtype=bool)
     n_pos = int(positive.sum())
     n_neg = int(values.size - n_pos)
+    if n_pos == 0 or n_neg == 0:
+        raise ValueError("scores must contain at least one positive and one "
+                         "negative row")
     order = np.argsort(-values, kind="stable")
     thresholds = [np.inf]
     fpr_counts = [0]
@@ -342,52 +270,61 @@ def roc_auc(scores: ScoreSet, positive_tag: str = TAG_ADVERSARIAL) -> RocCurve:
 # histograms and CSV export
 # ---------------------------------------------------------------------------
 
-def export_histograms(scores: ScoreSet, bins: int = 40) -> dict:
+def export_histograms(scores: np.ndarray, tags: np.ndarray,
+                      bins: int = 40) -> dict:
     """Per-tag counts over shared bin edges spanning all scores."""
     if bins < 2:
         raise ValueError("bins must be >= 2")
-    if scores.n == 0:
+    if scores.size == 0:
         raise ValueError("no scores to histogram")
-    lo = float(scores.scores.min())
-    hi = float(scores.scores.max())
+    lo = float(scores.min())
+    hi = float(scores.max())
     if lo == hi:
         lo -= 0.5
         hi += 0.5
     edges = np.linspace(lo, hi, bins + 1)
     counts = {}
-    for tag in sorted(set(scores.tags.tolist())):
-        counts[tag], _ = np.histogram(scores.for_tag(tag), bins=edges)
+    for tag in sorted(set(tags.tolist())):
+        counts[tag], _ = np.histogram(scores[tags == tag], bins=edges)
     return {"edges": edges, "counts": counts}
 
 
 SCORES_CSV_COLUMNS = ["sample_id", "tag", "detector", "score"]
 
 
-def scores_to_csv(parts: list[ScoreSet], path) -> None:
+def scores_to_csv(path, sample_ids: np.ndarray, tags: np.ndarray,
+                  scores: dict[str, np.ndarray]) -> None:
+    """One row per (detector, row) with a finite score, detectors in the
+    order of `scores`, rows in table order."""
     with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(SCORES_CSV_COLUMNS)
-        for part in parts:
-            for sid, tag, score in zip(part.sample_ids, part.tags, part.scores):
-                writer.writerow([int(sid), tag, part.detector,
-                                 repr(float(score))])
+        for detector, values in scores.items():
+            for sid, tag, score in zip(sample_ids, tags, values):
+                if np.isfinite(score):
+                    writer.writerow([int(sid), tag, detector,
+                                     repr(float(score))])
 
 
-def scores_from_csv(path) -> dict[str, ScoreSet]:
-    by_detector: dict[str, list] = {}
+def scores_from_csv(path) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """{detector: (tags, scores)} from a scores.csv."""
+    by_detector: dict[str, tuple[list, list]] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            by_detector.setdefault(row["detector"], []).append(
-                (int(row["sample_id"]), row["tag"], float(row["score"])))
-    out = {}
-    for detector, rows in by_detector.items():
-        out[detector] = ScoreSet(
-            detector,
-            np.array([r[0] for r in rows], dtype=np.int64),
-            np.array([r[1] for r in rows], dtype=object),
-            np.array([r[2] for r in rows]))
-    return out
+        for row in csv.DictReader(fh):
+            tags, scores = by_detector.setdefault(row["detector"], ([], []))
+            tags.append(row["tag"])
+            scores.append(float(row["score"]))
+    return {detector: (np.array(tags, dtype=object), np.array(scores))
+            for detector, (tags, scores) in by_detector.items()}
+
+
+def nll_scores_to_csv(path, sample_ids: np.ndarray, tags: np.ndarray,
+                      labels: np.ndarray, k: int, nll: np.ndarray) -> None:
+    with atomic_write(path) as fh:
+        fh.write("sample_id,source_tag,label_used,k,nll\n")
+        for sid, tag, label, score in zip(sample_ids, tags, labels, nll):
+            fh.write(f"{int(sid)},{tag},{int(label)},{k},"
+                     f"{repr(float(score))}\n")
 
 
 def roc_to_csv(curve: RocCurve, path) -> None:

@@ -111,12 +111,12 @@ def train_ids(train: Dataset, config: IdsTrainConfig,
 # persistence: weight file plus JSON sidecar
 # ---------------------------------------------------------------------------
 
-def save_ids(model: IdsModel, directory, name: str = "ids",
+def save_ids(model: IdsModel, directory,
              extra_meta: dict | None = None) -> dict:
-    """Write {name}.weights and {name}.json; returns {label: path}."""
+    """Write ids.weights and ids.json; returns {label: path}."""
     directory = Path(directory)
-    weights_path = directory / f"{name}.weights"
-    meta_path = directory / f"{name}.json"
+    weights_path = directory / "ids.weights"
+    meta_path = directory / "ids.json"
     nn.save_mlp(weights_path, model.net)
     write_json(meta_path, {"class_names": model.class_names,
                            "scaler_ref": model.scaler_ref,
@@ -124,8 +124,8 @@ def save_ids(model: IdsModel, directory, name: str = "ids",
     return {"weights": str(weights_path), "meta": str(meta_path)}
 
 
-def load_ids(directory, name: str = "ids") -> IdsModel:
+def load_ids(directory) -> IdsModel:
     directory = Path(directory)
-    net = nn.load_mlp(directory / f"{name}.weights")
-    meta = read_json(directory / f"{name}.json", {"class_names": list[str]})
+    net = nn.load_mlp(directory / "ids.weights")
+    meta = read_json(directory / "ids.json", {"class_names": list[str]})
     return IdsModel(net, meta["class_names"], meta.get("scaler_ref"))

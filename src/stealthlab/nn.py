@@ -193,9 +193,6 @@ class Mlp:
         return Mlp([DenseLayer(l.weights.copy(), l.bias.copy(), l.activation)
                     for l in self.layers])
 
-    def dims(self) -> list[int]:
-        return [self.in_dim] + [l.fan_out for l in self.layers]
-
 
 def build_mlp(dims: list[int], activations: list[str],
               rng: np.random.Generator) -> Mlp:
@@ -306,12 +303,6 @@ class AdamState:
     # (2, n) float64 scratch for adam_step, n <= ADAM_CHUNK; made on first use
     scratch: np.ndarray | None = field(default=None, repr=False,
                                        compare=False)
-
-    def reset(self) -> None:
-        """Back to the freshly initialised state: zero moments, step 0."""
-        for moment in self.m + self.v:
-            moment.fill(0.0)
-        self.step_count = 0
 
 
 def adam_init(params: list[np.ndarray], learning_rate: float = 0.001,

@@ -186,8 +186,8 @@ def test_c03_clip_invariant():
         n_ref = int(rng.choice(grids.n_ref_grid))
         x_att = rng.uniform(0.0, 1.0, size=(3, data.N_FEATURES))
         labels = rng.integers(1, 5, size=3)
-        snapshots, _ = attack.refine_trajectory(gen, x_att, labels, epsilon,
-                                                [n_ref], run)
+        snapshots = attack.refine_trajectory(gen, x_att, labels, epsilon,
+                                             [n_ref], run)
         x_adv = snapshots[n_ref]
         if np.abs(x_adv - x_att).max() > epsilon + 1e-9:
             violations += 1
@@ -341,12 +341,9 @@ def test_c09_auc_pair_count_oracle():
         else:
             adv = rng.standard_normal(n_adv)
             ood = rng.standard_normal(n_ood)
-        scores = detect.ScoreSet(
-            "nll", np.arange(n_adv + n_ood),
-            np.array([detect.TAG_ADVERSARIAL] * n_adv
-                     + [detect.TAG_OOD] * n_ood, dtype=object),
-            np.concatenate([adv, ood]).astype(np.float64))
-        if detect.roc_auc(scores).auc != pair_count_auc(adv, ood):
+        scores = np.concatenate([adv, ood]).astype(np.float64)
+        positive = np.arange(n_adv + n_ood) < n_adv
+        if detect.roc_auc(scores, positive).auc != pair_count_auc(adv, ood):
             mismatches += 1
     check("09", mismatches == 0,
           f"{mismatches} mismatches over 100 random score sets")

@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stealthlab import cli, data, nn
-from stealthlab.errors import ConfigError
+from stealthlab import cli, data, detect, nn
+from stealthlab.errors import ConfigError, NumericError
 
 TINY_CONFIG = {
     "schema_version": 1,
@@ -284,6 +284,28 @@ class TestExitCodes:
         assert rc == 4
         assert "numeric error" in capsys.readouterr().err
 
+    def test_numeric_failure_names_the_tag(self, pipeline, tiny_config,
+                                           tmp_path, capsys, monkeypatch):
+        # each detector in turn fails on its second population, the OOD rows
+        out = tmp_path / "out"
+        shutil.copytree(pipeline["out"], out)
+        for name in ("score_nll", "score_mahalanobis", "score_regret"):
+            real, calls = getattr(detect, name), []
+
+            def fail_on_ood(*args, real=real, calls=calls, **kwargs):
+                calls.append(name)
+                if len(calls) == 2:
+                    raise NumericError("injected failure")
+                return real(*args, **kwargs)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(detect, name, fail_on_ood)
+                rc = cli.main(["detect", "--config", tiny_config, "--out",
+                               str(out)])
+            assert rc == 4, name
+            err = capsys.readouterr().err
+            assert "numeric error" in err and "tag 'ood'" in err, name
+
     def test_io_error_is_5(self, tmp_path, capsys):
         bad_csv = tmp_path / "bad.csv"
         bad_csv.write_text("a,b,label\n1,2,benign\n")
@@ -426,6 +448,19 @@ class TestBenchmarkHarness:
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("workload", ["score-regret", "score-nll"])
+    def test_traced_tiny_run_is_correct(self, workload):
+        # the tracer reads detector arguments by position and results by
+        # attribute (spantrace.INFO); a reader that raises fails the stage
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "perfbench" / "run.py"),
+             "--workload", workload, "--seed", "0", "--seconds", "1",
+             "--trace", "1", "--tiny"],
+            cwd=ROOT, capture_output=True, text=True, timeout=300)
+        lines = proc.stdout.strip().splitlines()
+        assert lines, proc.stderr
+        assert json.loads(lines[-1])["correct"] is True, proc.stderr
 
 
 class TestManifest:

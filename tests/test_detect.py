@@ -5,20 +5,23 @@ import pytest
 
 from stealthlab import cvae, data, detect, nn
 from stealthlab.attack import gen_ood
-from stealthlab.errors import NumericError, ShapeError
+from stealthlab.errors import NumericError
 from stealthlab.ids import IdsTrainConfig, train_ids
 from stealthlab.rng import derive_rng, stable_hash
 
 
-def make_scores(adv, ood, detector="nll"):
+def make_scores(adv, ood):
+    """(scores, tags): adversarial rows first, then OOD rows."""
     adv = np.asarray(adv, dtype=np.float64)
     ood = np.asarray(ood, dtype=np.float64)
-    return detect.ScoreSet(
-        detector,
-        np.arange(adv.size + ood.size),
-        np.array([detect.TAG_ADVERSARIAL] * adv.size
-                 + [detect.TAG_OOD] * ood.size, dtype=object),
-        np.concatenate([adv, ood]))
+    return (np.concatenate([adv, ood]),
+            np.array([detect.TAG_ADVERSARIAL] * adv.size
+                     + [detect.TAG_OOD] * ood.size, dtype=object))
+
+
+def roc_of(adv, ood):
+    scores, tags = make_scores(adv, ood)
+    return detect.roc_auc(scores, tags == detect.TAG_ADVERSARIAL)
 
 
 def auc_oracle(adv, ood):
@@ -120,56 +123,15 @@ def lab():
     return {"ids": ids_model, "cvae": model, "train": train, "test": test}
 
 
-class TestScoreSet:
-    def test_misaligned_fields_rejected(self):
-        with pytest.raises(ShapeError):
-            detect.ScoreSet("nll", np.arange(3),
-                            np.array(["ood"] * 2, dtype=object),
-                            np.zeros(3))
-
-    def test_for_tag_filters(self):
-        scores = make_scores([1.0, 2.0], [3.0])
-        assert np.array_equal(scores.for_tag(detect.TAG_ADVERSARIAL),
-                              [1.0, 2.0])
-        assert np.array_equal(scores.for_tag(detect.TAG_OOD), [3.0])
-        assert scores.n == 3
-
-    def test_concat_sums_invalid_and_merges(self):
-        a = make_scores([1.0], [2.0])
-        a.n_invalid = 2
-        b = make_scores([3.0], [4.0])
-        b.n_invalid = 1
-        merged = detect.concat_scores([a, b])
-        assert merged.n == 4
-        assert merged.n_invalid == 3
-        assert np.array_equal(merged.scores, [1.0, 2.0, 3.0, 4.0])
-
-    def test_concat_rejects_mixed_detectors_and_empty(self):
-        with pytest.raises(ValueError):
-            detect.concat_scores([make_scores([1.0], [2.0], "nll"),
-                                  make_scores([1.0], [2.0], "regret")])
-        with pytest.raises(ValueError):
-            detect.concat_scores([])
-
-    def test_concat_drops_labels_unless_all_present(self):
-        a = make_scores([1.0], [2.0])
-        a.labels_used = np.array([0, 1], dtype=np.int64)
-        b = make_scores([3.0], [4.0])
-        assert detect.concat_scores([a, b]).labels_used is None
-        b.labels_used = np.array([2, 3], dtype=np.int64)
-        merged = detect.concat_scores([a, b])
-        assert np.array_equal(merged.labels_used, [0, 1, 2, 3])
-
-
 class TestRocAuc:
     def test_perfect_separation(self):
-        curve = detect.roc_auc(make_scores([1.0, 2.0, 3.0], [-1.0, 0.0, 0.5]))
+        curve = roc_of([1.0, 2.0, 3.0], [-1.0, 0.0, 0.5])
         assert curve.auc == 1.0
         assert curve.fpr[0] == 0.0 and curve.tpr[0] == 0.0
         assert curve.fpr[-1] == 1.0 and curve.tpr[-1] == 1.0
 
     def test_identical_distributions_score_half(self):
-        curve = detect.roc_auc(make_scores([0.3] * 5, [0.3] * 5))
+        curve = roc_of([0.3] * 5, [0.3] * 5)
         assert curve.auc == 0.5
 
     def test_matches_pair_count_oracle(self):
@@ -180,36 +142,30 @@ class TestRocAuc:
             n_ood = int(rng.integers(1, 101))
             adv = rng.integers(0, 12, size=n_adv) / 10.0
             ood = rng.integers(0, 12, size=n_ood) / 10.0
-            curve = detect.roc_auc(make_scores(adv, ood))
+            curve = roc_of(adv, ood)
             assert curve.auc == auc_oracle(adv, ood)
 
     def test_invariant_under_increasing_transforms(self):
         rng = np.random.default_rng(7)
         adv = rng.integers(0, 12, size=40) / 10.0
         ood = rng.integers(0, 12, size=30) / 10.0
-        base = detect.roc_auc(make_scores(adv, ood))
+        base = roc_of(adv, ood)
         for transform in (lambda s: 3.0 * s + 1.0, np.exp, lambda s: s ** 3):
-            curve = detect.roc_auc(make_scores(transform(adv),
-                                               transform(ood)))
+            curve = roc_of(transform(adv), transform(ood))
             assert curve.auc == base.auc
             assert np.array_equal(curve.fpr, base.fpr)
             assert np.array_equal(curve.tpr, base.tpr)
 
     def test_single_tag_rejected(self):
-        only_adv = detect.ScoreSet(
-            "nll", np.arange(3),
-            np.array([detect.TAG_ADVERSARIAL] * 3, dtype=object),
-            np.arange(3.0))
         with pytest.raises(ValueError):
-            detect.roc_auc(only_adv)
+            detect.roc_auc(np.arange(3.0), np.ones(3, dtype=bool))
         with pytest.raises(ValueError):
-            detect.roc_auc(make_scores([1.0], [2.0]), positive_tag="benign")
+            detect.roc_auc(np.arange(3.0), np.zeros(3, dtype=bool))
 
     def test_curve_is_monotone(self):
         rng = np.random.default_rng(3)
-        scores = make_scores(rng.integers(0, 8, 50) / 7.0,
-                             rng.integers(0, 8, 60) / 7.0)
-        curve = detect.roc_auc(scores)
+        curve = roc_of(rng.integers(0, 8, 50) / 7.0,
+                       rng.integers(0, 8, 60) / 7.0)
         assert np.all(np.diff(curve.fpr) >= 0.0)
         assert np.all(np.diff(curve.tpr) >= 0.0)
         assert curve.thresholds[0] == np.inf
@@ -217,7 +173,7 @@ class TestRocAuc:
         assert 0.0 <= curve.auc <= 1.0
 
     def test_roc_csv_round_trip(self, tmp_path):
-        curve = detect.roc_auc(make_scores([1.0, 2.0], [0.5, 1.5]))
+        curve = roc_of([1.0, 2.0], [0.5, 1.5])
         path = tmp_path / "roc.csv"
         detect.roc_to_csv(curve, path)
         with open(path, newline="") as fh:
@@ -231,14 +187,14 @@ class TestRocAuc:
 class TestHistograms:
     def test_counts_sum_per_tag(self):
         rng = np.random.default_rng(11)
-        scores = make_scores(rng.uniform(size=37), rng.uniform(size=23))
-        hist = detect.export_histograms(scores, bins=10)
+        scores, tags = make_scores(rng.uniform(size=37), rng.uniform(size=23))
+        hist = detect.export_histograms(scores, tags, bins=10)
         assert hist["edges"].shape == (11,)
         assert hist["counts"][detect.TAG_ADVERSARIAL].sum() == 37
         assert hist["counts"][detect.TAG_OOD].sum() == 23
 
     def test_all_equal_scores_fill_one_bin(self):
-        hist = detect.export_histograms(make_scores([2.0] * 6, [2.0] * 4),
+        hist = detect.export_histograms(*make_scores([2.0] * 6, [2.0] * 4),
                                         bins=5)
         for counts in hist["counts"].values():
             assert (counts > 0).sum() == 1
@@ -247,8 +203,8 @@ class TestHistograms:
         rng = np.random.default_rng(13)
         adv = rng.uniform(size=40)
         ood = rng.uniform(size=40) + 0.2
-        base = detect.export_histograms(make_scores(adv, ood), bins=8)
-        moved = detect.export_histograms(make_scores(adv + 5.0, ood + 5.0),
+        base = detect.export_histograms(*make_scores(adv, ood), bins=8)
+        moved = detect.export_histograms(*make_scores(adv + 5.0, ood + 5.0),
                                          bins=8)
         assert np.allclose(moved["edges"], base["edges"] + 5.0)
         for tag in base["counts"]:
@@ -256,14 +212,12 @@ class TestHistograms:
 
     def test_bad_inputs_rejected(self):
         with pytest.raises(ValueError):
-            detect.export_histograms(make_scores([1.0], [2.0]), bins=1)
-        empty = detect.ScoreSet("nll", np.array([], dtype=np.int64),
-                                np.array([], dtype=object), np.array([]))
+            detect.export_histograms(*make_scores([1.0], [2.0]), bins=1)
         with pytest.raises(ValueError):
-            detect.export_histograms(empty)
+            detect.export_histograms(*make_scores([], []))
 
     def test_histograms_csv_layout(self, tmp_path):
-        hist = detect.export_histograms(make_scores([1.0, 2.0], [3.0]),
+        hist = detect.export_histograms(*make_scores([1.0, 2.0], [3.0]),
                                         bins=4)
         path = tmp_path / "hist.csv"
         detect.histograms_to_csv(hist, path)
@@ -287,7 +241,7 @@ class TestMahalanobis:
             np.zeros((1, 4)), np.eye(4)[None, :, :], 0.0)
         scores = detect.score_mahalanobis(gaussians, model,
                                           np.array([[0.1, 0.9]]))
-        assert scores.scores[0] == 5.0
+        assert scores[0] == 5.0
 
     def test_class_mean_scores_zero(self):
         model = flat_cvae(mu=[3.0, 4.0, 0.0, 0.0], probs=[0.5, 0.5])
@@ -295,7 +249,7 @@ class TestMahalanobis:
             np.array([[3.0, 4.0, 0.0, 0.0]]), np.eye(4)[None, :, :], 0.0)
         scores = detect.score_mahalanobis(gaussians, model,
                                           np.array([[0.1, 0.9]]))
-        assert scores.scores[0] == 0.0
+        assert scores[0] == 0.0
 
     def test_minimum_over_classes(self):
         model = flat_cvae(mu=[3.0, 4.0, 0.0, 0.0], probs=[0.5, 0.5])
@@ -304,7 +258,7 @@ class TestMahalanobis:
             means, np.stack([np.eye(4), np.eye(4)]), 0.0)
         scores = detect.score_mahalanobis(gaussians, model,
                                           np.array([[0.1, 0.9]]))
-        assert scores.scores[0] == 0.0
+        assert scores[0] == 0.0
 
     def test_full_shrinkage_matches_diagonal_formula(self, lab):
         model, train = lab["cvae"], lab["train"]
@@ -322,7 +276,7 @@ class TestMahalanobis:
                                np.full(batch.shape[0], class_id,
                                        dtype=np.int64))
             per_class[class_id] = np.sqrt(((u - mean) ** 2 / var).sum(axis=1))
-        assert np.allclose(scores.scores, per_class.min(axis=0),
+        assert np.allclose(scores, per_class.min(axis=0),
                            rtol=1e-10, atol=1e-12)
 
     def test_constant_latents_raise_without_shrinkage_cure(self):
@@ -346,49 +300,40 @@ class TestNll:
     def test_duplicate_rows_score_identically(self, lab):
         row = lab["test"].features[0]
         batch = np.stack([row, lab["test"].features[1], row])
-        scores = detect.score_nll(lab["cvae"], lab["ids"], batch, k=5, seed=3)
-        assert scores.scores[0] == scores.scores[2]
-        assert scores.labels_used[0] == scores.labels_used[2]
+        nll, labels = detect.score_nll(lab["cvae"], lab["ids"], batch, k=5,
+                                       seed=3)
+        assert nll[0] == nll[2]
+        assert labels[0] == labels[2]
 
     def test_scores_finite_with_metadata(self, lab):
         batch = lab["test"].features[:8]
-        scores = detect.score_nll(lab["cvae"], lab["ids"], batch, k=5,
-                                  tag=detect.TAG_OOD, seed=1)
-        assert scores.detector == "nll"
-        assert np.all(np.isfinite(scores.scores))
-        assert np.array_equal(scores.sample_ids, np.arange(8))
-        assert set(scores.tags.tolist()) == {detect.TAG_OOD}
-        assert scores.labels_used.shape == (8,)
-        assert np.all((scores.labels_used >= 0) & (scores.labels_used < 5))
+        nll, labels = detect.score_nll(lab["cvae"], lab["ids"], batch, k=5,
+                                       seed=1)
+        assert nll.shape == (8,)
+        assert np.all(np.isfinite(nll))
+        assert labels.shape == (8,)
+        assert np.all((labels >= 0) & (labels < 5))
 
     def test_min_mode_never_above_ids_mode(self, lab):
         batch = lab["test"].features[:6]
-        by_ids = detect.score_nll(lab["cvae"], lab["ids"], batch, k=5,
-                                  seed=2, label_mode="ids")
-        by_min = detect.score_nll(lab["cvae"], lab["ids"], batch, k=5,
-                                  seed=2, label_mode="min")
-        assert np.all(by_min.scores <= by_ids.scores + 1e-12)
+        by_ids, _ = detect.score_nll(lab["cvae"], lab["ids"], batch, k=5,
+                                     seed=2, label_mode="ids")
+        by_min, _ = detect.score_nll(lab["cvae"], lab["ids"], batch, k=5,
+                                     seed=2, label_mode="min")
+        assert np.all(by_min <= by_ids + 1e-12)
 
     def test_unknown_label_mode_rejected(self, lab):
         with pytest.raises(ValueError):
             detect.score_nll(lab["cvae"], lab["ids"],
                              lab["test"].features[:1], label_mode="argmax")
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_numeric_failure_names_the_tag(self, lab):
-        batch = np.full((1, 30), np.inf)
-        with pytest.raises(NumericError, match="tag 'ood'"):
-            detect.score_nll(lab["cvae"], lab["ids"], batch, k=2,
-                             tag=detect.TAG_OOD)
-
     def test_benign_rows_beat_far_ood_rows(self, lab):
         benign = lab["train"].features[lab["train"].class_rows(0)][:30]
         ood = gen_ood(benign, noise_scale=1.0, seed=7)
-        low = detect.score_nll(lab["cvae"], lab["ids"], benign, k=10,
-                               tag=detect.TAG_BENIGN, seed=5)
-        high = detect.score_nll(lab["cvae"], lab["ids"], ood, k=10,
-                                tag=detect.TAG_OOD, seed=5)
-        assert low.scores.mean() < high.scores.mean()
+        low, _ = detect.score_nll(lab["cvae"], lab["ids"], benign, k=10,
+                                  seed=5)
+        high, _ = detect.score_nll(lab["cvae"], lab["ids"], ood, k=10, seed=5)
+        assert low.mean() < high.mean()
 
 
 class TestRegret:
@@ -400,12 +345,11 @@ class TestRegret:
                                      kl_weight=LAB_KL_WEIGHT)
         again = detect.score_regret(lab["cvae"], batch, labels, config, 11,
                                     kl_weight=LAB_KL_WEIGHT)
-        assert scores.n == 6
+        assert scores.scores.shape == (6,)
         assert scores.n_invalid == 0
         assert np.all(scores.scores >= -1e-6)
         assert np.all(scores.scores >= 0.0)
         assert np.array_equal(scores.scores, again.scores)
-        assert np.array_equal(scores.labels_used, labels)
 
     def test_batch_scores_equal_rows_scored_alone(self, lab):
         # each row is encoded and refit on its own: no state, and no batched
@@ -468,6 +412,8 @@ class TestRegret:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_rows_dropped_with_warning(self, caplog):
+        # a diverged row scores NaN; the detect stage leaves it out of
+        # scores.csv
         # a colossal learning rate overflows the posterior mean on step one
         model = toy_cvae(seed=8)
         batch = np.array([[0.2, 0.7], [0.4, 0.1], [0.9, 0.6]])
@@ -476,7 +422,8 @@ class TestRegret:
         with caplog.at_level("WARNING", logger="stealthlab.detect"):
             scores = detect.score_regret(model, batch, None, config, 0,
                                          kl_weight=1.0)
-        assert scores.n == 0
+        assert scores.scores.shape == (3,)
+        assert np.all(np.isnan(scores.scores))
         assert scores.n_invalid == 3
         assert "dropped 3" in caplog.text
         after = model_params(model)
@@ -508,38 +455,28 @@ class TestOrientation:
         with pytest.raises(ValueError):
             detect.choose_orientation(np.array([1.0]), np.array([]))
 
-    def test_orient_scores_negates(self):
-        scores = make_scores([1.0, 2.0], [3.0])
-        scores.n_invalid = 4
-        flipped = detect.orient_scores(scores, -1)
-        assert np.array_equal(flipped.scores, [-1.0, -2.0, -3.0])
-        assert np.array_equal(flipped.sample_ids, scores.sample_ids)
-        assert flipped.n_invalid == 4
-        kept = detect.orient_scores(scores, 1)
-        assert np.array_equal(kept.scores, scores.scores)
-        with pytest.raises(ValueError):
-            detect.orient_scores(scores, 0)
-
 
 class TestScoresCsv:
     def test_round_trip_multiple_detectors(self, tmp_path):
         rng = np.random.default_rng(17)
-        nll = make_scores(rng.uniform(size=5), rng.uniform(size=4), "nll")
-        regret = make_scores(rng.uniform(size=3), rng.uniform(size=2),
-                             "regret")
+        nll, tags = make_scores(rng.uniform(size=5), rng.uniform(size=4))
+        regret = rng.uniform(size=9)
+        regret[[2, 6]] = np.nan     # diverged refits are left out
         path = tmp_path / "scores.csv"
-        detect.scores_to_csv([nll, regret], path)
+        detect.scores_to_csv(path, np.arange(9), tags,
+                             {"nll": nll, "regret": regret})
         loaded = detect.scores_from_csv(path)
-        assert set(loaded) == {"nll", "regret"}
-        for original in (nll, regret):
-            back = loaded[original.detector]
-            assert np.array_equal(back.scores, original.scores)
-            assert np.array_equal(back.sample_ids, original.sample_ids)
-            assert back.tags.tolist() == original.tags.tolist()
+        assert list(loaded) == ["nll", "regret"]
+        for original, (back_tags, back) in zip((nll, regret),
+                                               loaded.values()):
+            kept = np.isfinite(original)
+            assert np.array_equal(back, original[kept])
+            assert back_tags.tolist() == tags[kept].tolist()
 
     def test_header_matches_contract(self, tmp_path):
         path = tmp_path / "scores.csv"
-        detect.scores_to_csv([make_scores([1.0], [2.0])], path)
+        scores, tags = make_scores([1.0], [2.0])
+        detect.scores_to_csv(path, np.arange(2), tags, {"nll": scores})
         with open(path, newline="") as fh:
             header = next(csv.reader(fh))
         assert header == detect.SCORES_CSV_COLUMNS

@@ -255,24 +255,6 @@ class TestAdam:
             assert np.array_equal(got, want)
         assert state.scratch.shape == (2, nn.ADAM_CHUNK)
 
-    def test_reset_matches_a_fresh_state(self, rng):
-        params = [rng.standard_normal((3, 2)), rng.standard_normal(2)]
-        start = [p.copy() for p in params]
-        grads = [rng.standard_normal((3, 2)), rng.standard_normal(2)]
-        state = nn.adam_init(params, learning_rate=0.01)
-        nn.adam_step(state, params, grads)
-        nn.adam_step(state, params, grads)
-        state.reset()
-        for p, p0 in zip(params, start):
-            np.copyto(p, p0)
-        fresh_params = [p.copy() for p in start]
-        fresh = nn.adam_init(fresh_params, learning_rate=0.01)
-        nn.adam_step(state, params, grads)
-        nn.adam_step(fresh, fresh_params, grads)
-        for got, want in zip(params + state.m + state.v,
-                             fresh_params + fresh.m + fresh.v):
-            assert np.array_equal(got, want)
-
     def test_non_contiguous_parameter_rejected(self):
         params = [np.zeros((4, 4))[:, ::2]]
         state = nn.adam_init(params)
@@ -321,7 +303,9 @@ class TestPersistence:
         path = tmp_path / "net.weights"
         nn.save_mlp(path, net)
         loaded = nn.load_mlp(path)
-        assert loaded.dims() == net.dims()
+        layout = [[(layer.fan_in, layer.fan_out, layer.activation)
+                   for layer in m.layers] for m in (net, loaded)]
+        assert layout[0] == layout[1]
         for pa, pb in zip(net.params(), loaded.params()):
             assert np.array_equal(pa, pb)
         x = rng.uniform(size=(3, 6))
