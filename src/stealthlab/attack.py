@@ -12,10 +12,12 @@ noise_scale, n_ref) and keeps the most stealthy point whose evasion success
 meets the floor.
 
 `SweepConfig` holds the grids and the floor and is the run config's `sweep`
-section; `sweep(..., config, seed)` takes the seed as an argument. Each grid
-point's crafted and OOD batches are seeded from the sweep seed and the
-point's coordinates, and `operating_point` rebuilds the pair the sweep scored
-at one point, so downstream stages never derive those seeds themselves.
+section; `sweep(..., config, seed, x_benign)` takes the seed as an argument,
+and the benign rows that each point's batches are also measured against.
+Each grid point's crafted and OOD batches are seeded from the sweep seed and
+the point's coordinates, and `operating_point` rebuilds the pair the sweep
+scored at one point, so downstream stages never derive those seeds
+themselves.
 """
 
 from __future__ import annotations
@@ -66,8 +68,8 @@ class StealthReport:
     succ_adv: float
     succ_ood: float
     feasible: bool
-    w_adv_ben: float | None = None
-    w_ood_ben: float | None = None
+    w_adv_ben: float
+    w_ood_ben: float
 
 
 @dataclass
@@ -190,7 +192,7 @@ def stealth_objective(w_adv_att: float, w_ood_att: float) -> float:
 
 def sweep(gen: Generator, ids_model: IdsModel, x_att: np.ndarray,
           labels: np.ndarray, config: SweepConfig, seed: int,
-          x_benign: np.ndarray | None = None) -> SweepResult:
+          x_benign: np.ndarray) -> SweepResult:
     """Scan the (epsilon, noise_scale, n_ref) grid and pick the stealthiest
     feasible point: argmin |W(adv, att) - W(ood, att)| s.t. success >= eta_max.
 
@@ -204,30 +206,19 @@ def sweep(gen: Generator, ids_model: IdsModel, x_att: np.ndarray,
         raise ValueError("x_att must be non-empty")
     n_att = x_att.shape[0]
 
-    ood_stats: dict[float, dict] = {}
-    for rho in config.rho_grid:
-        x_ood = _ood(x_att, rho, seed)
-        stats = {
-            "w": wasserstein_features(x_ood, x_att),
-            "succ": success_rate(ids_model, x_ood, n_att),
-        }
-        if x_benign is not None:
-            stats["w_ben"] = wasserstein_features(x_ood, x_benign)
-        ood_stats[rho] = stats
+    def stats(batch: np.ndarray) -> dict:
+        return {"w": wasserstein_features(batch, x_att),
+                "succ": success_rate(ids_model, batch, n_att),
+                "w_ben": wasserstein_features(batch, x_benign)}
 
+    ood_stats = {rho: stats(_ood(x_att, rho, seed))
+                 for rho in config.rho_grid}
     adv_stats: dict[tuple[float, int], dict] = {}
     for epsilon in config.epsilon_grid:
         snapshots = _trajectory(gen, x_att, labels, epsilon, config.n_ref_grid,
                                 seed)
         for n_ref in config.n_ref_grid:
-            x_adv = snapshots[n_ref]
-            stats = {
-                "w": wasserstein_features(x_adv, x_att),
-                "succ": success_rate(ids_model, x_adv, n_att),
-            }
-            if x_benign is not None:
-                stats["w_ben"] = wasserstein_features(x_adv, x_benign)
-            adv_stats[(epsilon, n_ref)] = stats
+            adv_stats[(epsilon, n_ref)] = stats(snapshots[n_ref])
 
     reports: list[StealthReport] = []
     for epsilon in config.epsilon_grid:
@@ -241,7 +232,7 @@ def sweep(gen: Generator, ids_model: IdsModel, x_att: np.ndarray,
                     objective=stealth_objective(adv["w"], ood["w"]),
                     succ_adv=adv["succ"], succ_ood=ood["succ"],
                     feasible=adv["succ"] >= config.eta_max,
-                    w_adv_ben=adv.get("w_ben"), w_ood_ben=ood.get("w_ben")))
+                    w_adv_ben=adv["w_ben"], w_ood_ben=ood["w_ben"]))
 
     selection = None
     for report in reports:
@@ -252,21 +243,18 @@ def sweep(gen: Generator, ids_model: IdsModel, x_att: np.ndarray,
 
 
 SWEEP_CSV_COLUMNS = ["epsilon", "rho", "n_ref", "w_adv_att", "w_ood_att",
-                     "objective", "succ_adv", "succ_ood", "feasible"]
+                     "objective", "succ_adv", "succ_ood", "feasible",
+                     "w_adv_ben", "w_ood_ben"]
 
 
 def sweep_to_csv(result: SweepResult, path) -> None:
-    with_benign = any(r.w_adv_ben is not None for r in result.reports)
-    columns = SWEEP_CSV_COLUMNS + (["w_adv_ben", "w_ood_ben"] if with_benign
-                                   else [])
     with atomic_write(path) as fh:
         writer = csv.writer(fh)
-        writer.writerow(columns)
+        writer.writerow(SWEEP_CSV_COLUMNS)
         for r in result.reports:
-            row = [repr(r.epsilon), repr(r.rho), str(r.n_ref),
-                   repr(r.w_adv_att), repr(r.w_ood_att), repr(r.objective),
-                   repr(r.succ_adv), repr(r.succ_ood),
-                   "true" if r.feasible else "false"]
-            if with_benign:
-                row += [repr(r.w_adv_ben), repr(r.w_ood_ben)]
-            writer.writerow(row)
+            writer.writerow([repr(r.epsilon), repr(r.rho), str(r.n_ref),
+                             repr(r.w_adv_att), repr(r.w_ood_att),
+                             repr(r.objective), repr(r.succ_adv),
+                             repr(r.succ_ood),
+                             "true" if r.feasible else "false",
+                             repr(r.w_adv_ben), repr(r.w_ood_ben)])

@@ -9,13 +9,14 @@ reported separately and combined as
   + lambda_gan * (-mean log D(x_adv))
 
 where x_adv = clip(x_att + delta, 0, 1) and benign_target is the smoothed
-benign one-hot. The discriminator trains on plain BCE: benign rows toward 1,
-perturbed rows toward 0. The intrusion detector is a frozen oracle; its
-parameters are never updated here, it only supplies gradients to the input.
+benign one-hot. The discriminator is a bare `nn.Mlp` with a sigmoid head
+and trains on plain BCE: benign rows toward 1, perturbed rows toward 0. The
+intrusion detector is a frozen oracle; its parameters are never updated
+here, it only supplies gradients to the input.
 
 `train_cgan(ids_model, train, config, seed)` takes its seed as an argument;
 `GanConfig` holds the hyperparameters only and is the run config's `gan`
-section.
+section. The save functions return the paths they wrote.
 """
 
 from __future__ import annotations
@@ -74,11 +75,6 @@ class Generator:
     out_scale: float
 
 
-@dataclass
-class Discriminator:
-    net: nn.Mlp          # n_features -> ... -> 1, sigmoid head
-
-
 def build_generator(rng: np.random.Generator, noise_dim: int = 32,
                     out_scale: float = 0.1, n_features: int = N_FEATURES,
                     n_classes: int = N_CLASSES,
@@ -90,10 +86,11 @@ def build_generator(rng: np.random.Generator, noise_dim: int = 32,
 
 def build_discriminator(rng: np.random.Generator,
                         n_features: int = N_FEATURES,
-                        hidden: tuple[int, ...] = DISC_HIDDEN) -> Discriminator:
+                        hidden: tuple[int, ...] = DISC_HIDDEN) -> nn.Mlp:
+    """n_features -> ... -> 1, sigmoid head: the probability a row is real."""
     dims = [n_features, *hidden, 1]
     activations = ["relu"] * len(hidden) + ["sigmoid"]
-    return Discriminator(nn.build_mlp(dims, activations, rng))
+    return nn.build_mlp(dims, activations, rng)
 
 
 def smoothed_benign_target(label_smoothing: float,
@@ -132,7 +129,7 @@ class GeneratorLossResult:
     d_delta: np.ndarray   # dTotal/dDelta, for chaining into the generator
 
 
-def generator_loss(ids_model: IdsModel, disc: Discriminator,
+def generator_loss(ids_model: IdsModel, disc: nn.Mlp,
                    x_att: np.ndarray, delta: np.ndarray,
                    x_benign: np.ndarray,
                    config: GanConfig) -> GeneratorLossResult:
@@ -161,12 +158,12 @@ def generator_loss(ids_model: IdsModel, disc: Discriminator,
     dx_stealth = 2.0 * diff / n
 
     # adversarial term: look real to the discriminator
-    d_out = disc.net.forward(x_adv, keep_cache=True)
+    d_out = disc.forward(x_adv, keep_cache=True)
     d_clamped = np.clip(d_out, nn.PROB_CLAMP, 1.0 - nn.PROB_CLAMP)
     gan = float(-np.log(d_clamped).mean())
     d_dout = np.where((d_out > nn.PROB_CLAMP) & (d_out < 1.0 - nn.PROB_CLAMP),
                       -1.0 / (d_clamped * d_out.size), 0.0)
-    _, dx_gan = disc.net.backward(d_dout, param_grads=False)
+    _, dx_gan = disc.backward(d_dout, param_grads=False)
 
     for name, value in (("cls", cls), ("stealth", stealth), ("gan", gan)):
         if not np.isfinite(value):
@@ -187,26 +184,26 @@ def generator_param_grads(gen: Generator,
     return grads
 
 
-def discriminator_loss(disc: Discriminator, x_benign: np.ndarray,
+def discriminator_loss(disc: nn.Mlp, x_benign: np.ndarray,
                        x_adv: np.ndarray) -> tuple[float, list[np.ndarray]]:
     """0.5 * (BCE(D(benign), 1) + BCE(D(adv), 0)) and its parameter grads."""
     x_benign = np.asarray(x_benign, dtype=np.float64)
     x_adv = np.asarray(x_adv, dtype=np.float64)
     if x_benign.size == 0 or x_adv.size == 0:
         raise ValueError("both batches must be non-empty")
-    p_ben = disc.net.forward(x_benign, keep_cache=True)
+    p_ben = disc.forward(x_benign, keep_cache=True)
     loss_ben, d_ben = nn.binary_cross_entropy(p_ben, np.ones_like(p_ben))
-    grads_ben, _ = disc.net.backward(d_ben)
-    p_adv = disc.net.forward(x_adv, keep_cache=True)
+    grads_ben, _ = disc.backward(d_ben)
+    p_adv = disc.forward(x_adv, keep_cache=True)
     loss_adv, d_adv = nn.binary_cross_entropy(p_adv, np.zeros_like(p_adv))
-    grads_adv, _ = disc.net.backward(d_adv)
+    grads_adv, _ = disc.backward(d_adv)
     loss = 0.5 * (loss_ben + loss_adv)
     grads = [0.5 * (a + b) for a, b in zip(grads_ben, grads_adv)]
     return loss, grads
 
 
 def train_cgan(ids_model: IdsModel, train: Dataset, config: GanConfig,
-               seed: int) -> tuple[Generator, Discriminator, list[dict]]:
+               seed: int) -> tuple[Generator, nn.Mlp, list[dict]]:
     """Alternating one discriminator / one generator step per minibatch.
 
     Minibatches iterate over the attack rows; each step draws a fresh
@@ -223,7 +220,7 @@ def train_cgan(ids_model: IdsModel, train: Dataset, config: GanConfig,
         raise SchemaError(f"training data has no {missing} rows; the GAN "
                           f"needs both benign and attack rows")
     opt_g = nn.adam_init(gen.net.params(), config.learning_rate)
-    opt_d = nn.adam_init(disc.net.params(), config.learning_rate)
+    opt_d = nn.adam_init(disc.params(), config.learning_rate)
     curve: list[dict] = []
     for epoch in range(config.epochs):
         order = rng.permutation(attack_rows)
@@ -239,7 +236,7 @@ def train_cgan(ids_model: IdsModel, train: Dataset, config: GanConfig,
             x_adv = np.clip(x_att + delta, 0.0, 1.0)
             x_ben = train.features[rng.choice(benign_rows, size=rows.size)]
             d_loss, d_grads = discriminator_loss(disc, x_ben, x_adv)
-            nn.adam_step(opt_d, disc.net.params(), d_grads)
+            nn.adam_step(opt_d, disc.params(), d_grads)
 
             noise = rng.standard_normal((rows.size, config.noise_dim))
             delta = generate_perturbation(gen, noise, labels, keep_cache=True)
@@ -267,7 +264,7 @@ def train_cgan(ids_model: IdsModel, train: Dataset, config: GanConfig,
                     f"GAN training diverged at epoch {epoch} ({key}={value})")
         curve.append(row)
     gen.net.clear_cache()
-    disc.net.clear_cache()
+    disc.clear_cache()
     ids_model.net.clear_cache()
     return gen, disc, curve
 
@@ -276,14 +273,14 @@ def train_cgan(ids_model: IdsModel, train: Dataset, config: GanConfig,
 # persistence
 # ---------------------------------------------------------------------------
 
-def save_generator(gen: Generator, directory) -> dict:
+def save_generator(gen: Generator, directory) -> list[Path]:
+    """Write gen.weights and gen.json; returns their paths in that order."""
     directory = Path(directory)
-    weights_path = directory / "gen.weights"
-    meta_path = directory / "gen.json"
-    nn.save_mlp(weights_path, gen.net)
-    write_json(meta_path, {"noise_dim": gen.noise_dim,
-                           "out_scale": gen.out_scale})
-    return {"weights": str(weights_path), "meta": str(meta_path)}
+    paths = [directory / "gen.weights", directory / "gen.json"]
+    nn.save_mlp(paths[0], gen.net)
+    write_json(paths[1], {"noise_dim": gen.noise_dim,
+                          "out_scale": gen.out_scale})
+    return paths
 
 
 def load_generator(directory) -> Generator:
@@ -294,8 +291,8 @@ def load_generator(directory) -> Generator:
     return Generator(net, meta["noise_dim"], float(meta["out_scale"]))
 
 
-def save_discriminator(disc: Discriminator, directory) -> dict:
-    directory = Path(directory)
-    weights_path = directory / "disc.weights"
-    nn.save_mlp(weights_path, disc.net)
-    return {"weights": str(weights_path)}
+def save_discriminator(disc: nn.Mlp, directory) -> list[Path]:
+    """Write disc.weights; returns [its path]."""
+    path = Path(directory) / "disc.weights"
+    nn.save_mlp(path, disc)
+    return [path]

@@ -318,13 +318,11 @@ def stage_ids(config: RunConfig, out_dir: Path) -> tuple[list[Path], dict]:
         "epochs_run": len(curve),
     }
     paths["models"].mkdir(parents=True, exist_ok=True)
-    written = ids.save_ids(model, paths["models"], extra_meta={
+    artifacts = ids.save_ids(model, paths["models"], extra_meta={
         "metrics": metrics, "config": dataclasses.asdict(config.ids)})
     _write_curve_csv(paths["ids_curve"], curve,
                      ["epoch", "loss", "train_accuracy"])
-    artifacts = [Path(written["weights"]), Path(written["meta"]),
-                 paths["ids_curve"]]
-    return artifacts, metrics
+    return artifacts + [paths["ids_curve"]], metrics
 
 
 def stage_gan(config: RunConfig, out_dir: Path) -> tuple[list[Path], dict]:
@@ -339,17 +337,15 @@ def stage_gan(config: RunConfig, out_dir: Path) -> tuple[list[Path], dict]:
     if not frozen:
         raise NumericError("intrusion detector weights changed during GAN "
                            "training; the frozen-oracle contract is broken")
-    gen_files = cgan.save_generator(generator, paths["models"])
-    disc_files = cgan.save_discriminator(discriminator, paths["models"])
+    artifacts = (cgan.save_generator(generator, paths["models"])
+                 + cgan.save_discriminator(discriminator, paths["models"]))
     _write_curve_csv(paths["gan_curve"], curve,
                      ["epoch", "d_loss", "g_cls", "g_stealth", "g_gan"])
     meta = {"epochs_run": len(curve),
             "final": {k: curve[-1][k] for k in
                       ("d_loss", "g_cls", "g_stealth", "g_gan")}
             if curve else {}}
-    artifacts = [Path(gen_files["weights"]), Path(gen_files["meta"]),
-                 Path(disc_files["weights"]), paths["gan_curve"]]
-    return artifacts, meta
+    return artifacts + [paths["gan_curve"]], meta
 
 
 def stage_cvae(config: RunConfig, out_dir: Path) -> tuple[list[Path], dict]:
@@ -362,10 +358,9 @@ def stage_cvae(config: RunConfig, out_dir: Path) -> tuple[list[Path], dict]:
         model, curve = cvae.train_cvae(train, config.cvae,
                                        derive_seed(config.seed, "cvae"),
                                        conditional)
-        written = cvae.save_cvae(model, paths["models"], name=name)
+        artifacts.extend(cvae.save_cvae(model, paths["models"], name=name))
         _write_curve_csv(curve_path, curve, ["epoch", "loss", "recon", "kl"])
-        artifacts.extend([Path(written["encoder"]), Path(written["decoder"]),
-                          Path(written["meta"]), curve_path])
+        artifacts.append(curve_path)
         meta[name] = {"final_loss": curve[-1]["loss"],
                       "final_recon": curve[-1]["recon"],
                       "final_kl": curve[-1]["kl"]} if curve else {}
@@ -380,7 +375,7 @@ def stage_cvae(config: RunConfig, out_dir: Path) -> tuple[list[Path], dict]:
 def _attack_rows(test: data.Dataset) -> np.ndarray:
     rows = np.flatnonzero(test.labels > 0)
     if rows.size == 0:
-        raise NumericError("test split has no attack rows to perturb")
+        raise SchemaError("test split has no attack rows to perturb")
     return rows
 
 
@@ -392,10 +387,12 @@ def stage_sweep(config: RunConfig, out_dir: Path) -> tuple[list[Path], dict]:
     rows = _attack_rows(test)
     x_att = test.features[rows]
     labels = test.labels[rows]
-    benign_rows = np.flatnonzero(test.labels == 0)
-    x_benign = test.features[benign_rows] if benign_rows.size else None
+    benign_rows = test.class_rows(0)
+    if benign_rows.size == 0:
+        raise SchemaError("test split has no benign rows to measure against")
     result = attack.sweep(generator, ids_model, x_att, labels, config.sweep,
-                          derive_seed(config.seed, "sweep"), x_benign)
+                          derive_seed(config.seed, "sweep"),
+                          test.features[benign_rows])
     paths["sweep_csv"].parent.mkdir(parents=True, exist_ok=True)
     attack.sweep_to_csv(result, paths["sweep_csv"])
     feasible = result.selection is not None

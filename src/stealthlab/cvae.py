@@ -16,6 +16,9 @@ Scoring uses the importance-weighted bound: with z_i ~ q(z|x,c),
     L_k = log(1/k sum_i exp(w_i))    (computed with max-shift)
     NLL = -L_k
 
+`iwae_bound` computes L_k for one row and `iwae_batch` the array of per-row
+bounds; the NLL detector negates it.
+
 `elbo_loss(..., posterior=...)` takes the ELBO and its gradient at a given
 posterior [mu | log-variance] instead of the encoder's; the likelihood-regret
 detector refits each row's posterior through it.
@@ -24,7 +27,8 @@ With conditional=False the class input is ignored everywhere and the model
 is a plain VAE; both variants train through the same routine,
 `train_cvae(train, config, seed, conditional)`. The seed and the variant are
 arguments: `CvaeTrainConfig` holds the hyperparameters only and is the run
-config's `cvae` section.
+config's `cvae` section. `save_cvae` returns the paths it wrote, and
+`load_cvae` checks cvae.json's sizes against the weight files.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import numpy as np
 from . import nn
 from .data import (Dataset, N_CLASSES, N_FEATURES, one_hot, read_json,
                    write_json)
-from .errors import NumericError, ShapeError
+from .errors import NumericError, ParseError, ShapeError
 from .rng import derive_rng, stable_hash
 
 HIDDEN_WIDTHS = (256, 256)
@@ -114,17 +118,6 @@ def encode(model: CvaeModel, x: np.ndarray,
     mu = out[:, :model.latent_dim]
     logvar = np.clip(out[:, model.latent_dim:], LOGVAR_MIN, LOGVAR_MAX)
     return mu, logvar
-
-
-def reparameterize(mu: np.ndarray, logvar: np.ndarray,
-                   noise: np.ndarray) -> np.ndarray:
-    """z = mu + sigma * noise for standard-normal noise of matching shape."""
-    mu = np.asarray(mu, dtype=np.float64)
-    logvar = np.asarray(logvar, dtype=np.float64)
-    noise = np.asarray(noise, dtype=np.float64)
-    if mu.shape != logvar.shape or noise.shape != mu.shape:
-        raise ShapeError("mu, logvar and noise must share one shape")
-    return mu + np.exp(0.5 * logvar) * noise
 
 
 def decode(model: CvaeModel, z: np.ndarray,
@@ -270,41 +263,6 @@ def train_cvae(train: Dataset, config: CvaeTrainConfig, seed: int,
 # importance-weighted bounds
 # ---------------------------------------------------------------------------
 
-def _label_rows(label: int | None, n: int) -> np.ndarray | None:
-    return None if label is None else np.full(n, label, dtype=np.int64)
-
-
-def importance_weights(model: CvaeModel, x: np.ndarray,
-                       label: int | None, z: np.ndarray) -> np.ndarray:
-    """Log importance weights for one sample and k latent draws from q.
-
-    w_i = log p(x|z_i,c) + log p(z_i) - log q(z_i|x,c) with a standard-normal
-    prior and the diagonal-Gaussian posterior returned by encode().
-    """
-    x = np.asarray(x, dtype=np.float64).ravel()
-    mu, logvar = encode(model, x[None, :], _label_rows(label, 1))
-    return _importance_weights(model, x, label, z, mu, logvar)
-
-
-def _importance_weights(model: CvaeModel, x: np.ndarray, label: int | None,
-                        z: np.ndarray, mu: np.ndarray,
-                        logvar: np.ndarray) -> np.ndarray:
-    """`importance_weights` given the row's posterior (mu, logvar)."""
-    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    if z.shape[1] != model.latent_dim:
-        raise ShapeError(f"z must have {model.latent_dim} columns")
-    probs = decode(model, z, _label_rows(label, z.shape[0]))
-    log_px = bernoulli_log_likelihood(np.broadcast_to(x, probs.shape), probs)
-    log_prior = -0.5 * (z * z + LOG_2PI).sum(axis=1)
-    var = np.exp(logvar)
-    log_post = -0.5 * ((z - mu) ** 2 / var + LOG_2PI + logvar).sum(axis=1)
-    for name, term in (("log p(x|z,c)", log_px), ("log p(z)", log_prior),
-                       ("log q(z|x,c)", log_post)):
-        if not np.isfinite(term).all():
-            raise NumericError(f"importance weight term {name} is non-finite")
-    return log_px + log_prior - log_post
-
-
 def log_mean_exp(weights: np.ndarray) -> float:
     """log(1/k sum exp(w_i)) with max-shift so large |w| cannot overflow."""
     weights = np.asarray(weights, dtype=np.float64).ravel()
@@ -316,28 +274,31 @@ def log_mean_exp(weights: np.ndarray) -> float:
 
 def iwae_bound(model: CvaeModel, x: np.ndarray, label: int | None, k: int,
                rng: np.random.Generator) -> float:
-    """k-sample importance-weighted lower bound on log p(x [, c])."""
+    """k-sample importance-weighted lower bound on log p(x [, c]): one
+    encoder pass, z_i = mu + sigma * noise_i for k draws from `rng`."""
     if k < 1:
         raise ValueError("k must be >= 1")
     x = np.asarray(x, dtype=np.float64).ravel()
-    mu, logvar = encode(model, x[None, :], _label_rows(label, 1))
+    mu, logvar = encode(model, x[None, :],
+                        None if label is None else np.array([label]))
     noise = rng.standard_normal((k, model.latent_dim))
-    z = reparameterize(np.broadcast_to(mu, noise.shape),
-                       np.broadcast_to(logvar, noise.shape), noise)
-    return log_mean_exp(_importance_weights(model, x, label, z, mu, logvar))
-
-
-@dataclass
-class IwaeEstimate:
-    k: int
-    bounds: np.ndarray   # per-sample L_k
-    nll: np.ndarray      # per-sample -L_k
+    z = mu + np.exp(0.5 * logvar) * noise
+    probs = decode(model, z, None if label is None else np.full(k, label))
+    log_px = bernoulli_log_likelihood(np.broadcast_to(x, probs.shape), probs)
+    log_prior = -0.5 * (z * z + LOG_2PI).sum(axis=1)
+    log_post = -0.5 * ((z - mu) ** 2 / np.exp(logvar) + LOG_2PI
+                       + logvar).sum(axis=1)
+    for name, term in (("log p(x|z,c)", log_px), ("log p(z)", log_prior),
+                       ("log q(z|x,c)", log_post)):
+        if not np.isfinite(term).all():
+            raise NumericError(f"importance weight term {name} is non-finite")
+    return log_mean_exp(log_px + log_prior - log_post)
 
 
 def iwae_batch(model: CvaeModel, batch: np.ndarray, labels: np.ndarray | None,
-               k: int, seed: int = 0) -> IwaeEstimate:
-    """Score a batch; each row's draws are seeded from its content and label,
-    so duplicated rows score identically and order never matters."""
+               k: int, seed: int = 0) -> np.ndarray:
+    """The bound of each row, its draws seeded from its content and label:
+    duplicated rows score identically and order never matters."""
     batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     bounds = np.empty(batch.shape[0])
     for i, row in enumerate(batch):
@@ -346,32 +307,46 @@ def iwae_batch(model: CvaeModel, batch: np.ndarray, labels: np.ndarray | None,
                                -1 if label is None else label)
         bounds[i] = iwae_bound(model, row, label, k,
                                np.random.default_rng(row_seed))
-    return IwaeEstimate(k, bounds, -bounds)
+    return bounds
 
 
 # ---------------------------------------------------------------------------
 # persistence
 # ---------------------------------------------------------------------------
 
-def save_cvae(model: CvaeModel, directory, name: str = "cvae") -> dict:
+def save_cvae(model: CvaeModel, directory, name: str = "cvae") -> list[Path]:
+    """Write <name>_encoder.weights, <name>_decoder.weights and <name>.json;
+    returns their paths in that order."""
     directory = Path(directory)
-    enc_path = directory / f"{name}_encoder.weights"
-    dec_path = directory / f"{name}_decoder.weights"
-    meta_path = directory / f"{name}.json"
-    nn.save_mlp(enc_path, model.encoder)
-    nn.save_mlp(dec_path, model.decoder)
-    write_json(meta_path, {"latent_dim": model.latent_dim,
-                           "conditional": model.conditional,
-                           "n_classes": model.n_classes})
-    return {"encoder": str(enc_path), "decoder": str(dec_path),
-            "meta": str(meta_path)}
+    paths = [directory / f"{name}_encoder.weights",
+             directory / f"{name}_decoder.weights", directory / f"{name}.json"]
+    nn.save_mlp(paths[0], model.encoder)
+    nn.save_mlp(paths[1], model.decoder)
+    write_json(paths[2], {"latent_dim": model.latent_dim,
+                          "conditional": model.conditional,
+                          "n_classes": model.n_classes})
+    return paths
 
 
-def load_cvae(directory, name: str = "cvae") -> CvaeModel:
+def load_cvae(directory) -> CvaeModel:
+    """The model save_cvae wrote; a cvae.json whose sizes disagree with the
+    weight files is a ParseError naming the file and the key."""
     directory = Path(directory)
-    meta = read_json(directory / f"{name}.json", {
+    meta_path = directory / "cvae.json"
+    meta = read_json(meta_path, {
         "latent_dim": int, "conditional": bool, "n_classes": int})
-    return CvaeModel(nn.load_mlp(directory / f"{name}_encoder.weights"),
-                     nn.load_mlp(directory / f"{name}_decoder.weights"),
-                     meta["latent_dim"], meta["conditional"],
-                     meta["n_classes"])
+    model = CvaeModel(nn.load_mlp(directory / "cvae_encoder.weights"),
+                      nn.load_mlp(directory / "cvae_decoder.weights"),
+                      meta["latent_dim"], meta["conditional"],
+                      meta["n_classes"])
+    enc, dec = model.encoder, model.decoder
+    extra = model.n_classes if model.conditional else 0
+    for key, ok in (
+            ("latent_dim", enc.layers[-1].fan_out == 2 * model.latent_dim),
+            ("n_classes" if model.conditional else "conditional",
+             dec.in_dim == model.latent_dim + extra
+             and enc.in_dim == dec.layers[-1].fan_out + extra)):
+        if not ok:
+            raise ParseError(f"{meta_path}: '{key}' does not match the "
+                             f"encoder and decoder weight files")
+    return model

@@ -20,7 +20,8 @@ business (the detect stage builds that table once). `score_regret(model,
 batch, labels, config, seed, kl_weight=...)` takes its seed and the trained
 KL weight as arguments; `RegretConfig` holds the hyperparameters only and is
 the run config's `detect.regret` section. This module also owns both score
-file formats: `scores.csv` (all detectors) and `nll_scores.csv`.
+file formats: `scores.csv` (all detectors; read back, it must hold finite
+scores under its own header) and `nll_scores.csv`.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 from . import nn
 from .cvae import CvaeModel, elbo_loss, encode, iwae_batch
 from .data import Dataset, atomic_write
-from .errors import NumericError, SchemaError
+from .errors import NumericError, ParseError, SchemaError
 from .ids import IdsModel, predict_label
 from .rng import stable_hash
 
@@ -73,11 +74,12 @@ def score_nll(model: CvaeModel, ids_model: IdsModel, batch: np.ndarray,
         raise ValueError("label_mode must be 'ids' or 'min'")
     if label_mode == "ids" or not model.conditional:
         labels = predict_label(ids_model, batch)
-        return iwae_batch(model, batch, labels if model.conditional else None,
-                          k, seed).nll, labels
-    per_label = np.stack([
+        return -iwae_batch(model, batch,
+                           labels if model.conditional else None, k,
+                           seed), labels
+    per_label = -np.stack([
         iwae_batch(model, batch, np.full(batch.shape[0], c, dtype=np.int64),
-                   k, seed).nll
+                   k, seed)
         for c in range(model.n_classes)
     ])
     return per_label.min(axis=0), per_label.argmin(axis=0)
@@ -91,7 +93,6 @@ def score_nll(model: CvaeModel, ids_model: IdsModel, batch: np.ndarray,
 class GaussianClassModel:
     means: np.ndarray        # (n_classes, latent_dim)
     choleskys: np.ndarray    # (n_classes, latent_dim, latent_dim), lower
-    shrinkage: float
 
 
 def fit_gaussians(model: CvaeModel, train: Dataset,
@@ -122,7 +123,7 @@ def fit_gaussians(model: CvaeModel, train: Dataset,
             raise NumericError(
                 f"covariance for class '{train.class_names[class_id]}' is "
                 f"not positive definite after shrinkage") from None
-    return GaussianClassModel(means, chols, shrinkage)
+    return GaussianClassModel(means, chols)
 
 
 def score_mahalanobis(gaussians: GaussianClassModel, model: CvaeModel,
@@ -307,13 +308,32 @@ def scores_to_csv(path, sample_ids: np.ndarray, tags: np.ndarray,
 
 
 def scores_from_csv(path) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """{detector: (tags, scores)} from a scores.csv."""
+    """{detector: (tags, scores)} from a scores.csv. A header other than
+    SCORES_CSV_COLUMNS, a row of another width, or a score that is not a
+    finite number is a ParseError naming the file (and the row)."""
     by_detector: dict[str, tuple[list, list]] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            tags, scores = by_detector.setdefault(row["detector"], ([], []))
-            tags.append(row["tag"])
-            scores.append(float(row["score"]))
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != SCORES_CSV_COLUMNS:
+            raise ParseError(f"{path}: header {header} is not "
+                             f"{SCORES_CSV_COLUMNS}")
+        for row_no, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise ParseError(f"{path}: row {row_no} has {len(row)} "
+                                 f"cells, expected {len(header)}")
+            _, tag, detector, cell = row
+            try:
+                score = float(cell)
+            except ValueError:
+                raise ParseError(f"{path}: row {row_no}: non-numeric score "
+                                 f"'{cell}'") from None
+            if not np.isfinite(score):
+                raise ParseError(f"{path}: row {row_no}: non-finite score "
+                                 f"{score}")
+            tags, scores = by_detector.setdefault(detector, ([], []))
+            tags.append(tag)
+            scores.append(score)
     return {detector: (np.array(tags, dtype=object), np.array(scores))
             for detector, (tags, scores) in by_detector.items()}
 

@@ -112,16 +112,15 @@ def train_ids(train: Dataset, config: IdsTrainConfig,
 # ---------------------------------------------------------------------------
 
 def save_ids(model: IdsModel, directory,
-             extra_meta: dict | None = None) -> dict:
-    """Write ids.weights and ids.json; returns {label: path}."""
+             extra_meta: dict | None = None) -> list[Path]:
+    """Write ids.weights and ids.json; returns their paths in that order."""
     directory = Path(directory)
-    weights_path = directory / "ids.weights"
-    meta_path = directory / "ids.json"
-    nn.save_mlp(weights_path, model.net)
-    write_json(meta_path, {"class_names": model.class_names,
-                           "scaler_ref": model.scaler_ref,
-                           **(extra_meta or {})})
-    return {"weights": str(weights_path), "meta": str(meta_path)}
+    paths = [directory / "ids.weights", directory / "ids.json"]
+    nn.save_mlp(paths[0], model.net)
+    write_json(paths[1], {"class_names": model.class_names,
+                          "scaler_ref": model.scaler_ref,
+                          **(extra_meta or {})})
+    return paths
 
 
 def load_ids(directory) -> IdsModel:

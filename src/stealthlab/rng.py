@@ -37,6 +37,4 @@ def derive_seed(seed: int, *tags) -> int:
 
 
 def derive_rng(seed: int, *tags) -> np.random.Generator:
-    if tags:
-        return np.random.default_rng(derive_seed(seed, *tags))
-    return np.random.default_rng(int(seed))
+    return np.random.default_rng(derive_seed(seed, *tags))

@@ -283,19 +283,19 @@ class TestSweep:
         return x_att, labels, x_ben
 
     def test_single_point_grid(self):
-        x_att, labels, _ = self.setup_inputs()
+        x_att, labels, x_ben = self.setup_inputs()
         config = attack.SweepConfig([0.05], [0.3], [5], 0.0)
         result = attack.sweep(constant_generator(), threshold_ids(), x_att,
-                              labels, config, 1)
+                              labels, config, 1, x_ben)
         assert len(result.reports) == 1
         assert result.selection is not None
         assert result.selection is result.reports[0]
 
     def test_selection_is_feasible_argmin(self):
-        x_att, labels, _ = self.setup_inputs()
+        x_att, labels, x_ben = self.setup_inputs()
         config = attack.SweepConfig([0.02, 0.08], [0.1, 0.5], [5, 15], 0.0)
         result = attack.sweep(small_generator(18, gain=4.0), threshold_ids(),
-                              x_att, labels, config, 2)
+                              x_att, labels, config, 2, x_ben)
         assert len(result.reports) == 8
         best = min(result.reports, key=lambda r: r.objective)
         assert result.selection.objective == best.objective
@@ -304,27 +304,27 @@ class TestSweep:
 
     def test_selection_meets_success_floor(self):
         # constant generator pushes x below the cut when epsilon is large
-        x_att, labels, _ = self.setup_inputs()
+        x_att, labels, x_ben = self.setup_inputs()
         gen = constant_generator(-40.0)    # constant -1 per feature
         config = attack.SweepConfig([0.01, 0.1], [0.2], [5], 0.8)
         result = attack.sweep(gen, threshold_ids(cut=0.93), x_att, labels,
-                              config, 3)
+                              config, 3, x_ben)
         assert result.selection is not None
         assert result.selection.succ_adv >= 0.8
 
     def test_infeasible_grid_flagged_not_raised(self):
-        x_att, labels, _ = self.setup_inputs()
+        x_att, labels, x_ben = self.setup_inputs()
         config = attack.SweepConfig([0.05], [0.3], [5, 10], 0.8)
         result = attack.sweep(zero_generator(), threshold_ids(), x_att,
-                              labels, config, 4)
+                              labels, config, 4, x_ben)
         assert result.selection is None
         assert all(not r.feasible for r in result.reports)
 
     def test_ties_resolve_to_first_grid_point(self):
-        x_att, labels, _ = self.setup_inputs()
+        x_att, labels, x_ben = self.setup_inputs()
         config = attack.SweepConfig([0.03, 0.07], [0.2, 0.4], [5, 10], 0.0)
         result = attack.sweep(zero_generator(), threshold_ids(), x_att,
-                              labels, config, 5)
+                              labels, config, 5, x_ben)
         # zero generator: objective depends only on rho, ties across the rest
         assert result.selection.epsilon == 0.03
         assert result.selection.n_ref == 5
@@ -337,8 +337,7 @@ class TestSweep:
         model = threshold_ids()
         seed = 6
         config = attack.SweepConfig([0.02, 0.06], [0.1, 0.3], [5, 10], 0.0)
-        result = attack.sweep(gen, model, x_att, labels, config, seed,
-                              x_benign=x_ben)
+        result = attack.sweep(gen, model, x_att, labels, config, seed, x_ben)
         for report in result.reports:
             solo_x_adv, x_ood = attack.operating_point(
                 gen, x_att, labels, report.epsilon, report.rho, report.n_ref,
@@ -358,12 +357,12 @@ class TestSweep:
         x_att, labels, x_ben = self.setup_inputs(n=10, seed=21)
         config = attack.SweepConfig([0.05], [0.2], [5], 0.0)
         result = attack.sweep(small_generator(22), threshold_ids(), x_att,
-                              labels, config, 7, x_benign=x_ben)
+                              labels, config, 7, x_ben)
         path = tmp_path / "sweep.csv"
         attack.sweep_to_csv(result, path)
         lines = path.read_text().splitlines()
         header = lines[0].split(",")
-        assert header[:9] == attack.SWEEP_CSV_COLUMNS
+        assert header == attack.SWEEP_CSV_COLUMNS
         assert header[9:] == ["w_adv_ben", "w_ood_ben"]
         row = dict(zip(header, lines[1].split(",")))
         report = result.reports[0]
@@ -379,11 +378,11 @@ class TestSweep:
         # a config may give 1 for 1.0; the report, and selection.json after
         # it, names the point as a float, and operating_point rebuilds from
         # that the very batches the sweep scored
-        x_att, labels, _ = self.setup_inputs(n=12, seed=24)
+        x_att, labels, x_ben = self.setup_inputs(n=12, seed=24)
         gen = small_generator(25, gain=4.0)
         model = threshold_ids()
         result = attack.sweep(gen, model, x_att, labels,
-                              attack.SweepConfig([1], [1], [5], 0.0), 8)
+                              attack.SweepConfig([1], [1], [5], 0.0), 8, x_ben)
         report = result.selection
         assert (report.epsilon, report.rho) == (1.0, 1.0)
         x_adv, x_ood = attack.operating_point(

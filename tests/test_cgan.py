@@ -111,8 +111,7 @@ class TestGeneratorLoss:
         ids_model = ids.IdsModel(
             nn.build_mlp([4, 6, 5], ["tanh", "softmax"], rng),
             list(data.CLASS_NAMES))
-        disc = cgan.Discriminator(
-            nn.build_mlp([4, 6, 1], ["tanh", "sigmoid"], rng))
+        disc = nn.build_mlp([4, 6, 1], ["tanh", "sigmoid"], rng)
         gen = cgan.Generator(
             nn.build_mlp([8, 8, 4], ["tanh", "tanh"], rng), 3, 0.05)
         x_att = rng.uniform(0.3, 0.6, size=(5, 4))
@@ -188,9 +187,8 @@ class TestGeneratorLoss:
 
 class TestDiscriminatorLoss:
     def test_uniform_discriminator_gives_log_two(self):
-        disc = cgan.Discriminator(
-            nn.build_mlp([4, 1], ["sigmoid"], derive_rng(0, "d")))
-        for p in disc.net.params():
+        disc = nn.build_mlp([4, 1], ["sigmoid"], derive_rng(0, "d"))
+        for p in disc.params():
             p[...] = 0.0
         loss, _ = cgan.discriminator_loss(disc, np.full((3, 4), 0.2),
                                           np.full((5, 4), 0.8))
@@ -198,9 +196,8 @@ class TestDiscriminatorLoss:
 
     def test_hand_computed_value(self):
         # sigmoid(ln 9 * x): +1 -> 0.9, -1 -> 0.1
-        disc = cgan.Discriminator(
-            nn.build_mlp([1, 1], ["sigmoid"], derive_rng(0, "d")))
-        w, b = disc.net.params()
+        disc = nn.build_mlp([1, 1], ["sigmoid"], derive_rng(0, "d"))
+        w, b = disc.params()
         w[...] = np.log(9.0)
         b[...] = 0.0
         loss, _ = cgan.discriminator_loss(disc, np.array([[1.0]]),
@@ -208,8 +205,7 @@ class TestDiscriminatorLoss:
         assert loss == pytest.approx(-np.log(0.9), abs=1e-9)
 
     def test_empty_batch_rejected(self):
-        disc = cgan.Discriminator(
-            nn.build_mlp([4, 1], ["sigmoid"], derive_rng(0, "d")))
+        disc = nn.build_mlp([4, 1], ["sigmoid"], derive_rng(0, "d"))
         with pytest.raises(ValueError):
             cgan.discriminator_loss(disc, np.zeros((0, 4)), np.zeros((2, 4)))
 
@@ -234,7 +230,7 @@ class TestTraining:
         assert curve_a == curve_b
         for pa, pb in zip(gen_a.net.params(), gen_b.net.params()):
             assert np.array_equal(pa, pb)
-        for pa, pb in zip(disc_a.net.params(), disc_b.net.params()):
+        for pa, pb in zip(disc_a.params(), disc_b.params()):
             assert np.array_equal(pa, pb)
 
     def test_curve_columns(self, toy_attack_lab):
@@ -273,7 +269,8 @@ class TestTraining:
 class TestPersistence:
     def test_generator_round_trip(self, tmp_path, toy_attack_lab):
         gen = toy_attack_lab["gen_mild"]
-        cgan.save_generator(gen, tmp_path)
+        assert cgan.save_generator(gen, tmp_path) == [
+            tmp_path / "gen.weights", tmp_path / "gen.json"]
         loaded = cgan.load_generator(tmp_path)
         assert loaded.noise_dim == gen.noise_dim
         assert loaded.out_scale == gen.out_scale
@@ -282,7 +279,8 @@ class TestPersistence:
 
     def test_discriminator_round_trip(self, tmp_path):
         disc = cgan.build_discriminator(derive_rng(5, "d"))
-        cgan.save_discriminator(disc, tmp_path)
+        assert cgan.save_discriminator(disc, tmp_path) == [
+            tmp_path / "disc.weights"]
         loaded = nn.load_mlp(tmp_path / "disc.weights")
-        for pa, pb in zip(disc.net.params(), loaded.params()):
+        for pa, pb in zip(disc.params(), loaded.params()):
             assert np.array_equal(pa, pb)

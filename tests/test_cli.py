@@ -407,6 +407,61 @@ class TestExitCodes:
         assert "i/o error" in err
         assert str(out / sidecar) in err and message in err
 
+    @pytest.mark.parametrize("key, value", [
+        ("conditional", False), ("latent_dim", 5), ("n_classes", 3)])
+    def test_cvae_meta_that_disagrees_with_the_weights_is_5(
+            self, pipeline, tiny_config, tmp_path, capsys, key, value):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline["out"], out)
+        meta_path = out / "models" / "cvae.json"
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        meta[key] = value
+        meta_path.write_text(json.dumps(meta), encoding="utf-8")
+        rc = cli.main(["detect", "--config", tiny_config, "--out", str(out)])
+        assert rc == 5
+        err = capsys.readouterr().err
+        assert "i/o error" in err
+        assert (f"{meta_path}: '{key}' does not match the encoder and "
+                f"decoder weight files") in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: ["sample_id,tag,detector,value"] + lines[1:],
+         "header ['sample_id', 'tag', 'detector', 'value'] is not"),
+        (lambda lines: lines[:3] + [lines[3].rsplit(",", 1)[0] + ",abc"]
+         + lines[4:], "row 4: non-numeric score 'abc'"),
+        (lambda lines: lines[:3] + [lines[3].rsplit(",", 1)[0] + ",inf"]
+         + lines[4:], "row 4: non-finite score inf"),
+    ], ids=["header", "non-numeric", "non-finite"])
+    def test_corrupt_scores_csv_is_5(self, pipeline, tiny_config, tmp_path,
+                                     capsys, edit, message):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline["out"], out)
+        scores = out / "detect" / "scores.csv"
+        lines = scores.read_text(encoding="utf-8").splitlines()
+        scores.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+        rc = cli.main(["report", "--config", tiny_config, "--out", str(out)])
+        assert rc == 5
+        err = capsys.readouterr().err
+        assert "i/o error" in err
+        assert f"{scores}: {message}" in err
+
+    @pytest.mark.parametrize("keep, missing", [
+        (lambda labels: labels == 0, "attack"),
+        (lambda labels: labels > 0, "benign")],
+        ids=["no-attack", "no-benign"])
+    def test_sweep_without_attack_or_benign_test_rows_is_5(
+            self, pipeline, tiny_config, tmp_path, capsys, keep, missing):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline["out"], out)
+        test_csv = out / "data" / "test.csv"
+        test = data.load_csv(test_csv)
+        data.save_csv(test_csv, test.subset(np.flatnonzero(keep(test.labels))))
+        rc = cli.main(["sweep", "--config", tiny_config, "--out", str(out)])
+        assert rc == 5
+        err = capsys.readouterr().err
+        assert "i/o error" in err
+        assert f"test split has no {missing} rows" in err
+
     def test_missing_csv_file_is_5(self, tmp_path, capsys):
         path = write_config(tmp_path / "csv.json", {
             "schema_version": 1,

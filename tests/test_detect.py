@@ -237,8 +237,8 @@ class TestHistograms:
 class TestMahalanobis:
     def test_identity_covariance_is_euclidean(self):
         model = flat_cvae(mu=[3.0, 4.0, 0.0, 0.0], probs=[0.5, 0.5])
-        gaussians = detect.GaussianClassModel(
-            np.zeros((1, 4)), np.eye(4)[None, :, :], 0.0)
+        gaussians = detect.GaussianClassModel(np.zeros((1, 4)),
+                                              np.eye(4)[None, :, :])
         scores = detect.score_mahalanobis(gaussians, model,
                                           np.array([[0.1, 0.9]]))
         assert scores[0] == 5.0
@@ -246,7 +246,7 @@ class TestMahalanobis:
     def test_class_mean_scores_zero(self):
         model = flat_cvae(mu=[3.0, 4.0, 0.0, 0.0], probs=[0.5, 0.5])
         gaussians = detect.GaussianClassModel(
-            np.array([[3.0, 4.0, 0.0, 0.0]]), np.eye(4)[None, :, :], 0.0)
+            np.array([[3.0, 4.0, 0.0, 0.0]]), np.eye(4)[None, :, :])
         scores = detect.score_mahalanobis(gaussians, model,
                                           np.array([[0.1, 0.9]]))
         assert scores[0] == 0.0
@@ -255,7 +255,7 @@ class TestMahalanobis:
         model = flat_cvae(mu=[3.0, 4.0, 0.0, 0.0], probs=[0.5, 0.5])
         means = np.stack([np.full(4, 100.0), np.array([3.0, 4.0, 0.0, 0.0])])
         gaussians = detect.GaussianClassModel(
-            means, np.stack([np.eye(4), np.eye(4)]), 0.0)
+            means, np.stack([np.eye(4), np.eye(4)]))
         scores = detect.score_mahalanobis(gaussians, model,
                                           np.array([[0.1, 0.9]]))
         assert scores[0] == 0.0

@@ -86,7 +86,8 @@ class TestPersistence:
     def test_round_trip_bitwise(self, tmp_path, separable_ids):
         model = separable_ids["model"]
         model.scaler_ref = "data/scaler.json"
-        ids.save_ids(model, tmp_path)
+        assert ids.save_ids(model, tmp_path) == [tmp_path / "ids.weights",
+                                                 tmp_path / "ids.json"]
         loaded = ids.load_ids(tmp_path)
         for pa, pb in zip(model.net.params(), loaded.net.params()):
             assert np.array_equal(pa, pb)
