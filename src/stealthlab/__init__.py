@@ -9,7 +9,7 @@ the crafted traffic apart from the genuinely noisy kind.
 """
 
 from .errors import (ConfigError, DependencyError, LabelError, NumericError,
-                     ParseError, SchemaError, ShapeError, StateError)
+                     ParseError, SchemaError, ShapeError)
 
 __version__ = "0.1.0"
 
@@ -21,6 +21,5 @@ __all__ = [
     "ParseError",
     "SchemaError",
     "ShapeError",
-    "StateError",
     "__version__",
 ]

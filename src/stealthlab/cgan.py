@@ -11,8 +11,9 @@ reported separately and combined as
 where x_adv = clip(x_att + delta, 0, 1) and benign_target is the smoothed
 benign one-hot. The discriminator is a bare `nn.Mlp` with a sigmoid head
 and trains on plain BCE: benign rows toward 1, perturbed rows toward 0. The
-intrusion detector is a frozen oracle; its parameters are never updated
-here, it only supplies gradients to the input.
+intrusion detector is a frozen oracle that only supplies input gradients;
+nothing here writes to it. Each loss keeps the tapes it backpropagates
+through; the training loop tapes the generator's pass for its gradients.
 
 `train_cgan(ids_model, train, config, seed)` takes its seed as an argument;
 `GanConfig` holds the hyperparameters only and is the run config's `gan`
@@ -29,7 +30,7 @@ import numpy as np
 from . import nn
 from .data import (Dataset, N_CLASSES, N_FEATURES, one_hot, read_json,
                    write_json)
-from .errors import NumericError, SchemaError, ShapeError
+from .errors import NumericError, ParseError, SchemaError, ShapeError
 from .ids import IdsModel
 from .rng import derive_rng
 
@@ -103,7 +104,7 @@ def smoothed_benign_target(label_smoothing: float,
 
 def generate_perturbation(gen: Generator, noise: np.ndarray,
                           labels: np.ndarray,
-                          keep_cache: bool = False) -> np.ndarray:
+                          tape: list | None = None) -> np.ndarray:
     """delta = out_scale * net(noise, onehot(class)); attack classes only."""
     noise = np.asarray(noise, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -117,7 +118,7 @@ def generate_perturbation(gen: Generator, noise: np.ndarray,
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         raise ValueError(f"label out of range [1, {n_classes})")
     stacked = np.hstack([noise, one_hot(labels, n_classes)])
-    return gen.out_scale * gen.net.forward(stacked, keep_cache=keep_cache)
+    return gen.out_scale * gen.net.forward(stacked, tape)
 
 
 @dataclass
@@ -146,11 +147,12 @@ def generator_loss(ids_model: IdsModel, disc: nn.Mlp,
     # classification term: pull the detector's output toward "benign"
     target = smoothed_benign_target(config.label_smoothing,
                                     len(ids_model.class_names))
-    probs = ids_model.net.forward(x_adv, keep_cache=True)
+    ids_tape, disc_tape = [], []
+    probs = ids_model.net.forward(x_adv, ids_tape)
     cls = nn.kl_categorical(probs, target)
     safe_probs = np.maximum(probs, nn.PROB_CLAMP)
     d_probs = (np.log(safe_probs / target) + 1.0) / n
-    _, dx_cls = ids_model.net.backward(d_probs, param_grads=False)
+    _, dx_cls = ids_model.net.backward(d_probs, ids_tape, param_grads=False)
 
     # stealth term: stay close to real benign telemetry
     diff = x_adv - x_benign
@@ -158,12 +160,12 @@ def generator_loss(ids_model: IdsModel, disc: nn.Mlp,
     dx_stealth = 2.0 * diff / n
 
     # adversarial term: look real to the discriminator
-    d_out = disc.forward(x_adv, keep_cache=True)
+    d_out = disc.forward(x_adv, disc_tape)
     d_clamped = np.clip(d_out, nn.PROB_CLAMP, 1.0 - nn.PROB_CLAMP)
     gan = float(-np.log(d_clamped).mean())
     d_dout = np.where((d_out > nn.PROB_CLAMP) & (d_out < 1.0 - nn.PROB_CLAMP),
                       -1.0 / (d_clamped * d_out.size), 0.0)
-    _, dx_gan = disc.backward(d_dout, param_grads=False)
+    _, dx_gan = disc.backward(d_dout, disc_tape, param_grads=False)
 
     for name, value in (("cls", cls), ("stealth", stealth), ("gan", gan)):
         if not np.isfinite(value):
@@ -177,10 +179,10 @@ def generator_loss(ids_model: IdsModel, disc: nn.Mlp,
                                dx_total * clip_active)
 
 
-def generator_param_grads(gen: Generator,
-                          d_delta: np.ndarray) -> list[np.ndarray]:
-    """Chain dLoss/dDelta through the cached generator forward pass."""
-    grads, _ = gen.net.backward(gen.out_scale * np.asarray(d_delta))
+def generator_param_grads(gen: Generator, d_delta: np.ndarray,
+                          tape: list) -> list[np.ndarray]:
+    """Chain dLoss/dDelta through the generator pass recorded in `tape`."""
+    grads, _ = gen.net.backward(gen.out_scale * np.asarray(d_delta), tape)
     return grads
 
 
@@ -191,12 +193,13 @@ def discriminator_loss(disc: nn.Mlp, x_benign: np.ndarray,
     x_adv = np.asarray(x_adv, dtype=np.float64)
     if x_benign.size == 0 or x_adv.size == 0:
         raise ValueError("both batches must be non-empty")
-    p_ben = disc.forward(x_benign, keep_cache=True)
+    ben_tape, adv_tape = [], []
+    p_ben = disc.forward(x_benign, ben_tape)
     loss_ben, d_ben = nn.binary_cross_entropy(p_ben, np.ones_like(p_ben))
-    grads_ben, _ = disc.backward(d_ben)
-    p_adv = disc.forward(x_adv, keep_cache=True)
+    grads_ben, _ = disc.backward(d_ben, ben_tape)
+    p_adv = disc.forward(x_adv, adv_tape)
     loss_adv, d_adv = nn.binary_cross_entropy(p_adv, np.zeros_like(p_adv))
-    grads_adv, _ = disc.backward(d_adv)
+    grads_adv, _ = disc.backward(d_adv, adv_tape)
     loss = 0.5 * (loss_ben + loss_adv)
     grads = [0.5 * (a + b) for a, b in zip(grads_ben, grads_adv)]
     return loss, grads
@@ -239,12 +242,13 @@ def train_cgan(ids_model: IdsModel, train: Dataset, config: GanConfig,
             nn.adam_step(opt_d, disc.params(), d_grads)
 
             noise = rng.standard_normal((rows.size, config.noise_dim))
-            delta = generate_perturbation(gen, noise, labels, keep_cache=True)
+            gen_tape = []
+            delta = generate_perturbation(gen, noise, labels, gen_tape)
             x_pair = train.features[rng.choice(benign_rows, size=rows.size)]
             g_loss = generator_loss(ids_model, disc, x_att, delta, x_pair,
                                     config)
             nn.adam_step(opt_g, gen.net.params(),
-                         generator_param_grads(gen, g_loss.d_delta))
+                         generator_param_grads(gen, g_loss.d_delta, gen_tape))
 
             sums["d_loss"] += d_loss
             sums["g_cls"] += g_loss.cls
@@ -263,9 +267,6 @@ def train_cgan(ids_model: IdsModel, train: Dataset, config: GanConfig,
                 raise NumericError(
                     f"GAN training diverged at epoch {epoch} ({key}={value})")
         curve.append(row)
-    gen.net.clear_cache()
-    disc.clear_cache()
-    ids_model.net.clear_cache()
     return gen, disc, curve
 
 
@@ -284,10 +285,16 @@ def save_generator(gen: Generator, directory) -> list[Path]:
 
 
 def load_generator(directory) -> Generator:
+    """The generator save_generator wrote; a gen.json whose noise_dim does
+    not fit gen.weights' widths is a ParseError naming the file."""
     directory = Path(directory)
     net = nn.load_mlp(directory / "gen.weights")
-    meta = read_json(directory / "gen.json", {"noise_dim": int,
-                                              "out_scale": float})
+    meta_path = directory / "gen.json"
+    meta = read_json(meta_path, {"noise_dim": int, "out_scale": float})
+    if (net.in_dim - meta["noise_dim"] != N_CLASSES
+            or net.layers[-1].fan_out != N_FEATURES):
+        raise ParseError(f"{meta_path}: 'noise_dim' does not match the "
+                         f"generator weight file")
     return Generator(net, meta["noise_dim"], float(meta["out_scale"]))
 
 

@@ -61,17 +61,17 @@ class DetectSection:
 
     def __post_init__(self):
         if self.k < 1:
-            raise ConfigError("detect.k must be >= 1")
+            raise ValueError("k must be >= 1")
         if self.label_mode not in ("ids", "min"):
-            raise ConfigError("detect.label_mode must be 'ids' or 'min'")
+            raise ValueError("label_mode must be 'ids' or 'min'")
         if self.max_samples_per_tag < 2:
-            raise ConfigError("detect.max_samples_per_tag must be >= 2")
+            raise ValueError("max_samples_per_tag must be >= 2")
         if self.benign_calibration < 2:
-            raise ConfigError("detect.benign_calibration must be >= 2")
+            raise ValueError("benign_calibration must be >= 2")
         if not 0.0 <= self.shrinkage <= 1.0:
-            raise ConfigError("detect.shrinkage must be in [0, 1]")
+            raise ValueError("shrinkage must be in [0, 1]")
         if self.histogram_bins < 2:
-            raise ConfigError("detect.histogram_bins must be >= 2")
+            raise ValueError("histogram_bins must be >= 2")
 
 
 @dataclass
@@ -110,8 +110,6 @@ def _build_section(cls, payload: dict, where: str):
         kwargs[key] = value
     try:
         return cls(**kwargs)
-    except ConfigError:
-        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value in '{where or 'config'}': {exc}") from exc
 
@@ -296,7 +294,6 @@ def stage_data(config: RunConfig, out_dir: Path) -> tuple[list[Path], dict]:
     train_scaled = data.apply_minmax(train, scaler)
     test_scaled = data.apply_minmax(test, scaler)
     paths = _paths(out_dir)
-    paths["train_csv"].parent.mkdir(parents=True, exist_ok=True)
     data.save_csv(paths["train_csv"], train_scaled)
     data.save_csv(paths["test_csv"], test_scaled)
     data.save_scaler(paths["scaler"], scaler)
@@ -317,7 +314,6 @@ def stage_ids(config: RunConfig, out_dir: Path) -> tuple[list[Path], dict]:
         "test_accuracy": ids.accuracy(model, test),
         "epochs_run": len(curve),
     }
-    paths["models"].mkdir(parents=True, exist_ok=True)
     artifacts = ids.save_ids(model, paths["models"], extra_meta={
         "metrics": metrics, "config": dataclasses.asdict(config.ids)})
     _write_curve_csv(paths["ids_curve"], curve,
@@ -365,7 +361,6 @@ def stage_cvae(config: RunConfig, out_dir: Path) -> tuple[list[Path], dict]:
                       "final_recon": curve[-1]["recon"],
                       "final_kl": curve[-1]["kl"]} if curve else {}
 
-    paths["models"].mkdir(parents=True, exist_ok=True)
     fit(True, "cvae", paths["cvae_curve"])
     if config.cvae.train_baseline_vae:
         fit(False, "vae", paths["vae_curve"])
@@ -393,7 +388,6 @@ def stage_sweep(config: RunConfig, out_dir: Path) -> tuple[list[Path], dict]:
     result = attack.sweep(generator, ids_model, x_att, labels, config.sweep,
                           derive_seed(config.seed, "sweep"),
                           test.features[benign_rows])
-    paths["sweep_csv"].parent.mkdir(parents=True, exist_ok=True)
     attack.sweep_to_csv(result, paths["sweep_csv"])
     feasible = result.selection is not None
     selection_payload = {"feasible": feasible,
@@ -482,7 +476,6 @@ def stage_detect(config: RunConfig, out_dir: Path) -> tuple[list[Path], dict]:
     orientation = detect.choose_orientation(regret[finite & ~benign],
                                             regret[finite & benign])
 
-    paths["scores_csv"].parent.mkdir(parents=True, exist_ok=True)
     detect.scores_to_csv(paths["scores_csv"], sample_ids, tags, {
         "nll": nll, "mahalanobis": np.concatenate(mahal_parts),
         "regret": orientation * regret})
@@ -509,7 +502,6 @@ def stage_report(config: RunConfig, out_dir: Path) -> tuple[list[Path], dict]:
         "operating_point": dict, "regret_orientation": int,
         "label_mode": str, "k": int, "n_per_tag": int})
     report_dir = paths["report_dir"]
-    report_dir.mkdir(parents=True, exist_ok=True)
     artifacts = []
     aucs = {}
     for name in detect.DETECTORS:
@@ -585,7 +577,6 @@ STAGES = {stage.name: stage for stage in (
 
 def run_stage(stage: str, config: RunConfig, stage_only: bool = False) -> dict:
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = Manifest(out_dir)
     manifest.check_requirements(stage, config, out_dir, stage_only)
     started = time.perf_counter()

@@ -21,7 +21,9 @@ bounds; the NLL detector negates it.
 
 `elbo_loss(..., posterior=...)` takes the ELBO and its gradient at a given
 posterior [mu | log-variance] instead of the encoder's; the likelihood-regret
-detector refits each row's posterior through it.
+detector refits each row's posterior through it. `elbo_loss` tapes the
+encoder and decoder passes it backpropagates in local lists, so no call
+here leaves state on the model.
 
 With conditional=False the class input is ignored everywhere and the model
 is a plain VAE; both variants train through the same routine,
@@ -164,14 +166,14 @@ def elbo_loss(model: CvaeModel, x: np.ndarray,
     output, to take the ELBO at that posterior instead of the encoder's: the
     encoder does not run, the decoder is backpropagated for its input
     gradient alone, and `grads` is [dLoss/dposterior], the upstream gradient
-    that `model.encoder.backward` turns into the encoder's parameter
-    gradients.
+    that `model.encoder.backward`, given the tape of the encoder pass that
+    produced `posterior`, turns into the encoder's parameter gradients.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     n = x.shape[0]
+    enc_tape, dec_tape = ([], []) if with_grads else (None, None)
     if posterior is None:
-        post = model.encoder.forward(_conditioned(model, x, labels),
-                                     keep_cache=with_grads)
+        post = model.encoder.forward(_conditioned(model, x, labels), enc_tape)
     else:
         post = np.asarray(posterior, dtype=np.float64)
         if post.shape != (n, 2 * model.latent_dim):
@@ -190,7 +192,7 @@ def elbo_loss(model: CvaeModel, x: np.ndarray,
     z = mu + sigma * noise
 
     dec_in = _conditioned(model, z, labels)
-    dec_out = model.decoder.forward(dec_in, keep_cache=with_grads)
+    dec_out = model.decoder.forward(dec_in, dec_tape)
     probs = np.clip(dec_out, nn.PROB_CLAMP, 1.0 - nn.PROB_CLAMP)
     recon_rows = -bernoulli_log_likelihood(x, probs)
     kl_rows = gaussian_kl(mu, logvar)
@@ -209,7 +211,7 @@ def elbo_loss(model: CvaeModel, x: np.ndarray,
     d_probs = np.where(clamp_open,
                        (probs - x) / (probs * (1.0 - probs) * n), 0.0)
     dec_grads, d_dec_in = model.decoder.backward(
-        d_probs, param_grads=posterior is None)
+        d_probs, dec_tape, param_grads=posterior is None)
     dz = d_dec_in[:, :model.latent_dim]
 
     d_mu = dz + kl_weight * mu / n
@@ -219,7 +221,7 @@ def elbo_loss(model: CvaeModel, x: np.ndarray,
     d_post = np.hstack([d_mu, np.where(logvar_open, d_logvar, 0.0)])
     if posterior is not None:
         return ElboResult(loss, recon, kl, [d_post])
-    enc_grads, _ = model.encoder.backward(d_post)
+    enc_grads, _ = model.encoder.backward(d_post, enc_tape)
     return ElboResult(loss, recon, kl, enc_grads + dec_grads)
 
 
@@ -254,8 +256,6 @@ def train_cvae(train: Dataset, config: CvaeTrainConfig, seed: int,
         if not np.isfinite(row["loss"]) or abs(row["loss"]) > DIVERGENCE_LIMIT:
             raise NumericError(f"CVAE training diverged at epoch {epoch}")
         curve.append(row)
-    model.encoder.clear_cache()
-    model.decoder.clear_cache()
     return model, curve
 
 

@@ -86,8 +86,18 @@ def default_feature_names(n: int = N_FEATURES) -> list[str]:
 # columns plus a label column called "label" (any position, case-insensitive).
 # Label cells hold class names or integer class indices.
 
+@contextmanager
+def open_csv(path):
+    """`path` opened for csv.reader; non-UTF-8 bytes are a ParseError."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid UTF-8 ({exc.reason})") from None
+
+
 def load_csv(path) -> Dataset:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_csv(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

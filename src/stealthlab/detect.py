@@ -34,7 +34,7 @@ import numpy as np
 
 from . import nn
 from .cvae import CvaeModel, elbo_loss, encode, iwae_batch
-from .data import Dataset, atomic_write
+from .data import Dataset, atomic_write, open_csv
 from .errors import NumericError, ParseError, SchemaError
 from .ids import IdsModel, predict_label
 from .rng import stable_hash
@@ -165,7 +165,8 @@ def score_regret(model: CvaeModel, batch: np.ndarray,
     `elbo_loss(..., posterior=)` under `kl_weight`, which should be the
     weight the model was trained with. The reparameterization draw is
     frozen and seeded from the sample's content, and the reported regret is
-    best-minus-initial, so it is never negative. The model is not modified.
+    best-minus-initial, so it is never negative. Only `post` and its
+    optimiser change; nothing is written to the model.
     A sample whose refit diverges scores NaN and is counted in n_invalid.
     """
     batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
@@ -198,7 +199,6 @@ def score_regret(model: CvaeModel, batch: np.ndarray,
         scores[i] = best - initial
     if n_invalid:
         log.warning("regret scoring dropped %d diverged sample(s)", n_invalid)
-    model.decoder.clear_cache()
     return RegretScores(scores, n_invalid)
 
 
@@ -309,10 +309,10 @@ def scores_to_csv(path, sample_ids: np.ndarray, tags: np.ndarray,
 
 def scores_from_csv(path) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """{detector: (tags, scores)} from a scores.csv. A header other than
-    SCORES_CSV_COLUMNS, a row of another width, or a score that is not a
-    finite number is a ParseError naming the file (and the row)."""
+    SCORES_CSV_COLUMNS, a row of another width, a non-finite or non-numeric
+    score, or non-UTF-8 bytes are a ParseError naming the file (and row)."""
     by_detector: dict[str, tuple[list, list]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_csv(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != SCORES_CSV_COLUMNS:

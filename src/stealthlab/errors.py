@@ -10,10 +10,6 @@ class ShapeError(ValueError):
     """A batch or parameter array has the wrong dimensions."""
 
 
-class StateError(RuntimeError):
-    """An operation ran out of order, e.g. backward without a cached forward."""
-
-
 class NumericError(ArithmeticError):
     """A computation produced non-finite values or diverged."""
 

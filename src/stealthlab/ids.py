@@ -88,10 +88,11 @@ def train_ids(train: Dataset, config: IdsTrainConfig,
         loss_sum = 0.0
         for start in range(0, train.n, config.batch_size):
             rows = order[start:start + config.batch_size]
-            net.forward(train.features[rows], keep_cache=True)
-            loss, dlogits = nn.softmax_cross_entropy(net.cached_logits(),
+            tape = []
+            net.forward(train.features[rows], tape)
+            loss, dlogits = nn.softmax_cross_entropy(tape[-1][1],
                                                      train.labels[rows])
-            grads, _ = net.backward(dlogits, from_logits=True)
+            grads, _ = net.backward(dlogits, tape, from_logits=True)
             nn.adam_step(optimiser, net.params(), grads)
             loss_sum += loss * rows.size
         epoch_loss = loss_sum / train.n
@@ -103,7 +104,6 @@ def train_ids(train: Dataset, config: IdsTrainConfig,
         perfect_streak = perfect_streak + 1 if train_acc == 1.0 else 0
         if perfect_streak >= EARLY_STOP_PATIENCE:
             break
-    net.clear_cache()
     return model, curve
 
 

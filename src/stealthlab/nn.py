@@ -3,8 +3,12 @@
 All math runs in float64 on row-major numpy arrays: a batch is
 (n_samples, n_features), a weight matrix is (fan_in, fan_out). The engine is
 deliberately small -- dense layers, five activations, reverse-mode gradients
-from a cached forward pass, and a deterministic Adam. The reference path is
-single threaded; the same seed produces the same bits every run.
+and a deterministic Adam. The reference path is single threaded; the same
+seed produces the same bits every run.
+
+A net holds only its layers: `forward(x, tape)` appends (input,
+pre-activation, output) per layer to the caller's list `tape`, and
+`backward(upstream, tape)` reads that pass back, whatever ran in between.
 
 Two paths avoid work without changing a bit of any result: `adam_step`
 updates each tensor in place, walking it in cache-sized chunks through two
@@ -23,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import atomic_write
-from .errors import NumericError, ParseError, ShapeError, StateError
+from .errors import NumericError, ParseError, ShapeError
 
 # probabilities are pulled into [PROB_CLAMP, 1 - PROB_CLAMP] before any log
 PROB_CLAMP = 1e-7
@@ -98,7 +102,7 @@ class DenseLayer:
 
 
 class Mlp:
-    """A chain of dense layers with a forward cache for reverse mode."""
+    """A chain of dense layers."""
 
     def __init__(self, layers: list[DenseLayer]):
         if not layers:
@@ -111,43 +115,33 @@ class Mlp:
             if layer.activation == "softmax":
                 raise ValueError("softmax is only allowed on the final layer")
         self.layers = layers
-        self._cache = None
 
     @property
     def in_dim(self) -> int:
         return self.layers[0].fan_in
 
-    def forward(self, x: np.ndarray, keep_cache: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray, tape: list | None = None) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2:
             raise ShapeError("batch must be 2-d (n_samples, n_features)")
         if x.shape[1] != self.in_dim:
             raise ShapeError(
                 f"batch has {x.shape[1]} features, net expects {self.in_dim}")
-        cache = [] if keep_cache else None
         out = x
         for layer in self.layers:
             z = out @ layer.weights + layer.bias
             act = _activation_forward(layer.activation, z)
-            if keep_cache:
-                cache.append((out, z, act))
+            if tape is not None:
+                tape.append((out, z, act))
             out = act
         if not np.isfinite(out).all():
             raise NumericError("forward pass produced non-finite values")
-        if keep_cache:
-            self._cache = cache
         return out
 
-    def cached_logits(self) -> np.ndarray:
-        """Pre-activation of the final layer from the last cached forward."""
-        if self._cache is None:
-            raise StateError("no cached forward pass")
-        return self._cache[-1][1]
-
-    def backward(self, upstream: np.ndarray, from_logits: bool = False,
-                 param_grads: bool = True
+    def backward(self, upstream: np.ndarray, tape: list,
+                 from_logits: bool = False, param_grads: bool = True
                  ) -> tuple[list[np.ndarray] | None, np.ndarray]:
-        """Backprop `upstream` through the cached forward pass.
+        """Backprop `upstream` through the forward pass recorded in `tape`.
 
         `upstream` is dLoss/dOutput, or dLoss/dLogits when `from_logits`
         (the final activation is then skipped, for fused losses). Returns
@@ -155,16 +149,17 @@ class Mlp:
         With `param_grads=False` the db/dW products are skipped and the first
         element is None; dLoss/dInput is bitwise the same either way.
         """
-        if self._cache is None:
-            raise StateError("backward called without a cached forward pass")
+        if len(tape) != len(self.layers):
+            raise ShapeError(f"tape has {len(tape)} entries, net has "
+                             f"{len(self.layers)} layers")
         upstream = np.asarray(upstream, dtype=np.float64)
-        if upstream.shape != (self._cache[-1][2].shape):
+        if upstream.shape != tape[-1][2].shape:
             raise ShapeError("upstream gradient shape does not match output")
         grads: list[np.ndarray] = []
         grad = upstream
         for idx in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[idx]
-            x_in, z, out = self._cache[idx]
+            x_in, z, out = tape[idx]
             if idx == len(self.layers) - 1 and from_logits:
                 dz = grad
             else:
@@ -177,9 +172,6 @@ class Mlp:
             return None, grad
         grads.reverse()
         return grads, grad
-
-    def clear_cache(self) -> None:
-        self._cache = None
 
     def params(self) -> list[np.ndarray]:
         """Live parameter arrays, ordered [W0, b0, W1, b1, ...]."""
@@ -290,13 +282,13 @@ def kl_categorical(p: np.ndarray, q: np.ndarray) -> float:
 # with 32k and 64k chunks, 6% more with 16k and 20% more with 8k.
 ADAM_CHUNK = 32768
 
+# moment decay rates and the denominator guard of every Adam update
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class AdamState:
     learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step_count: int = 0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
@@ -305,14 +297,10 @@ class AdamState:
                                        compare=False)
 
 
-def adam_init(params: list[np.ndarray], learning_rate: float = 0.001,
-              beta1: float = 0.9, beta2: float = 0.999,
-              epsilon: float = 1e-8) -> AdamState:
-    return AdamState(
-        learning_rate=learning_rate, beta1=beta1, beta2=beta2, epsilon=epsilon,
-        m=[np.zeros_like(p) for p in params],
-        v=[np.zeros_like(p) for p in params],
-    )
+def adam_init(params: list[np.ndarray],
+              learning_rate: float = 0.001) -> AdamState:
+    return AdamState(learning_rate, m=[np.zeros_like(p) for p in params],
+                     v=[np.zeros_like(p) for p in params])
 
 
 def adam_step(state: AdamState, params: list[np.ndarray],
@@ -329,7 +317,8 @@ def adam_step(state: AdamState, params: list[np.ndarray],
         v = beta2 * v + (1 - beta2) * g * g
         p -= lr * (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps)
 
-    so the result is bitwise that of the whole-tensor formula.
+    with beta1, beta2 and eps the ADAM_* constants, so the result is
+    bitwise that of the whole-tensor formula.
     """
     if len(params) != len(state.m) or len(grads) != len(params):
         raise ShapeError("params/grads do not match the optimiser state")
@@ -346,8 +335,8 @@ def adam_step(state: AdamState, params: list[np.ndarray],
     if state.scratch is None or state.scratch.shape[1] < chunk:
         state.scratch = np.empty((2, chunk))
     state.step_count += 1
-    beta1, beta2 = state.beta1, state.beta2
-    lr, eps = state.learning_rate, state.epsilon
+    beta1, beta2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
+    lr = state.learning_rate
     correction1 = 1.0 - beta1 ** state.step_count
     correction2 = 1.0 - beta2 ** state.step_count
     for p, g, m, v in zip(params, grads, state.m, state.v):

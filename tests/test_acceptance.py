@@ -97,9 +97,10 @@ def test_c01_gradient_suite():
         value, _ = nn.softmax_cross_entropy(net.forward(x), labels)
         return value
 
-    net.forward(x, keep_cache=True)
-    _, d_logits = nn.softmax_cross_entropy(net.cached_logits(), labels)
-    grads, _ = net.backward(d_logits, from_logits=True)
+    tape = []
+    net.forward(x, tape)
+    _, d_logits = nn.softmax_cross_entropy(tape[-1][1], labels)
+    grads, _ = net.backward(d_logits, tape, from_logits=True)
     worst = max(worst, relative_error(grads,
                                       finite_difference(ce_loss,
                                                         net.params())))
@@ -132,14 +133,14 @@ def test_c01_gradient_suite():
     config = cgan.GanConfig(lambda_cls=1.0, lambda_stealth=10.0,
                             lambda_gan=0.1, noise_dim=3, out_scale=0.05)
 
-    def gen_total():
-        delta = cgan.generate_perturbation(gen, gnoise, glabels,
-                                           keep_cache=True)
+    def gen_total(tape=None):
+        delta = cgan.generate_perturbation(gen, gnoise, glabels, tape)
         return cgan.generator_loss(ids_model, disc, x_att, delta, x_ben,
                                    config)
 
-    res = gen_total()
-    analytic = cgan.generator_param_grads(gen, res.d_delta)
+    gen_tape = []
+    res = gen_total(gen_tape)
+    analytic = cgan.generator_param_grads(gen, res.d_delta, gen_tape)
     worst = max(worst, relative_error(
         analytic, finite_difference(lambda: gen_total().total,
                                     gen.net.params())))

@@ -157,8 +157,9 @@ class TestGeneratorLoss:
                                    config)
         full_backward = nn.Mlp.backward
 
-        def always_full(net, upstream, from_logits=False, param_grads=True):
-            return full_backward(net, upstream, from_logits)
+        def always_full(net, upstream, tape, from_logits=False,
+                        param_grads=True):
+            return full_backward(net, upstream, tape, from_logits)
 
         monkeypatch.setattr(nn.Mlp, "backward", always_full)
         full = cgan.generator_loss(ids_model, disc, x_att, delta, x_ben,
@@ -173,14 +174,14 @@ class TestGeneratorLoss:
         config = cgan.GanConfig(lambda_cls=1.0, lambda_stealth=10.0,
                                 lambda_gan=0.1, out_scale=0.05, noise_dim=3)
 
-        def run():
-            delta = cgan.generate_perturbation(gen, noise, labels,
-                                               keep_cache=True)
+        def run(tape=None):
+            delta = cgan.generate_perturbation(gen, noise, labels, tape)
             return cgan.generator_loss(ids_model, disc, x_att, delta, x_ben,
                                        config)
 
-        res = run()
-        analytic = cgan.generator_param_grads(gen, res.d_delta)
+        tape = []
+        res = run(tape)
+        analytic = cgan.generator_param_grads(gen, res.d_delta, tape)
         numeric = finite_difference(lambda: run().total, gen.net.params())
         assert relative_error(analytic, numeric) <= 1e-4
 

@@ -445,6 +445,40 @@ class TestExitCodes:
         assert "i/o error" in err
         assert f"{scores}: {message}" in err
 
+    @pytest.mark.parametrize("name, damage, command", [
+        ("data/test.csv", lambda raw: raw + b"\xff\xfe", "sweep"),
+        ("detect/scores.csv",
+         lambda raw: raw.rstrip(b"\n").rsplit(b",", 1)[0] + b",\xff\n",
+         "report"),
+    ], ids=["test-csv", "scores-csv"])
+    def test_non_utf8_data_file_is_5(self, pipeline, tiny_config, tmp_path,
+                                     capsys, name, damage, command):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline["out"], out)
+        path = out / name
+        path.write_bytes(damage(path.read_bytes()))
+        rc = cli.main([command, "--config", tiny_config, "--out", str(out)])
+        assert rc == 5
+        err = capsys.readouterr().err
+        assert "i/o error" in err
+        assert f"{path}: not valid UTF-8" in err
+
+    @pytest.mark.parametrize("noise_dim", [7, 33])
+    def test_gen_meta_that_disagrees_with_the_weights_is_5(
+            self, pipeline, tiny_config, tmp_path, capsys, noise_dim):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline["out"], out)
+        meta_path = out / "models" / "gen.json"
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        meta["noise_dim"] = noise_dim
+        meta_path.write_text(json.dumps(meta), encoding="utf-8")
+        rc = cli.main(["sweep", "--config", tiny_config, "--out", str(out),
+                       "--stage-only"])
+        assert rc == 5
+        err = capsys.readouterr().err
+        assert "i/o error" in err
+        assert f"{meta_path}: 'noise_dim' does not match" in err
+
     @pytest.mark.parametrize("keep, missing", [
         (lambda labels: labels == 0, "attack"),
         (lambda labels: labels > 0, "benign")],

@@ -157,8 +157,11 @@ class TestElbo:
         assert (at_post.loss, at_post.recon, at_post.kl) == (
             full.loss, full.recon, full.kl)
         assert len(at_post.grads) == 1 and at_post.grads[0].shape == (3, 6)
-        # the encoder's cache still holds the full pass's forward
-        enc_grads, _ = model.encoder.backward(at_post.grads[0])
+        # taped again, the encoder pass that `full` ran takes the upstream
+        enc_tape = []
+        model.encoder.forward(
+            np.hstack([x, data.one_hot(labels, model.n_classes)]), enc_tape)
+        enc_grads, _ = model.encoder.backward(at_post.grads[0], enc_tape)
         n_enc = len(model.encoder.params())
         assert all(np.array_equal(a, b)
                    for a, b in zip(enc_grads, full.grads[:n_enc]))

@@ -214,10 +214,10 @@ class TestSynthetic:
         net = nn.build_mlp([30, 5], ["softmax"], derive_rng(7, "oracle"))
         state = nn.adam_init(net.params(), 0.05)
         for _ in range(200):
-            net.forward(train.features, keep_cache=True)
-            _, d_logits = nn.softmax_cross_entropy(net.cached_logits(),
-                                                   train.labels)
-            grads, _ = net.backward(d_logits, from_logits=True)
+            tape = []
+            net.forward(train.features, tape)
+            _, d_logits = nn.softmax_cross_entropy(tape[-1][1], train.labels)
+            grads, _ = net.backward(d_logits, tape, from_logits=True)
             nn.adam_step(state, net.params(), grads)
         pred = np.argmax(net.forward(test.features), axis=1)
         assert (pred == test.labels).mean() == 1.0

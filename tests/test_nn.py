@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stealthlab import nn
-from stealthlab.errors import NumericError, ParseError, ShapeError, StateError
+from stealthlab.errors import NumericError, ParseError, ShapeError
 from stealthlab.rng import derive_rng
 
 
@@ -49,11 +49,11 @@ class TestForward:
         with pytest.raises(ShapeError):
             net.forward(np.zeros((5, 3)))
 
-    def test_cache_required_for_backward(self):
+    def test_backward_needs_a_full_tape(self):
         net = toy_net([4, 8, 3], ["relu", "softmax"])
         net.forward(np.zeros((2, 4)))
-        with pytest.raises(StateError):
-            net.backward(np.zeros((2, 3)))
+        with pytest.raises(ShapeError):
+            net.backward(np.zeros((2, 3)), [])
 
     def test_softmax_only_final(self):
         with pytest.raises(ValueError):
@@ -88,8 +88,9 @@ class TestBackward:
         def loss():
             return float((net.forward(x) * weights).sum())
 
-        net.forward(x, keep_cache=True)
-        grads, dx = net.backward(weights)
+        tape = []
+        net.forward(x, tape)
+        grads, dx = net.backward(weights, tape)
         fd = finite_difference(loss, net.params())
         for got, want in zip(grads, fd):
             assert relative_error(got, want) <= 1e-4
@@ -110,9 +111,10 @@ class TestBackward:
             value, _ = nn.softmax_cross_entropy(logits, labels)
             return value
 
-        net.forward(x, keep_cache=True)
-        _, d_logits = nn.softmax_cross_entropy(net.cached_logits(), labels)
-        grads, _ = net.backward(d_logits, from_logits=True)
+        tape = []
+        net.forward(x, tape)
+        _, d_logits = nn.softmax_cross_entropy(tape[-1][1], labels)
+        grads, _ = net.backward(d_logits, tape, from_logits=True)
         fd = finite_difference(loss, net.params())
         for got, want in zip(grads, fd):
             assert relative_error(got, want) <= 1e-4
@@ -122,13 +124,35 @@ class TestBackward:
     def test_input_only_backward_matches_full(self, rows, from_logits, rng):
         net = toy_net([5, 7, 6, 3], ["relu", "tanh", "softmax"], seed=4)
         upstream = rng.standard_normal((rows, 3))
-        net.forward(rng.uniform(size=(rows, 5)), keep_cache=True)
-        grads, dx_full = net.backward(upstream, from_logits=from_logits)
-        none, dx = net.backward(upstream, from_logits=from_logits,
+        tape = []
+        net.forward(rng.uniform(size=(rows, 5)), tape)
+        grads, dx_full = net.backward(upstream, tape, from_logits=from_logits)
+        none, dx = net.backward(upstream, tape, from_logits=from_logits,
                                 param_grads=False)
         assert len(grads) == 6
         assert none is None
         assert np.array_equal(dx, dx_full)
+
+    @pytest.mark.parametrize("param_grads", [True, False])
+    def test_backward_reads_only_its_own_tape(self, param_grads, rng):
+        # a second pass through the same net in between changes no bit
+        net = toy_net([5, 7, 6, 3], ["relu", "tanh", "softmax"], seed=4)
+        x1, x2 = rng.uniform(size=(4, 5)), rng.uniform(size=(3, 5))
+        d1 = rng.standard_normal((4, 3))
+        tape_alone = []
+        net.forward(x1, tape_alone)
+        alone = net.backward(d1, tape_alone, param_grads=param_grads)
+        t1, t2 = [], []
+        net.forward(x1, t1)
+        net.forward(x2, t2)
+        interleaved = net.backward(d1, t1, param_grads=param_grads)
+        assert np.array_equal(interleaved[1], alone[1])
+        if param_grads:
+            assert len(interleaved[0]) == len(alone[0]) == 6
+            for got, want in zip(interleaved[0], alone[0]):
+                assert np.array_equal(got, want)
+        else:
+            assert interleaved[0] is None and alone[0] is None
 
     def test_ce_gradient_rows_sum_to_zero(self, rng):
         logits = rng.standard_normal((10, 5))
@@ -189,15 +213,15 @@ def reference_adam_step(state, params, grads):
     """The whole-tensor Kingma & Ba update, the formula adam_step must match
     bit for bit (same operations, same order, temporaries allowed)."""
     state.step_count += 1
-    correction1 = 1.0 - state.beta1 ** state.step_count
-    correction2 = 1.0 - state.beta2 ** state.step_count
+    correction1 = 1.0 - nn.ADAM_BETA1 ** state.step_count
+    correction2 = 1.0 - nn.ADAM_BETA2 ** state.step_count
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
+        m *= nn.ADAM_BETA1
+        m += (1.0 - nn.ADAM_BETA1) * g
+        v *= nn.ADAM_BETA2
+        v += (1.0 - nn.ADAM_BETA2) * g * g
         p -= state.learning_rate * (m / correction1) / (
-            np.sqrt(v / correction2) + state.epsilon)
+            np.sqrt(v / correction2) + nn.ADAM_EPSILON)
 
 
 class TestAdam:
@@ -271,9 +295,10 @@ class TestAdam:
         state = nn.adam_init(net.params(), learning_rate=0.001)
         losses = []
         for _ in range(50):
-            logits = net.forward(x, keep_cache=True)
+            tape = []
+            logits = net.forward(x, tape)
             loss, d_logits = nn.softmax_cross_entropy(logits, labels)
-            grads, _ = net.backward(d_logits, from_logits=True)
+            grads, _ = net.backward(d_logits, tape, from_logits=True)
             nn.adam_step(state, net.params(), grads)
             losses.append(loss)
         # strictly decreasing across 5-epoch windows, numerical noise aside
