@@ -27,10 +27,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import nn
 from .cgan import Generator, generate_perturbation
 from .data import atomic_write
 from .errors import ShapeError
-from .ids import IdsModel, predict_label
+from .ids import predict_label
 from .rng import derive_rng, derive_seed
 
 
@@ -144,11 +145,11 @@ def operating_point(gen: Generator, x_att: np.ndarray, labels: np.ndarray,
             _ood(x_att, rho, seed))
 
 
-def success_rate(ids_model: IdsModel, batch: np.ndarray, n_att: int) -> float:
+def success_rate(ids_net: nn.Mlp, batch: np.ndarray, n_att: int) -> float:
     """Fraction of rows the detector labels benign, over n_att."""
     if n_att <= 0:
         raise ValueError("n_att must be > 0")
-    return float((predict_label(ids_model, batch) == 0).sum() / n_att)
+    return float((predict_label(ids_net, batch) == 0).sum() / n_att)
 
 
 def wasserstein_1d(a: np.ndarray, b: np.ndarray) -> float:
@@ -190,7 +191,7 @@ def stealth_objective(w_adv_att: float, w_ood_att: float) -> float:
     return abs(float(w_adv_att) - float(w_ood_att))
 
 
-def sweep(gen: Generator, ids_model: IdsModel, x_att: np.ndarray,
+def sweep(gen: Generator, ids_net: nn.Mlp, x_att: np.ndarray,
           labels: np.ndarray, config: SweepConfig, seed: int,
           x_benign: np.ndarray) -> SweepResult:
     """Scan the (epsilon, noise_scale, n_ref) grid and pick the stealthiest
@@ -208,7 +209,7 @@ def sweep(gen: Generator, ids_model: IdsModel, x_att: np.ndarray,
 
     def stats(batch: np.ndarray) -> dict:
         return {"w": wasserstein_features(batch, x_att),
-                "succ": success_rate(ids_model, batch, n_att),
+                "succ": success_rate(ids_net, batch, n_att),
                 "w_ben": wasserstein_features(batch, x_benign)}
 
     ood_stats = {rho: stats(_ood(x_att, rho, seed))

@@ -11,11 +11,12 @@ reported separately and combined as
 where x_adv = clip(x_att + delta, 0, 1) and benign_target is the smoothed
 benign one-hot. The discriminator is a bare `nn.Mlp` with a sigmoid head
 and trains on plain BCE: benign rows toward 1, perturbed rows toward 0. The
-intrusion detector is a frozen oracle that only supplies input gradients;
-nothing here writes to it. Each loss keeps the tapes it backpropagates
-through; the training loop tapes the generator's pass for its gradients.
+intrusion detector, also a bare `nn.Mlp`, is a frozen oracle that only
+supplies input gradients; nothing here writes to it. Each loss keeps the
+tapes it backpropagates through; the training loop tapes the generator's
+pass for its gradients.
 
-`train_cgan(ids_model, train, config, seed)` takes its seed as an argument;
+`train_cgan(ids_net, train, config, seed)` takes its seed as an argument;
 `GanConfig` holds the hyperparameters only and is the run config's `gan`
 section. The save functions return the paths they wrote.
 """
@@ -31,7 +32,6 @@ from . import nn
 from .data import (Dataset, N_CLASSES, N_FEATURES, one_hot, read_json,
                    write_json)
 from .errors import NumericError, ParseError, SchemaError, ShapeError
-from .ids import IdsModel
 from .rng import derive_rng
 
 GEN_HIDDEN = (256, 256)
@@ -71,16 +71,15 @@ class GanConfig:
 
 @dataclass
 class Generator:
-    net: nn.Mlp          # (noise_dim + n_classes) -> ... -> n_features, tanh head
+    net: nn.Mlp          # (noise_dim + N_CLASSES) -> ... -> n_features, tanh head
     noise_dim: int
     out_scale: float
 
 
 def build_generator(rng: np.random.Generator, noise_dim: int = 32,
                     out_scale: float = 0.1, n_features: int = N_FEATURES,
-                    n_classes: int = N_CLASSES,
                     hidden: tuple[int, ...] = GEN_HIDDEN) -> Generator:
-    dims = [noise_dim + n_classes, *hidden, n_features]
+    dims = [noise_dim + N_CLASSES, *hidden, n_features]
     activations = ["relu"] * len(hidden) + ["tanh"]
     return Generator(nn.build_mlp(dims, activations, rng), noise_dim, out_scale)
 
@@ -94,10 +93,9 @@ def build_discriminator(rng: np.random.Generator,
     return nn.build_mlp(dims, activations, rng)
 
 
-def smoothed_benign_target(label_smoothing: float,
-                           n_classes: int = N_CLASSES) -> np.ndarray:
-    """(1 - a) * onehot(benign) + a/n_classes; strictly positive everywhere."""
-    target = np.full(n_classes, label_smoothing / n_classes)
+def smoothed_benign_target(label_smoothing: float) -> np.ndarray:
+    """(1 - a) * onehot(benign) + a/N_CLASSES; strictly positive everywhere."""
+    target = np.full(N_CLASSES, label_smoothing / N_CLASSES)
     target[0] += 1.0 - label_smoothing
     return target
 
@@ -112,12 +110,11 @@ def generate_perturbation(gen: Generator, noise: np.ndarray,
         raise ShapeError(f"noise must be (n, {gen.noise_dim})")
     if labels.shape != (noise.shape[0],):
         raise ShapeError("labels must be 1-d, one per noise row")
-    n_classes = gen.net.in_dim - gen.noise_dim
     if (labels == 0).any():
         raise ValueError("benign (class 0) is not a valid generation target")
-    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
-        raise ValueError(f"label out of range [1, {n_classes})")
-    stacked = np.hstack([noise, one_hot(labels, n_classes)])
+    if labels.size and (labels.min() < 0 or labels.max() >= N_CLASSES):
+        raise ValueError(f"label out of range [1, {N_CLASSES})")
+    stacked = np.hstack([noise, one_hot(labels)])
     return gen.out_scale * gen.net.forward(stacked, tape)
 
 
@@ -130,7 +127,7 @@ class GeneratorLossResult:
     d_delta: np.ndarray   # dTotal/dDelta, for chaining into the generator
 
 
-def generator_loss(ids_model: IdsModel, disc: nn.Mlp,
+def generator_loss(ids_net: nn.Mlp, disc: nn.Mlp,
                    x_att: np.ndarray, delta: np.ndarray,
                    x_benign: np.ndarray,
                    config: GanConfig) -> GeneratorLossResult:
@@ -145,14 +142,13 @@ def generator_loss(ids_model: IdsModel, disc: nn.Mlp,
     clip_active = (raw > 0.0) & (raw < 1.0)
 
     # classification term: pull the detector's output toward "benign"
-    target = smoothed_benign_target(config.label_smoothing,
-                                    len(ids_model.class_names))
+    target = smoothed_benign_target(config.label_smoothing)
     ids_tape, disc_tape = [], []
-    probs = ids_model.net.forward(x_adv, ids_tape)
+    probs = ids_net.forward(x_adv, ids_tape)
     cls = nn.kl_categorical(probs, target)
     safe_probs = np.maximum(probs, nn.PROB_CLAMP)
     d_probs = (np.log(safe_probs / target) + 1.0) / n
-    _, dx_cls = ids_model.net.backward(d_probs, ids_tape, param_grads=False)
+    _, dx_cls = ids_net.backward(d_probs, ids_tape, param_grads=False)
 
     # stealth term: stay close to real benign telemetry
     diff = x_adv - x_benign
@@ -205,7 +201,7 @@ def discriminator_loss(disc: nn.Mlp, x_benign: np.ndarray,
     return loss, grads
 
 
-def train_cgan(ids_model: IdsModel, train: Dataset, config: GanConfig,
+def train_cgan(ids_net: nn.Mlp, train: Dataset, config: GanConfig,
                seed: int) -> tuple[Generator, nn.Mlp, list[dict]]:
     """Alternating one discriminator / one generator step per minibatch.
 
@@ -245,7 +241,7 @@ def train_cgan(ids_model: IdsModel, train: Dataset, config: GanConfig,
             gen_tape = []
             delta = generate_perturbation(gen, noise, labels, gen_tape)
             x_pair = train.features[rng.choice(benign_rows, size=rows.size)]
-            g_loss = generator_loss(ids_model, disc, x_att, delta, x_pair,
+            g_loss = generator_loss(ids_net, disc, x_att, delta, x_pair,
                                     config)
             nn.adam_step(opt_g, gen.net.params(),
                          generator_param_grads(gen, g_loss.d_delta, gen_tape))

@@ -306,15 +306,15 @@ def stage_ids(config: RunConfig, out_dir: Path) -> tuple[list[Path], dict]:
     paths = _paths(out_dir)
     train = data.load_csv(paths["train_csv"])
     test = data.load_csv(paths["test_csv"])
-    model, curve = ids.train_ids(train, config.ids,
-                                 derive_seed(config.seed, "ids"))
-    model.scaler_ref = str(paths["scaler"].relative_to(out_dir))
+    net, curve = ids.train_ids(train, config.ids,
+                               derive_seed(config.seed, "ids"))
     metrics = {
-        "train_accuracy": ids.accuracy(model, train),
-        "test_accuracy": ids.accuracy(model, test),
+        "train_accuracy": ids.accuracy(net, train),
+        "test_accuracy": ids.accuracy(net, test),
         "epochs_run": len(curve),
     }
-    artifacts = ids.save_ids(model, paths["models"], extra_meta={
+    artifacts = ids.save_ids(net, paths["models"], extra_meta={
+        "scaler_ref": str(paths["scaler"].relative_to(out_dir)),
         "metrics": metrics, "config": dataclasses.asdict(config.ids)})
     _write_curve_csv(paths["ids_curve"], curve,
                      ["epoch", "loss", "train_accuracy"])
@@ -324,12 +324,11 @@ def stage_ids(config: RunConfig, out_dir: Path) -> tuple[list[Path], dict]:
 def stage_gan(config: RunConfig, out_dir: Path) -> tuple[list[Path], dict]:
     paths = _paths(out_dir)
     train = data.load_csv(paths["train_csv"])
-    ids_model = ids.load_ids(paths["models"])
-    before = [p.copy() for p in ids_model.net.params()]
+    ids_net = ids.load_ids(paths["models"])
+    before = [p.copy() for p in ids_net.params()]
     generator, discriminator, curve = cgan.train_cgan(
-        ids_model, train, config.gan, derive_seed(config.seed, "gan"))
-    frozen = all((a == b).all() for a, b in zip(before,
-                                                ids_model.net.params()))
+        ids_net, train, config.gan, derive_seed(config.seed, "gan"))
+    frozen = all((a == b).all() for a, b in zip(before, ids_net.params()))
     if not frozen:
         raise NumericError("intrusion detector weights changed during GAN "
                            "training; the frozen-oracle contract is broken")
@@ -377,7 +376,7 @@ def _attack_rows(test: data.Dataset) -> np.ndarray:
 def stage_sweep(config: RunConfig, out_dir: Path) -> tuple[list[Path], dict]:
     paths = _paths(out_dir)
     test = data.load_csv(paths["test_csv"])
-    ids_model = ids.load_ids(paths["models"])
+    ids_net = ids.load_ids(paths["models"])
     generator = cgan.load_generator(paths["models"])
     rows = _attack_rows(test)
     x_att = test.features[rows]
@@ -385,7 +384,7 @@ def stage_sweep(config: RunConfig, out_dir: Path) -> tuple[list[Path], dict]:
     benign_rows = test.class_rows(0)
     if benign_rows.size == 0:
         raise SchemaError("test split has no benign rows to measure against")
-    result = attack.sweep(generator, ids_model, x_att, labels, config.sweep,
+    result = attack.sweep(generator, ids_net, x_att, labels, config.sweep,
                           derive_seed(config.seed, "sweep"),
                           test.features[benign_rows])
     attack.sweep_to_csv(result, paths["sweep_csv"])
@@ -409,7 +408,7 @@ def stage_detect(config: RunConfig, out_dir: Path) -> tuple[list[Path], dict]:
     paths = _paths(out_dir)
     train = data.load_csv(paths["train_csv"])
     test = data.load_csv(paths["test_csv"])
-    ids_model = ids.load_ids(paths["models"])
+    ids_net = ids.load_ids(paths["models"])
     generator = cgan.load_generator(paths["models"])
     cvae_model = cvae.load_cvae(paths["models"])
     point = _selected_operating_point(paths)
@@ -439,8 +438,8 @@ def stage_detect(config: RunConfig, out_dir: Path) -> tuple[list[Path], dict]:
     # noise rows are conditioned on the IDS prediction, benign rows on benign
     populations = [
         (detect.TAG_ADVERSARIAL, x_adv, adv_ids,
-         ids.predict_label(ids_model, x_adv)),
-        (detect.TAG_OOD, x_ood, adv_ids, ids.predict_label(ids_model, x_ood)),
+         ids.predict_label(ids_net, x_adv)),
+        (detect.TAG_OOD, x_ood, adv_ids, ids.predict_label(ids_net, x_ood)),
         (detect.TAG_BENIGN, x_benign, cal_rows,
          np.zeros(n_cal, dtype=np.int64)),
     ]
@@ -451,12 +450,14 @@ def stage_detect(config: RunConfig, out_dir: Path) -> tuple[list[Path], dict]:
     for tag, x, _, labels in populations:
         try:
             nll, labels_used = detect.score_nll(
-                cvae_model, ids_model, x, section.k, nll_seed,
+                cvae_model, ids_net, x, section.k, nll_seed,
                 section.label_mode)
             mahal = detect.score_mahalanobis(gaussians, cvae_model, x)
             regret = detect.score_regret(
                 cvae_model, x, labels if cvae_model.conditional else None,
                 section.regret, regret_seed, kl_weight=config.cvae.kl_weight)
+            if not np.isfinite(regret.scores).any():
+                raise NumericError("every regret refit diverged")
         except NumericError as exc:
             raise NumericError(
                 f"scoring failed for tag '{tag}': {exc}") from exc
@@ -509,6 +510,10 @@ def stage_report(config: RunConfig, out_dir: Path) -> tuple[list[Path], dict]:
             raise DependencyError(f"scores.csv has no rows for detector "
                                   f"'{name}'; rerun 'detect'")
         tags, scores = by_detector[name]
+        for tag in (detect.TAG_ADVERSARIAL, detect.TAG_OOD):
+            if not (tags == tag).any():
+                raise DependencyError(f"scores.csv has no '{tag}' rows for "
+                                      f"detector '{name}'; rerun 'detect'")
         adv_ood = tags != detect.TAG_BENIGN
         curve = detect.roc_auc(scores[adv_ood],
                                tags[adv_ood] == detect.TAG_ADVERSARIAL)

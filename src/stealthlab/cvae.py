@@ -85,22 +85,20 @@ class CvaeModel:
     decoder: nn.Mlp    # (z [, onehot]) -> feature probabilities, sigmoid head
     latent_dim: int
     conditional: bool
-    n_classes: int = N_CLASSES
 
     def params(self) -> list[np.ndarray]:
         return self.encoder.params() + self.decoder.params()
 
 
 def build_cvae(rng: np.random.Generator, input_dim: int = N_FEATURES,
-               n_classes: int = N_CLASSES, latent_dim: int = LATENT_DIM,
-               conditional: bool = True,
+               latent_dim: int = LATENT_DIM, conditional: bool = True,
                hidden: tuple[int, ...] = HIDDEN_WIDTHS) -> CvaeModel:
-    extra = n_classes if conditional else 0
+    extra = N_CLASSES if conditional else 0
     enc_dims = [input_dim + extra, *hidden, 2 * latent_dim]
     dec_dims = [latent_dim + extra, *hidden, input_dim]
     encoder = nn.build_mlp(enc_dims, ["relu"] * len(hidden) + ["linear"], rng)
     decoder = nn.build_mlp(dec_dims, ["relu"] * len(hidden) + ["sigmoid"], rng)
-    return CvaeModel(encoder, decoder, latent_dim, conditional, n_classes)
+    return CvaeModel(encoder, decoder, latent_dim, conditional)
 
 
 def _conditioned(model: CvaeModel, x: np.ndarray,
@@ -109,7 +107,7 @@ def _conditioned(model: CvaeModel, x: np.ndarray,
         return x
     if labels is None:
         raise ValueError("conditional model needs labels")
-    return np.hstack([x, one_hot(np.asarray(labels), model.n_classes)])
+    return np.hstack([x, one_hot(np.asarray(labels))])
 
 
 def encode(model: CvaeModel, x: np.ndarray,
@@ -234,7 +232,6 @@ def train_cvae(train: Dataset, config: CvaeTrainConfig, seed: int,
     """
     rng = derive_rng(seed, "cvae-train")
     model = build_cvae(rng, input_dim=train.features.shape[1],
-                       n_classes=len(train.class_names),
                        latent_dim=config.latent_dim,
                        conditional=conditional)
     optimiser = nn.adam_init(model.params(), config.learning_rate)
@@ -324,27 +321,27 @@ def save_cvae(model: CvaeModel, directory, name: str = "cvae") -> list[Path]:
     nn.save_mlp(paths[1], model.decoder)
     write_json(paths[2], {"latent_dim": model.latent_dim,
                           "conditional": model.conditional,
-                          "n_classes": model.n_classes})
+                          "n_classes": N_CLASSES})
     return paths
 
 
 def load_cvae(directory) -> CvaeModel:
-    """The model save_cvae wrote; a cvae.json whose sizes disagree with the
-    weight files is a ParseError naming the file and the key."""
+    """The model save_cvae wrote; a cvae.json whose n_classes is not
+    N_CLASSES, or whose sizes disagree with the weight files, is a
+    ParseError naming the file and the key."""
     directory = Path(directory)
     meta_path = directory / "cvae.json"
     meta = read_json(meta_path, {
         "latent_dim": int, "conditional": bool, "n_classes": int})
     model = CvaeModel(nn.load_mlp(directory / "cvae_encoder.weights"),
                       nn.load_mlp(directory / "cvae_decoder.weights"),
-                      meta["latent_dim"], meta["conditional"],
-                      meta["n_classes"])
+                      meta["latent_dim"], meta["conditional"])
     enc, dec = model.encoder, model.decoder
-    extra = model.n_classes if model.conditional else 0
+    extra = N_CLASSES if model.conditional else 0
     for key, ok in (
+            ("n_classes", meta["n_classes"] == N_CLASSES),
             ("latent_dim", enc.layers[-1].fan_out == 2 * model.latent_dim),
-            ("n_classes" if model.conditional else "conditional",
-             dec.in_dim == model.latent_dim + extra
+            ("conditional", dec.in_dim == model.latent_dim + extra
              and enc.in_dim == dec.layers[-1].fan_out + extra)):
         if not ok:
             raise ParseError(f"{meta_path}: '{key}' does not match the "

@@ -1,9 +1,11 @@
 """Telemetry dataset handling: CSV in/out, scaling, splits, synthetic data.
 
 A dataset is a float64 feature matrix plus integer labels over the fixed
-class vocabulary below (index 0 is always benign). The synthetic generator
-builds five Gaussian clusters in the unit hypercube so the whole pipeline
-runs, and is exercised in CI, without the recorded telemetry CSV.
+class vocabulary below (index 0 is always benign). CLASS_NAMES is its only
+copy: every module, and every sidecar that records it, reads it from here.
+The synthetic generator builds five Gaussian clusters in the unit hypercube
+so the whole pipeline runs, and is exercised in CI, without the recorded
+telemetry CSV.
 
 `DatasetConfig` is the run config's `dataset` section: where the rows come
 from, the train fraction and the synthetic generator's shape. The seed is an
@@ -34,11 +36,11 @@ N_FEATURES = 30
 LABEL_COLUMN = "label"
 
 
-def one_hot(labels: np.ndarray, n_classes: int = N_CLASSES) -> np.ndarray:
+def one_hot(labels: np.ndarray) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
-        raise LabelError(f"label out of range [0, {n_classes})")
-    out = np.zeros((labels.shape[0], n_classes))
+    if labels.size and (labels.min() < 0 or labels.max() >= N_CLASSES):
+        raise LabelError(f"label out of range [0, {N_CLASSES})")
+    out = np.zeros((labels.shape[0], N_CLASSES))
     out[np.arange(labels.shape[0]), labels] = 1.0
     return out
 
@@ -46,9 +48,8 @@ def one_hot(labels: np.ndarray, n_classes: int = N_CLASSES) -> np.ndarray:
 @dataclass
 class Dataset:
     features: np.ndarray                # (n, N_FEATURES) float64
-    labels: np.ndarray                  # (n,) int64 indices into class_names
+    labels: np.ndarray                  # (n,) int64 indices into CLASS_NAMES
     feature_names: list[str]
-    class_names: list[str]
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -60,7 +61,7 @@ class Dataset:
         if len(self.feature_names) != self.features.shape[1]:
             raise ShapeError("one feature name per column required")
         if self.labels.size and (self.labels.min() < 0
-                                 or self.labels.max() >= len(self.class_names)):
+                                 or self.labels.max() >= N_CLASSES):
             raise LabelError("label index outside class vocabulary")
 
     @property
@@ -72,7 +73,7 @@ class Dataset:
 
     def subset(self, rows: np.ndarray) -> "Dataset":
         return Dataset(self.features[rows].copy(), self.labels[rows].copy(),
-                       list(self.feature_names), list(self.class_names))
+                       list(self.feature_names))
 
 
 def default_feature_names(n: int = N_FEATURES) -> list[str]:
@@ -169,7 +170,7 @@ def load_csv(path) -> Dataset:
             f"{path}: row {row_no}, column '{feature_names[col]}': "
             f"non-finite value {float(features[index, col])}")
     return Dataset(features, np.asarray(labels, dtype=np.int64),
-                   feature_names, list(CLASS_NAMES))
+                   feature_names)
 
 
 def save_csv(path, dataset: Dataset) -> None:
@@ -182,7 +183,7 @@ def save_csv(path, dataset: Dataset) -> None:
         writer.writerow(list(dataset.feature_names) + [LABEL_COLUMN])
         for row, label in zip(dataset.features, dataset.labels):
             writer.writerow([repr(float(v)) for v in row]
-                            + [dataset.class_names[label]])
+                            + [CLASS_NAMES[label]])
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +222,7 @@ def apply_minmax(dataset: Dataset, params: ScalerParams) -> Dataset:
         scaled = (dataset.features - params.mins) / span
     scaled = np.where(span > 0.0, scaled, 0.0)
     scaled = np.clip(scaled, 0.0, 1.0)
-    return Dataset(scaled, dataset.labels.copy(), list(dataset.feature_names),
-                   list(dataset.class_names))
+    return Dataset(scaled, dataset.labels.copy(), list(dataset.feature_names))
 
 
 def save_scaler(path, params: ScalerParams) -> None:
@@ -313,13 +313,13 @@ def stratified_split(dataset: Dataset, train_fraction: float = 0.8,
     rng = derive_rng(seed, "stratified-split")
     train_rows = []
     test_rows = []
-    for class_id in range(len(dataset.class_names)):
+    for class_id in range(N_CLASSES):
         rows = dataset.class_rows(class_id)
         if rows.size == 0:
             continue
         if rows.size < 5:
             raise SchemaError(
-                f"class '{dataset.class_names[class_id]}' has {rows.size} "
+                f"class '{CLASS_NAMES[class_id]}' has {rows.size} "
                 f"samples, need at least 5 to split")
         perm = rng.permutation(rows)
         n_train = int(round(rows.size * train_fraction))
@@ -395,4 +395,4 @@ def synth_generate(config: DatasetConfig, seed: int) -> Dataset:
     labels = np.repeat(np.arange(N_CLASSES), config.samples_per_class)
     noise = rng.standard_normal((labels.size, N_FEATURES))
     features = np.clip(means[labels] + config.std * noise, 0.0, 1.0)
-    return Dataset(features, labels, default_feature_names(), list(CLASS_NAMES))
+    return Dataset(features, labels, default_feature_names())

@@ -34,9 +34,9 @@ import numpy as np
 
 from . import nn
 from .cvae import CvaeModel, elbo_loss, encode, iwae_batch
-from .data import Dataset, atomic_write, open_csv
+from .data import CLASS_NAMES, N_CLASSES, Dataset, atomic_write, open_csv
 from .errors import NumericError, ParseError, SchemaError
-from .ids import IdsModel, predict_label
+from .ids import predict_label
 from .rng import stable_hash
 
 log = logging.getLogger(__name__)
@@ -63,7 +63,7 @@ class RegretConfig:
 # NLL detector
 # ---------------------------------------------------------------------------
 
-def score_nll(model: CvaeModel, ids_model: IdsModel, batch: np.ndarray,
+def score_nll(model: CvaeModel, ids_net: nn.Mlp, batch: np.ndarray,
               k: int = 50, seed: int = 0,
               label_mode: str = "ids") -> tuple[np.ndarray, np.ndarray]:
     """(importance-weighted NLL, label conditioned on) per row, per
@@ -73,14 +73,14 @@ def score_nll(model: CvaeModel, ids_model: IdsModel, batch: np.ndarray,
     if label_mode not in ("ids", "min"):
         raise ValueError("label_mode must be 'ids' or 'min'")
     if label_mode == "ids" or not model.conditional:
-        labels = predict_label(ids_model, batch)
+        labels = predict_label(ids_net, batch)
         return -iwae_batch(model, batch,
                            labels if model.conditional else None, k,
                            seed), labels
     per_label = -np.stack([
         iwae_batch(model, batch, np.full(batch.shape[0], c, dtype=np.int64),
                    k, seed)
-        for c in range(model.n_classes)
+        for c in range(N_CLASSES)
     ])
     return per_label.min(axis=0), per_label.argmin(axis=0)
 
@@ -91,8 +91,8 @@ def score_nll(model: CvaeModel, ids_model: IdsModel, batch: np.ndarray,
 
 @dataclass
 class GaussianClassModel:
-    means: np.ndarray        # (n_classes, latent_dim)
-    choleskys: np.ndarray    # (n_classes, latent_dim, latent_dim), lower
+    means: np.ndarray        # (N_CLASSES, latent_dim)
+    choleskys: np.ndarray    # (N_CLASSES, latent_dim, latent_dim), lower
 
 
 def fit_gaussians(model: CvaeModel, train: Dataset,
@@ -101,15 +101,14 @@ def fit_gaussians(model: CvaeModel, train: Dataset,
     cov <- (1 - lambda) cov + lambda diag(cov) to keep it invertible."""
     if not 0.0 <= shrinkage <= 1.0:
         raise ValueError("shrinkage must be in [0, 1]")
-    n_classes = len(train.class_names)
     latent = model.latent_dim
-    means = np.empty((n_classes, latent))
-    chols = np.empty((n_classes, latent, latent))
-    for class_id in range(n_classes):
+    means = np.empty((N_CLASSES, latent))
+    chols = np.empty((N_CLASSES, latent, latent))
+    for class_id in range(N_CLASSES):
         rows = train.class_rows(class_id)
         if rows.size < 2:
             raise SchemaError(
-                f"class '{train.class_names[class_id]}' has {rows.size} "
+                f"class '{CLASS_NAMES[class_id]}' has {rows.size} "
                 f"training rows, need at least 2 to fit a covariance")
         latents, _ = encode(model, train.features[rows],
                             train.labels[rows] if model.conditional else None)
@@ -121,7 +120,7 @@ def fit_gaussians(model: CvaeModel, train: Dataset,
             chols[class_id] = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
             raise NumericError(
-                f"covariance for class '{train.class_names[class_id]}' is "
+                f"covariance for class '{CLASS_NAMES[class_id]}' is "
                 f"not positive definite after shrinkage") from None
     return GaussianClassModel(means, chols)
 

@@ -1,5 +1,11 @@
 """Five-class intrusion detector: a 30-128-128-128-5 softmax classifier.
 
+The IDS is a bare `nn.Mlp` over the classes of `data.CLASS_NAMES`:
+`train_ids` and `load_ids` return the net, and `predict_label`, `accuracy`
+and the attack and detect code take it. ids.json records the vocabulary
+the net was trained on, and `load_ids` refuses a sidecar or a weight file
+that disagrees with it.
+
 `train_ids(train, config, seed)` takes its seed as an argument: the config
 holds the hyperparameters only, so it doubles as the run config's `ids`
 section, and the pipeline derives the seed from the global one.
@@ -13,8 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .data import Dataset, N_CLASSES, N_FEATURES, read_json, write_json
-from .errors import NumericError, ShapeError
+from .data import (CLASS_NAMES, Dataset, N_CLASSES, N_FEATURES, read_json,
+                   write_json)
+from .errors import NumericError, ParseError
 from .rng import derive_rng
 
 HIDDEN_WIDTHS = (128, 128, 128)
@@ -37,49 +44,31 @@ class IdsTrainConfig:
             raise ValueError("learning_rate must be > 0")
 
 
-@dataclass
-class IdsModel:
-    net: nn.Mlp
-    class_names: list[str]
-    scaler_ref: str | None = None   # path of the scaler the inputs must pass
-
-
-def build_ids_net(rng: np.random.Generator,
-                  n_features: int = N_FEATURES,
-                  n_classes: int = N_CLASSES) -> nn.Mlp:
-    dims = [n_features, *HIDDEN_WIDTHS, n_classes]
+def build_ids_net(rng: np.random.Generator) -> nn.Mlp:
+    dims = [N_FEATURES, *HIDDEN_WIDTHS, N_CLASSES]
     activations = ["relu"] * len(HIDDEN_WIDTHS) + ["softmax"]
     return nn.build_mlp(dims, activations, rng)
 
 
-def predict_proba(model: IdsModel, batch: np.ndarray) -> np.ndarray:
-    batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 2 or batch.shape[1] != model.net.in_dim:
-        raise ShapeError(
-            f"batch must be (n, {model.net.in_dim}), got {batch.shape}")
-    return model.net.forward(batch)
-
-
-def predict_label(model: IdsModel, batch: np.ndarray) -> np.ndarray:
+def predict_label(net: nn.Mlp, batch: np.ndarray) -> np.ndarray:
     # argmax breaks ties toward the lowest class index
-    return np.argmax(predict_proba(model, batch), axis=1)
+    return np.argmax(net.forward(batch), axis=1)
 
 
-def accuracy(model: IdsModel, dataset: Dataset) -> float:
-    return float((predict_label(model, dataset.features)
+def accuracy(net: nn.Mlp, dataset: Dataset) -> float:
+    return float((predict_label(net, dataset.features)
                   == dataset.labels).mean())
 
 
 def train_ids(train: Dataset, config: IdsTrainConfig,
-              seed: int) -> tuple[IdsModel, list[dict]]:
+              seed: int) -> tuple[nn.Mlp, list[dict]]:
     """Minibatch Adam on softmax cross-entropy with accuracy early stopping.
 
-    Returns the model and one curve row per epoch:
+    Returns the net and one curve row per epoch:
     {epoch, loss, train_accuracy}.
     """
     rng = derive_rng(seed, "ids-train")
     net = build_ids_net(rng)
-    model = IdsModel(net, list(train.class_names))
     optimiser = nn.adam_init(net.params(), config.learning_rate)
     curve: list[dict] = []
     perfect_streak = 0
@@ -98,33 +87,44 @@ def train_ids(train: Dataset, config: IdsTrainConfig,
         epoch_loss = loss_sum / train.n
         if not np.isfinite(epoch_loss):
             raise NumericError(f"training diverged at epoch {epoch}")
-        train_acc = accuracy(model, train)
+        train_acc = accuracy(net, train)
         curve.append({"epoch": epoch, "loss": epoch_loss,
                       "train_accuracy": train_acc})
         perfect_streak = perfect_streak + 1 if train_acc == 1.0 else 0
         if perfect_streak >= EARLY_STOP_PATIENCE:
             break
-    return model, curve
+    return net, curve
 
 
 # ---------------------------------------------------------------------------
 # persistence: weight file plus JSON sidecar
 # ---------------------------------------------------------------------------
 
-def save_ids(model: IdsModel, directory,
+def save_ids(net: nn.Mlp, directory,
              extra_meta: dict | None = None) -> list[Path]:
-    """Write ids.weights and ids.json; returns their paths in that order."""
+    """Write ids.weights and ids.json (CLASS_NAMES plus `extra_meta`);
+    returns their paths in that order."""
     directory = Path(directory)
     paths = [directory / "ids.weights", directory / "ids.json"]
-    nn.save_mlp(paths[0], model.net)
-    write_json(paths[1], {"class_names": model.class_names,
-                          "scaler_ref": model.scaler_ref,
-                          **(extra_meta or {})})
+    nn.save_mlp(paths[0], net)
+    write_json(paths[1], {"class_names": CLASS_NAMES, **(extra_meta or {})})
     return paths
 
 
-def load_ids(directory) -> IdsModel:
+def load_ids(directory) -> nn.Mlp:
+    """The net save_ids wrote; an ids.json whose class_names are not
+    CLASS_NAMES, or an ids.weights that does not map N_FEATURES inputs to
+    N_CLASSES outputs, is a ParseError naming the file."""
     directory = Path(directory)
-    net = nn.load_mlp(directory / "ids.weights")
-    meta = read_json(directory / "ids.json", {"class_names": list[str]})
-    return IdsModel(net, meta["class_names"], meta.get("scaler_ref"))
+    weights_path = directory / "ids.weights"
+    net = nn.load_mlp(weights_path)
+    meta_path = directory / "ids.json"
+    meta = read_json(meta_path, {"class_names": list[str]})
+    if meta["class_names"] != CLASS_NAMES:
+        raise ParseError(f"{meta_path}: 'class_names' {meta['class_names']} "
+                         f"are not the class vocabulary {CLASS_NAMES}")
+    if net.in_dim != N_FEATURES or net.layers[-1].fan_out != N_CLASSES:
+        raise ParseError(f"{weights_path}: the net maps {net.in_dim} inputs "
+                         f"to {net.layers[-1].fan_out} outputs, not "
+                         f"{N_FEATURES} features to {N_CLASSES} classes")
+    return net

@@ -121,8 +121,7 @@ def test_c01_gradient_suite():
                                       finite_difference(elbo,
                                                         model.params())))
 
-    ids_model = ids.IdsModel(nn.build_mlp([4, 6, 5], ["tanh", "softmax"],
-                                          rng), list(data.CLASS_NAMES))
+    ids_model = nn.build_mlp([4, 6, 5], ["tanh", "softmax"], rng)
     disc = nn.build_mlp([4, 6, 1], ["tanh", "sigmoid"], rng)
     gen = cgan.Generator(nn.build_mlp([8, 8, 4], ["tanh", "tanh"], rng),
                          3, 0.05)

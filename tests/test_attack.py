@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stealthlab import attack, cgan, data, ids, nn
+from stealthlab import attack, cgan, data, nn
 from stealthlab.errors import ShapeError
 from stealthlab.rng import derive_rng
 
@@ -49,7 +49,7 @@ def threshold_ids(feature=0, cut=0.5, sharpness=200.0):
     b[...] = 0.0
     w[feature, 1] = sharpness
     b[1] = -sharpness * cut
-    return ids.IdsModel(net, list(data.CLASS_NAMES))
+    return net
 
 
 class TestRefine:

@@ -48,7 +48,7 @@ def contrast_dataset(n_per_class=60, seed=0, gap=0.2):
     for c in range(1, 5):
         feats[labels == c, 3 + c] += 0.15
     return data.Dataset(np.clip(feats, 0.0, 1.0), labels,
-                        data.default_feature_names(), list(data.CLASS_NAMES))
+                        data.default_feature_names())
 
 
 @pytest.fixture(scope="module")
@@ -108,9 +108,7 @@ class TestGenerator:
 class TestGeneratorLoss:
     def toy_parts(self, seed=0):
         rng = derive_rng(seed, "toy-loss")
-        ids_model = ids.IdsModel(
-            nn.build_mlp([4, 6, 5], ["tanh", "softmax"], rng),
-            list(data.CLASS_NAMES))
+        ids_model = nn.build_mlp([4, 6, 5], ["tanh", "softmax"], rng)
         disc = nn.build_mlp([4, 6, 1], ["tanh", "sigmoid"], rng)
         gen = cgan.Generator(
             nn.build_mlp([8, 8, 4], ["tanh", "tanh"], rng), 3, 0.05)
@@ -215,10 +213,10 @@ class TestTraining:
     def test_frozen_ids_never_changes(self, toy_attack_lab):
         train = toy_attack_lab["train"]
         ids_model = toy_attack_lab["ids"]
-        before = [p.copy() for p in ids_model.net.params()]
+        before = [p.copy() for p in ids_model.params()]
         cgan.train_cgan(ids_model, train,
                         cgan.GanConfig(epochs=2, batch_size=64), 21)
-        for old, new in zip(before, ids_model.net.params()):
+        for old, new in zip(before, ids_model.params()):
             assert np.array_equal(old, new)
 
     def test_training_deterministic(self, toy_attack_lab):
@@ -256,8 +254,8 @@ class TestTraining:
             (rows.size, gen.noise_dim))
         delta = cgan.generate_perturbation(gen, noise, labels)
         x_adv = np.clip(x_att + delta, 0.0, 1.0)
-        before = ids.predict_proba(ids_model, x_att)[:, 0].mean()
-        after = ids.predict_proba(ids_model, x_adv)[:, 0].mean()
+        before = ids_model.forward(x_att)[:, 0].mean()
+        after = ids_model.forward(x_adv)[:, 0].mean()
         assert after > before
 
     def test_heavy_stealth_weight_shrinks_perturbations(self, toy_attack_lab):

@@ -102,6 +102,19 @@ def run_pipeline(config_path, out_dir):
         return json.load(fh)
 
 
+def cut_class_names(models):
+    """ids.json naming one class fewer than the vocabulary."""
+    meta_path = models / "ids.json"
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    meta["class_names"] = meta["class_names"][:4]
+    meta_path.write_text(json.dumps(meta), encoding="utf-8")
+
+
+def swap_in_disc_weights(models):
+    """ids.weights replaced by the discriminator's 30 -> 1 net."""
+    shutil.copyfile(models / "disc.weights", models / "ids.weights")
+
+
 @pytest.fixture(scope="module")
 def tiny_config(tmp_path_factory):
     path = tmp_path_factory.mktemp("config") / "run.json"
@@ -478,6 +491,55 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "i/o error" in err
         assert f"{meta_path}: 'noise_dim' does not match" in err
+
+    @pytest.mark.parametrize("command", ["train-gan", "sweep", "detect"])
+    @pytest.mark.parametrize("damage, name, message", [
+        (cut_class_names, "ids.json", "'class_names' ['benign', 'deauth', "
+         "'replay', 'eviltwin'] are not the class vocabulary"),
+        (swap_in_disc_weights, "ids.weights",
+         "the net maps 30 inputs to 1 outputs, not 30 features to 5 classes"),
+    ], ids=["class-names-cut", "disc-weights"])
+    def test_ids_artifact_that_disagrees_with_the_vocabulary_is_5(
+            self, pipeline, tiny_config, tmp_path, capsys, damage, name,
+            message, command):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline["out"], out)
+        damage(out / "models")
+        rc = cli.main([command, "--config", tiny_config, "--out", str(out)])
+        assert rc == 5
+        err = capsys.readouterr().err
+        assert "i/o error" in err
+        assert f"{out / 'models' / name}: {message}" in err
+
+    def test_every_regret_refit_diverging_is_4(self, pipeline, tmp_path,
+                                               capsys):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline["out"], out)
+        hot = dict(TINY_CONFIG, detect=dict(
+            TINY_CONFIG["detect"], regret={"steps": 2, "learning_rate": 1e300}))
+        path = write_config(tmp_path / "hot.json", hot)
+        rc = cli.main(["detect", "--config", path, "--out", str(out)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "numeric error" in err
+        assert "tag 'adversarial': every regret refit diverged" in err
+
+    @pytest.mark.parametrize("tag", ["adversarial", "ood"])
+    def test_scores_csv_missing_a_population_is_3(self, pipeline, tiny_config,
+                                                  tmp_path, capsys, tag):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline["out"], out)
+        scores = out / "detect" / "scores.csv"
+        lines = scores.read_text(encoding="utf-8").splitlines()
+        kept = [line for line in lines if f",{tag},nll," not in line]
+        assert len(kept) < len(lines)
+        scores.write_text("\n".join(kept) + "\n", encoding="utf-8")
+        rc = cli.main(["report", "--config", tiny_config, "--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "dependency error" in err
+        assert (f"scores.csv has no '{tag}' rows for detector 'nll'; rerun "
+                f"'detect'") in err
 
     @pytest.mark.parametrize("keep, missing", [
         (lambda labels: labels == 0, "attack"),

@@ -160,7 +160,7 @@ class TestElbo:
         # taped again, the encoder pass that `full` ran takes the upstream
         enc_tape = []
         model.encoder.forward(
-            np.hstack([x, data.one_hot(labels, model.n_classes)]), enc_tape)
+            np.hstack([x, data.one_hot(labels)]), enc_tape)
         enc_grads, _ = model.encoder.backward(at_post.grads[0], enc_tape)
         n_enc = len(model.encoder.params())
         assert all(np.array_equal(a, b)

@@ -96,8 +96,7 @@ class TestScaler:
     def test_basic_mapping(self):
         ds = data.Dataset(
             np.tile(np.array([[2.0], [4.0], [6.0]]), (1, 30)),
-            np.array([0, 1, 2]), data.default_feature_names(),
-            list(data.CLASS_NAMES))
+            np.array([0, 1, 2]), data.default_feature_names())
         params = data.fit_minmax(ds)
         scaled = data.apply_minmax(ds, params)
         assert np.allclose(scaled.features[:, 0], [0.0, 0.5, 1.0])
@@ -105,7 +104,7 @@ class TestScaler:
     def test_constant_column_maps_to_zero(self):
         ds = data.Dataset(
             np.full((4, 30), 7.0), np.array([0, 1, 2, 3]),
-            data.default_feature_names(), list(data.CLASS_NAMES))
+            data.default_feature_names())
         params = data.fit_minmax(ds)
         scaled = data.apply_minmax(ds, params)
         assert np.all(scaled.features == 0.0)
@@ -113,11 +112,11 @@ class TestScaler:
     def test_out_of_range_values_clip(self):
         train = data.Dataset(
             np.tile(np.array([[0.0], [1.0]]), (1, 30)), np.array([0, 1]),
-            data.default_feature_names(), list(data.CLASS_NAMES))
+            data.default_feature_names())
         params = data.fit_minmax(train)
         test = data.Dataset(
             np.full((1, 30), 2.0), np.array([0]),
-            data.default_feature_names(), list(data.CLASS_NAMES))
+            data.default_feature_names())
         scaled = data.apply_minmax(test, params)
         assert np.all(scaled.features <= 1.0)
         assert np.all(scaled.features >= 0.0)
@@ -125,7 +124,7 @@ class TestScaler:
     def test_refit_on_scaled_data_is_identity(self, rng):
         features = rng.uniform(-3.0, 9.0, size=(50, 30))
         ds = data.Dataset(features, np.zeros(50, dtype=np.int64),
-                          data.default_feature_names(), list(data.CLASS_NAMES))
+                          data.default_feature_names())
         scaled = data.apply_minmax(ds, data.fit_minmax(ds))
         again = data.fit_minmax(scaled)
         assert np.allclose(again.mins, 0.0, atol=1e-15)
@@ -138,7 +137,7 @@ class TestScaler:
         features = rng.uniform(-3.0, 9.0, size=(40, 30))
         features[:, 7] = 2.5      # constant column stays a fixed point too
         ds = data.Dataset(features, np.zeros(40, dtype=np.int64),
-                          data.default_feature_names(), list(data.CLASS_NAMES))
+                          data.default_feature_names())
         once = data.apply_minmax(ds, data.fit_minmax(ds))
         twice = data.apply_minmax(once, data.fit_minmax(once))
         assert np.array_equal(once.features, twice.features)
@@ -241,7 +240,7 @@ class TestSynthetic:
                 assert np.abs(means[a] - means[b]).max() > 0.05
 
     def test_one_hot(self):
-        hot = data.one_hot(np.array([0, 2]), 5)
+        hot = data.one_hot(np.array([0, 2]))
         assert hot.shape == (2, 5)
         assert hot[0, 0] == 1.0 and hot[0].sum() == 1.0
         assert hot[1, 2] == 1.0 and hot[1].sum() == 1.0

@@ -68,8 +68,7 @@ def dense_reference_regret(model, row, label, config, seed, kl_weight):
     gradients and the whole-tensor Adam formula on every encoder parameter,
     the amortized counterpart of `score_regret`'s posterior refit."""
     work = cvae.CvaeModel(model.encoder.copy(), model.decoder,
-                          model.latent_dim, model.conditional,
-                          model.n_classes)
+                          model.latent_dim, model.conditional)
     params = work.encoder.params()
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
@@ -265,8 +264,8 @@ class TestMahalanobis:
         batch = lab["test"].features[:20]
         gaussians = detect.fit_gaussians(model, train, shrinkage=1.0)
         scores = detect.score_mahalanobis(gaussians, model, batch)
-        per_class = np.empty((len(train.class_names), batch.shape[0]))
-        for class_id in range(len(train.class_names)):
+        per_class = np.empty((data.N_CLASSES, batch.shape[0]))
+        for class_id in range(data.N_CLASSES):
             rows = train.class_rows(class_id)
             latents, _ = cvae.encode(model, train.features[rows],
                                      train.labels[rows])
@@ -283,8 +282,7 @@ class TestMahalanobis:
         # zero-weight encoder collapses every row to the same latent mean
         model = flat_cvae(mu=[0.3], probs=[0.5, 0.5])
         ds = data.Dataset(np.random.default_rng(5).uniform(size=(6, 2)),
-                          np.array([0, 0, 0, 1, 1, 1]),
-                          ["a", "b"], ["benign", "deauth"])
+                          np.array([0, 0, 0, 1, 1, 1]), ["a", "b"])
         with pytest.raises(NumericError, match="not positive definite"):
             detect.fit_gaussians(model, ds, shrinkage=0.0)
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -16,21 +18,20 @@ def zero_weight_model():
     net = ids.build_ids_net(derive_rng(0, "zero"))
     for p in net.params():
         p[...] = 0.0
-    return ids.IdsModel(net, list(data.CLASS_NAMES))
+    return net
 
 
 class TestPredict:
     def test_proba_rows_are_distributions(self):
         model = zero_weight_model()
-        probs = ids.predict_proba(model, np.random.default_rng(0).uniform(
-            size=(7, 30)))
+        probs = model.forward(np.random.default_rng(0).uniform(size=(7, 30)))
         assert probs.shape == (7, 5)
         assert np.allclose(probs.sum(axis=1), 1.0)
 
     def test_wrong_width_rejected(self):
         model = zero_weight_model()
         with pytest.raises(ShapeError):
-            ids.predict_proba(model, np.zeros((3, 29)))
+            ids.predict_label(model, np.zeros((3, 29)))
 
     def test_tie_breaks_to_lowest_class_index(self):
         # all-zero weights give identical logits, argmax must pick class 0
@@ -71,7 +72,7 @@ class TestTraining:
         config = ids.IdsTrainConfig(epochs=3, batch_size=16)
         model_a, curve_a = ids.train_ids(ds, config, 6)
         model_b, curve_b = ids.train_ids(ds, config, 6)
-        for pa, pb in zip(model_a.net.params(), model_b.net.params()):
+        for pa, pb in zip(model_a.params(), model_b.params()):
             assert np.array_equal(pa, pb)
         assert curve_a == curve_b
 
@@ -85,19 +86,19 @@ class TestTraining:
 class TestPersistence:
     def test_round_trip_bitwise(self, tmp_path, separable_ids):
         model = separable_ids["model"]
-        model.scaler_ref = "data/scaler.json"
-        assert ids.save_ids(model, tmp_path) == [tmp_path / "ids.weights",
-                                                 tmp_path / "ids.json"]
+        assert ids.save_ids(model, tmp_path, extra_meta={
+            "scaler_ref": "data/scaler.json"}) == [tmp_path / "ids.weights",
+                                                   tmp_path / "ids.json"]
         loaded = ids.load_ids(tmp_path)
-        for pa, pb in zip(model.net.params(), loaded.net.params()):
+        for pa, pb in zip(model.params(), loaded.params()):
             assert np.array_equal(pa, pb)
-        assert loaded.class_names == model.class_names
-        assert loaded.scaler_ref == "data/scaler.json"
+        meta = json.loads((tmp_path / "ids.json").read_text(encoding="utf-8"))
+        assert meta == {"class_names": data.CLASS_NAMES,
+                        "scaler_ref": "data/scaler.json"}
 
     def test_loaded_model_predicts_identically(self, tmp_path, separable_ids):
         model = separable_ids["model"]
         ids.save_ids(model, tmp_path)
         loaded = ids.load_ids(tmp_path)
         x = separable_ids["test"].features
-        assert np.array_equal(ids.predict_proba(model, x),
-                              ids.predict_proba(loaded, x))
+        assert np.array_equal(model.forward(x), loaded.forward(x))
