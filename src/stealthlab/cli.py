@@ -4,18 +4,12 @@ Stages form a chain (data -> ids -> gan -> sweep; data -> cvae; sweep + cvae
 -> detect -> report), described by the one table STAGES. Each command runs
 exactly one stage, fails with a dependency error when upstream artifacts are
 missing, and records every file it wrote (with a sha256) in
-<out>/manifest.json. The dataset, ids, gan, cvae, sweep and detect.regret
-config sections are the library configs themselves; every value is checked
-against its field's type and the section's own checks when the config is
-parsed. Stage seeds derive from the global seed plus the stage tag, so reruns
-are bit-identical; how a sweep grid point's batches are seeded is attack's
-business alone (`attack.operating_point`).
-
-The detectors return bare per-row scores; the detect stage owns the score
-table. It builds the sample-id and tag columns once for the adversarial, OOD
-and benign populations, flips the regret sign, names the population when a
-detector fails, and writes scores.csv (finite rows only) and nll_scores.csv.
-The report stage reads scores.csv back as (tags, scores) per detector.
+<out>/manifest.json. Every config section is a library config, checked
+against its field types and its own checks when the config is parsed. Stage
+seeds derive from the global seed plus the stage tag, so reruns are
+bit-identical. How a sweep grid point's batches are seeded is attack's
+business (`attack.operating_point`), and the score table is detect's
+(`detect.score_table`): the detect stage draws the populations and writes it.
 
 Exit codes: 0 success, 2 config error, 3 missing dependency, 4 numeric
 failure, 5 I/O or data-file problem.
@@ -39,7 +33,7 @@ import numpy as np
 from . import attack, cgan, cvae, data, detect, ids
 from .errors import (ConfigError, DependencyError, LabelError, NumericError,
                      ParseError, SchemaError)
-from .rng import derive_seed
+from .rng import derive_rng, derive_seed
 
 SCHEMA_VERSION = 1
 MANIFEST_NAME = "manifest.json"
@@ -48,31 +42,6 @@ MANIFEST_NAME = "manifest.json"
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
-
-@dataclass
-class DetectSection:
-    k: int = 50
-    label_mode: str = "ids"            # "ids" or "min"
-    max_samples_per_tag: int = 192
-    benign_calibration: int = 64
-    shrinkage: float = 0.1
-    histogram_bins: int = 40
-    regret: detect.RegretConfig = field(default_factory=detect.RegretConfig)
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.label_mode not in ("ids", "min"):
-            raise ValueError("label_mode must be 'ids' or 'min'")
-        if self.max_samples_per_tag < 2:
-            raise ValueError("max_samples_per_tag must be >= 2")
-        if self.benign_calibration < 2:
-            raise ValueError("benign_calibration must be >= 2")
-        if not 0.0 <= self.shrinkage <= 1.0:
-            raise ValueError("shrinkage must be in [0, 1]")
-        if self.histogram_bins < 2:
-            raise ValueError("histogram_bins must be >= 2")
-
 
 @dataclass
 class RunConfig:
@@ -84,7 +53,8 @@ class RunConfig:
     gan: cgan.GanConfig = field(default_factory=cgan.GanConfig)
     cvae: cvae.CvaeTrainConfig = field(default_factory=cvae.CvaeTrainConfig)
     sweep: attack.SweepConfig = field(default_factory=attack.SweepConfig)
-    detect: DetectSection = field(default_factory=DetectSection)
+    detect: detect.DetectConfig = field(
+        default_factory=detect.DetectConfig)
 
 
 def _build_section(cls, payload: dict, where: str):
@@ -190,6 +160,10 @@ class Manifest:
             try:
                 self.payload = data.read_json(self.path, {"stages": dict,
                                                           "timings": dict})
+                for stage, entry in self.payload["stages"].items():
+                    data.check_keys(entry, {"stage_digest": str,
+                                            "artifacts": dict},
+                                    f"{self.path}: stage '{stage}'")
             except ParseError as exc:
                 raise ParseError(
                     f"{exc}; corrupt manifest: delete it and rerun the "
@@ -415,80 +389,39 @@ def stage_detect(config: RunConfig, out_dir: Path) -> tuple[list[Path], dict]:
     section = config.detect
 
     rows = _attack_rows(test)
-    x_adv_full, x_ood_full = attack.operating_point(
-        generator, test.features[rows], test.labels[rows], point["epsilon"],
-        point["rho"], point["n_ref"], derive_seed(config.seed, "sweep"))
-
-    subset_rng = np.random.default_rng(
-        derive_seed(config.seed, "detect-subset"))
     n_keep = min(section.max_samples_per_tag, rows.size)
-    keep = np.sort(subset_rng.choice(rows.size, size=n_keep, replace=False))
-    x_adv = x_adv_full[keep]
-    x_ood = x_ood_full[keep]
+    keep = np.sort(derive_rng(config.seed, "detect-subset").choice(
+        rows.size, size=n_keep, replace=False))
+    x_adv, x_ood = (x[keep] for x in attack.operating_point(
+        generator, test.features[rows], test.labels[rows], point["epsilon"],
+        point["rho"], point["n_ref"], derive_seed(config.seed, "sweep")))
     adv_ids = rows[keep]
 
     benign_rows = train.class_rows(0)
     n_cal = min(section.benign_calibration, benign_rows.size)
-    cal_rows = np.sort(np.random.default_rng(
-        derive_seed(config.seed, "detect-benign")).choice(
-            benign_rows, size=n_cal, replace=False))
-    x_benign = train.features[cal_rows]
+    cal_rows = np.sort(derive_rng(config.seed, "detect-benign").choice(
+        benign_rows, size=n_cal, replace=False))
 
     # (tag, rows, sample ids, regret conditioning label): the crafted and
     # noise rows are conditioned on the IDS prediction, benign rows on benign
-    populations = [
+    table = detect.score_table([
         (detect.TAG_ADVERSARIAL, x_adv, adv_ids,
          ids.predict_label(ids_net, x_adv)),
         (detect.TAG_OOD, x_ood, adv_ids, ids.predict_label(ids_net, x_ood)),
-        (detect.TAG_BENIGN, x_benign, cal_rows,
+        (detect.TAG_BENIGN, train.features[cal_rows], cal_rows,
          np.zeros(n_cal, dtype=np.int64)),
-    ]
-    gaussians = detect.fit_gaussians(cvae_model, train, section.shrinkage)
-    nll_seed = derive_seed(config.seed, "detect-nll")
-    regret_seed = derive_seed(config.seed, "detect-regret")
-    nll_parts, label_parts, mahal_parts, regret_parts = [], [], [], []
-    for tag, x, _, labels in populations:
-        try:
-            nll, labels_used = detect.score_nll(
-                cvae_model, ids_net, x, section.k, nll_seed,
-                section.label_mode)
-            mahal = detect.score_mahalanobis(gaussians, cvae_model, x)
-            regret = detect.score_regret(
-                cvae_model, x, labels if cvae_model.conditional else None,
-                section.regret, regret_seed, kl_weight=config.cvae.kl_weight)
-            if not np.isfinite(regret.scores).any():
-                raise NumericError("every regret refit diverged")
-        except NumericError as exc:
-            raise NumericError(
-                f"scoring failed for tag '{tag}': {exc}") from exc
-        nll_parts.append(nll)
-        label_parts.append(labels_used)
-        mahal_parts.append(mahal)
-        regret_parts.append(regret)
-
-    # the score table: one row per (population, row), in population order
-    tags = np.concatenate([np.full(x.shape[0], tag, dtype=object)
-                           for tag, x, _, _ in populations])
-    sample_ids = np.concatenate([sid for _, _, sid, _ in populations])
-    nll = np.concatenate(nll_parts)
-    regret = np.concatenate([part.scores for part in regret_parts])
-    finite = np.isfinite(regret)
-    benign = tags == detect.TAG_BENIGN
-    orientation = detect.choose_orientation(regret[finite & ~benign],
-                                            regret[finite & benign])
-
-    detect.scores_to_csv(paths["scores_csv"], sample_ids, tags, {
-        "nll": nll, "mahalanobis": np.concatenate(mahal_parts),
-        "regret": orientation * regret})
-    detect.nll_scores_to_csv(paths["nll_scores_csv"], sample_ids, tags,
-                             np.concatenate(label_parts), section.k, nll)
+    ], cvae_model, ids_net, train, section, config.seed,
+        kl_weight=config.cvae.kl_weight)
+    detect.scores_to_csv(paths["scores_csv"], table.sample_ids, table.tags,
+                         table.scores)
+    detect.nll_scores_to_csv(paths["nll_scores_csv"], table, section.k)
     meta = {
-        "regret_orientation": orientation,
+        "regret_orientation": table.regret_orientation,
         "label_mode": section.label_mode,
         "k": section.k,
         "n_per_tag": int(n_keep),
         "n_benign_calibration": int(n_cal),
-        "n_regret_invalid": sum(part.n_invalid for part in regret_parts),
+        "n_regret_invalid": table.n_regret_invalid,
         "operating_point": point,
     }
     data.write_json(paths["detect_meta"], meta)

@@ -14,21 +14,20 @@ Three scores, all oriented so that higher means "more likely adversarial":
                the KL weight the CVAE was trained with; its sign is
                calibrated once against benign reference scores.
 
-Each detector scores a batch and returns one value per row, in row order;
-which population a row came from, and its sample id, are the caller's
-business (the detect stage builds that table once). `score_regret(model,
-batch, labels, config, seed, kl_weight=...)` takes its seed and the trained
-KL weight as arguments; `RegretConfig` holds the hyperparameters only and is
-the run config's `detect.regret` section. This module also owns both score
-file formats: `scores.csv` (all detectors; read back, it must hold finite
-scores under its own header) and `nll_scores.csv`.
+Each detector scores a batch and returns one value per row, in row order.
+This module owns the score table and the regret sign: `score_table` scores
+each (tag, rows, sample ids, regret label) population it is given, names the
+tag when a detector fails, joins the parts in population order and picks the
+regret sign by the table's benign rows. `DetectConfig` is the run config's
+`detect` section. This module also owns both score file formats: `scores.csv`
+(finite scores of a known tag under its own header) and `nll_scores.csv`.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,13 +36,14 @@ from .cvae import CvaeModel, elbo_loss, encode, iwae_batch
 from .data import CLASS_NAMES, N_CLASSES, Dataset, atomic_write, open_csv
 from .errors import NumericError, ParseError, SchemaError
 from .ids import predict_label
-from .rng import stable_hash
+from .rng import derive_seed, stable_hash
 
 log = logging.getLogger(__name__)
 
 TAG_ADVERSARIAL = "adversarial"
 TAG_OOD = "ood"
 TAG_BENIGN = "benign"
+TAGS = (TAG_ADVERSARIAL, TAG_OOD, TAG_BENIGN)
 DETECTORS = ("nll", "mahalanobis", "regret")
 
 
@@ -57,6 +57,76 @@ class RegretConfig:
             raise ValueError("steps must be >= 1")
         if self.learning_rate <= 0.0:
             raise ValueError("learning_rate must be > 0")
+
+
+@dataclass
+class DetectConfig:
+    k: int = 50
+    label_mode: str = "ids"            # "ids" or "min"
+    max_samples_per_tag: int = 192
+    benign_calibration: int = 64
+    shrinkage: float = 0.1
+    histogram_bins: int = 40
+    regret: RegretConfig = field(default_factory=RegretConfig)
+
+    def __post_init__(self):
+        if self.k < 1:
+            raise ValueError("k must be >= 1")
+        if self.label_mode not in ("ids", "min"):
+            raise ValueError("label_mode must be 'ids' or 'min'")
+        for name in ("max_samples_per_tag", "benign_calibration",
+                     "histogram_bins"):
+            if getattr(self, name) < 2:
+                raise ValueError(f"{name} must be >= 2")
+        if not 0.0 <= self.shrinkage <= 1.0:
+            raise ValueError("shrinkage must be in [0, 1]")
+
+
+@dataclass
+class ScoreTable:
+    """One row per (population, row), in population order."""
+    tags: np.ndarray
+    sample_ids: np.ndarray
+    scores: dict[str, np.ndarray]   # {detector: scores}, in DETECTORS order
+    nll_labels: np.ndarray          # the label each nll score is under
+    regret_orientation: int
+    n_regret_invalid: int
+
+
+def score_table(populations: list[tuple], model: CvaeModel, ids_net: nn.Mlp,
+                train: Dataset, config: DetectConfig, seed: int, *,
+                kl_weight: float) -> ScoreTable:
+    """Every detector over every (tag, rows, sample ids, regret label)
+    population; a NumericError, or a population whose every regret refit
+    diverged, names the tag. The regret sign is `choose_orientation`'s."""
+    gaussians = fit_gaussians(model, train, config.shrinkage)
+    nll_seed = derive_seed(seed, "detect-nll")
+    regret_seed = derive_seed(seed, "detect-regret")
+    parts, n_invalid = [], 0
+    for tag, x, sid, labels in populations:
+        try:
+            nll, labels_used = score_nll(model, ids_net, x, config.k,
+                                         nll_seed, config.label_mode)
+            mahal = score_mahalanobis(gaussians, model, x)
+            regret = score_regret(
+                model, x, labels if model.conditional else None,
+                config.regret, regret_seed, kl_weight=kl_weight)
+            if not np.isfinite(regret.scores).any():
+                raise NumericError("every regret refit diverged")
+        except NumericError as exc:
+            raise NumericError(
+                f"scoring failed for tag '{tag}': {exc}") from exc
+        parts.append((np.full(x.shape[0], tag, dtype=object), sid,
+                      labels_used, nll, mahal, regret.scores))
+        n_invalid += regret.n_invalid
+    tags, sample_ids, labels_used, nll, mahal, regret = map(np.concatenate,
+                                                            zip(*parts))
+    valid = np.isfinite(regret)
+    orientation = choose_orientation(regret[valid & (tags != TAG_BENIGN)],
+                                     regret[valid & (tags == TAG_BENIGN)])
+    scores = dict(zip(DETECTORS, (nll, mahal, orientation * regret)))
+    return ScoreTable(tags, sample_ids, scores, labels_used, orientation,
+                      n_invalid)
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +378,9 @@ def scores_to_csv(path, sample_ids: np.ndarray, tags: np.ndarray,
 
 def scores_from_csv(path) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """{detector: (tags, scores)} from a scores.csv. A header other than
-    SCORES_CSV_COLUMNS, a row of another width, a non-finite or non-numeric
-    score, or non-UTF-8 bytes are a ParseError naming the file (and row)."""
+    SCORES_CSV_COLUMNS, a row of another width, a tag outside TAGS, a
+    non-finite or non-numeric score, or non-UTF-8 bytes are a ParseError
+    naming the file (and row)."""
     by_detector: dict[str, tuple[list, list]] = {}
     with open_csv(path) as fh:
         reader = csv.reader(fh)
@@ -322,6 +393,9 @@ def scores_from_csv(path) -> dict[str, tuple[np.ndarray, np.ndarray]]:
                 raise ParseError(f"{path}: row {row_no} has {len(row)} "
                                  f"cells, expected {len(header)}")
             _, tag, detector, cell = row
+            if tag not in TAGS:
+                raise ParseError(f"{path}: row {row_no}: unknown tag '{tag}', "
+                                 f"expected one of {list(TAGS)}")
             try:
                 score = float(cell)
             except ValueError:
@@ -337,11 +411,12 @@ def scores_from_csv(path) -> dict[str, tuple[np.ndarray, np.ndarray]]:
             for detector, (tags, scores) in by_detector.items()}
 
 
-def nll_scores_to_csv(path, sample_ids: np.ndarray, tags: np.ndarray,
-                      labels: np.ndarray, k: int, nll: np.ndarray) -> None:
+def nll_scores_to_csv(path, table: ScoreTable, k: int) -> None:
     with atomic_write(path) as fh:
         fh.write("sample_id,source_tag,label_used,k,nll\n")
-        for sid, tag, label, score in zip(sample_ids, tags, labels, nll):
+        for sid, tag, label, score in zip(table.sample_ids, table.tags,
+                                          table.nll_labels,
+                                          table.scores["nll"]):
             fh.write(f"{int(sid)},{tag},{int(label)},{k},"
                      f"{repr(float(score))}\n")
 

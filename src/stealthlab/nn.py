@@ -19,6 +19,7 @@ Weight files are written through `data.atomic_write`.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -350,25 +351,30 @@ def load_mlp(path) -> Mlp:
         magic = fh.read(len(WEIGHT_MAGIC))
         if magic != WEIGHT_MAGIC:
             raise ParseError(f"{path}: not a weight file (bad magic)")
-        version, n_layers = struct.unpack("<II", fh.read(8))
-        if version != WEIGHT_FORMAT_VERSION:
-            raise ParseError(f"{path}: unsupported weight format version {version}")
-        shapes = []
-        for _ in range(n_layers):
-            fan_in, fan_out = struct.unpack("<II", fh.read(8))
-            tag = fh.read(8).rstrip(b"\x00").decode("ascii")
-            if tag not in ACTIVATIONS:
-                raise ParseError(f"{path}: unknown activation tag '{tag}'")
-            shapes.append((fan_in, fan_out, tag))
+        try:
+            version, n_layers = struct.unpack("<II", fh.read(8))
+            if version != WEIGHT_FORMAT_VERSION:
+                raise ParseError(f"{path}: unsupported weight format version {version}")
+            shapes = []
+            for _ in range(n_layers):
+                fan_in, fan_out = struct.unpack("<II", fh.read(8))
+                tag = fh.read(8).rstrip(b"\x00").decode("ascii", "replace")
+                if tag not in ACTIVATIONS:
+                    raise ParseError(f"{path}: unknown activation tag '{tag}'")
+                shapes.append((fan_in, fan_out, tag))
+        except struct.error:
+            raise ParseError(f"{path}: truncated header") from None
+        # checked before any read, so no absurd shape allocates
+        declared = sum((fan_in + 1) * fan_out * 8
+                       for fan_in, fan_out, _ in shapes)
+        held = os.fstat(fh.fileno()).st_size - fh.tell()
+        if held != declared:
+            raise ParseError(f"{path}: weight blocks hold {held} bytes, the "
+                             f"header declares {declared}")
         layers = []
         for fan_in, fan_out, tag in shapes:
-            w_bytes = fh.read(fan_in * fan_out * 8)
-            b_bytes = fh.read(fan_out * 8)
-            if len(w_bytes) != fan_in * fan_out * 8 or len(b_bytes) != fan_out * 8:
-                raise ParseError(f"{path}: truncated weight block")
-            weights = np.frombuffer(w_bytes, dtype="<f8").reshape(fan_in, fan_out)
-            bias = np.frombuffer(b_bytes, dtype="<f8")
+            weights = np.frombuffer(fh.read(fan_in * fan_out * 8),
+                                    dtype="<f8").reshape(fan_in, fan_out)
+            bias = np.frombuffer(fh.read(fan_out * 8), dtype="<f8")
             layers.append(DenseLayer(weights.copy(), bias.copy(), tag))
-        if fh.read(1):
-            raise ParseError(f"{path}: trailing bytes after weight blocks")
     return Mlp(layers)

@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import types
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -180,6 +181,18 @@ class TestConfigParsing:
         assert {stage: cli.stage_digest(config, stage)
                 for stage in cli.STAGES} == DEFAULT_STAGE_DIGESTS
 
+    def test_every_section_is_a_library_config(self):
+        # one config type per concept: the run config gathers the library
+        # configs and cli defines none of its own
+        hints = typing.get_type_hints(cli.RunConfig)
+        sections = {name: hint for name, hint in hints.items()
+                    if dataclasses.is_dataclass(hint)}
+        assert list(sections) == ["dataset", "ids", "gan", "cvae", "sweep",
+                                  "detect"]
+        for name, hint in sections.items():
+            assert hint.__module__.startswith("stealthlab."), name
+            assert hint.__module__ != cli.__name__, name
+
     def test_benchmark_workload_sections_parse(self):
         # a subprocess, so the BLAS variables run.py sets stay out of this one
         script = (
@@ -346,9 +359,13 @@ class TestExitCodes:
         assert "i/o error" in err
         assert "row 6, column 'f02': non-finite value nan" in err
 
-    @pytest.mark.parametrize("text", ['{"stages": {"data": {"art', "[]",
-                                      "\udcff"],
-                             ids=["truncated", "not-a-record", "bad-utf8"])
+    @pytest.mark.parametrize("text", [
+        '{"stages": {"data": {"art', "[]", "\udcff",
+        '{"stages": {"data": {"stage_digest": "x"}}, "timings": {}}',
+        '{"stages": {"data": {"artifacts": {}}}, "timings": {}}',
+        '{"stages": {"data": "x"}, "timings": {}}',
+    ], ids=["truncated", "not-a-record", "bad-utf8", "entry-without-artifacts",
+            "entry-without-digest", "entry-not-a-record"])
     def test_corrupt_manifest_is_5(self, tiny_config, tmp_path, capsys,
                                    text):
         out = tmp_path / "out"
@@ -444,7 +461,10 @@ class TestExitCodes:
          + lines[4:], "row 4: non-numeric score 'abc'"),
         (lambda lines: lines[:3] + [lines[3].rsplit(",", 1)[0] + ",inf"]
          + lines[4:], "row 4: non-finite score inf"),
-    ], ids=["header", "non-numeric", "non-finite"])
+        (lambda lines: lines[:3] + [lines[3].replace(",adversarial,",
+                                                     ",adversarail,")]
+         + lines[4:], "row 4: unknown tag 'adversarail'"),
+    ], ids=["header", "non-numeric", "non-finite", "unknown-tag"])
     def test_corrupt_scores_csv_is_5(self, pipeline, tiny_config, tmp_path,
                                      capsys, edit, message):
         out = tmp_path / "out"

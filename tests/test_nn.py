@@ -358,6 +358,22 @@ class TestPersistence:
         with pytest.raises(ParseError):
             nn.load_mlp(path)
 
+    @pytest.mark.parametrize("damage, message", [
+        (lambda blob: blob[:12], "truncated header"),
+        (lambda blob: blob[:24] + b"\xff" + blob[25:],
+         "unknown activation tag"),
+        (lambda blob: blob[:16] + b"\xff" * 8 + blob[24:],
+         "weight blocks hold"),
+    ], ids=["cut-in-header", "non-ascii-tag", "absurd-shape"])
+    def test_damaged_header_raises(self, tmp_path, damage, message):
+        net = toy_net([6, 5, 4], ["tanh", "softmax"], seed=13)
+        path = tmp_path / "net.weights"
+        nn.save_mlp(path, net)
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(ParseError) as excinfo:
+            nn.load_mlp(path)
+        assert f"{path}: {message}" in str(excinfo.value)
+
     def test_trailing_bytes_raise(self, tmp_path):
         net = toy_net([6, 5, 4], ["tanh", "softmax"], seed=13)
         path = tmp_path / "net.weights"
