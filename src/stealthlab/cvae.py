@@ -127,7 +127,7 @@ def decode(model: CvaeModel, z: np.ndarray,
     if z.shape[1] != model.latent_dim:
         raise ShapeError(f"z must have {model.latent_dim} columns")
     out = model.decoder.forward(_conditioned(model, z, labels))
-    return np.clip(out, nn.PROB_CLAMP, 1.0 - nn.PROB_CLAMP)
+    return np.clip(out, nn.PROB_CLAMP, 1.0 - nn.PROB_CLAMP, out=out)
 
 
 def bernoulli_log_likelihood(x: np.ndarray, probs: np.ndarray) -> np.ndarray:
@@ -272,19 +272,31 @@ def log_mean_exp(weights: np.ndarray) -> float:
 def iwae_bound(model: CvaeModel, x: np.ndarray, label: int | None, k: int,
                rng: np.random.Generator) -> float:
     """k-sample importance-weighted lower bound on log p(x [, c]): one
-    encoder pass, z_i = mu + sigma * noise_i for k draws from `rng`."""
+    encoder pass, z_i = mu + sigma * noise_i for k draws from `rng`. The
+    k-row terms are computed in place, bitwise the plain expressions, and
+    the draws are never written: the rng may hand out an array it keeps."""
     if k < 1:
         raise ValueError("k must be >= 1")
     x = np.asarray(x, dtype=np.float64).ravel()
     mu, logvar = encode(model, x[None, :],
                         None if label is None else np.array([label]))
     noise = rng.standard_normal((k, model.latent_dim))
-    z = mu + np.exp(0.5 * logvar) * noise
+    z = np.exp(0.5 * logvar) * noise
+    z += mu
     probs = decode(model, z, None if label is None else np.full(k, label))
     log_px = bernoulli_log_likelihood(np.broadcast_to(x, probs.shape), probs)
-    log_prior = -0.5 * (z * z + LOG_2PI).sum(axis=1)
-    log_post = -0.5 * ((z - mu) ** 2 / np.exp(logvar) + LOG_2PI
-                       + logvar).sum(axis=1)
+    # log p(z) = -0.5 * sum(z^2 + log 2pi) and
+    # log q(z|x,c) = -0.5 * sum((z - mu)^2 / sigma^2 + log 2pi + logvar),
+    # term by term in one scratch array
+    scratch = np.multiply(z, z)
+    scratch += LOG_2PI
+    log_prior = -0.5 * scratch.sum(axis=1)
+    np.subtract(z, mu, out=scratch)
+    np.square(scratch, out=scratch)
+    scratch /= np.exp(logvar)
+    scratch += LOG_2PI
+    scratch += logvar
+    log_post = -0.5 * scratch.sum(axis=1)
     for name, term in (("log p(x|z,c)", log_px), ("log p(z)", log_prior),
                        ("log q(z|x,c)", log_post)):
         if not np.isfinite(term).all():

@@ -20,7 +20,8 @@ each (tag, rows, sample ids, regret label) population it is given, names the
 tag when a detector fails, joins the parts in population order and picks the
 regret sign by the table's benign rows. `DetectConfig` is the run config's
 `detect` section. This module also owns both score file formats: `scores.csv`
-(finite scores of a known tag under its own header) and `nll_scores.csv`.
+(finite scores of a known tag and detector under its own header) and
+`nll_scores.csv`.
 """
 
 from __future__ import annotations
@@ -379,8 +380,8 @@ def scores_to_csv(path, sample_ids: np.ndarray, tags: np.ndarray,
 def scores_from_csv(path) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """{detector: (tags, scores)} from a scores.csv. A header other than
     SCORES_CSV_COLUMNS, a row of another width, a tag outside TAGS, a
-    non-finite or non-numeric score, or non-UTF-8 bytes are a ParseError
-    naming the file (and row)."""
+    detector outside DETECTORS, a non-finite or non-numeric score, or
+    non-UTF-8 bytes are a ParseError naming the file (and row)."""
     by_detector: dict[str, tuple[list, list]] = {}
     with open_csv(path) as fh:
         reader = csv.reader(fh)
@@ -396,6 +397,10 @@ def scores_from_csv(path) -> dict[str, tuple[np.ndarray, np.ndarray]]:
             if tag not in TAGS:
                 raise ParseError(f"{path}: row {row_no}: unknown tag '{tag}', "
                                  f"expected one of {list(TAGS)}")
+            if detector not in DETECTORS:
+                raise ParseError(f"{path}: row {row_no}: unknown detector "
+                                 f"'{detector}', expected one of "
+                                 f"{list(DETECTORS)}")
             try:
                 score = float(cell)
             except ValueError:

@@ -9,6 +9,9 @@ seed produces the same bits every run.
 A net holds only its layers: `forward(x, tape)` appends (input,
 pre-activation, output) per layer to the caller's list `tape`, and
 `backward(upstream, tape)` reads that pass back, whatever ran in between.
+A forward without a tape keeps nothing for backward, so each layer's
+activation overwrites its fresh pre-activation: the result is a fresh
+array, bitwise the taped pass's output, and the input is never written.
 
 `Mlp.backward(..., param_grads=False)` propagates only the input gradient
 when the caller would throw the weight gradients away, without changing a
@@ -44,15 +47,22 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return expd / expd.sum(axis=1, keepdims=True)
 
 
-def _activation_forward(name: str, z: np.ndarray) -> np.ndarray:
+def _activation_forward(name: str, z: np.ndarray,
+                        out: np.ndarray | None = None) -> np.ndarray:
+    """The activation of `z`; `out=z` overwrites `z` with it (relu, sigmoid
+    and tanh), bitwise the same values as a fresh result."""
     if name == "linear":
         return z
     if name == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=out)
     if name == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
+        # 1 / (1 + exp(-z)), one ufunc at a time in one buffer
+        act = np.negative(z, out=out)
+        np.exp(act, out=act)
+        act += 1.0
+        return np.divide(1.0, act, out=act)
     if name == "tanh":
-        return np.tanh(z)
+        return np.tanh(z, out=out)
     if name == "softmax":
         return softmax(z)
     raise ValueError(f"unknown activation '{name}'")
@@ -128,8 +138,12 @@ class Mlp:
                 f"batch has {x.shape[1]} features, net expects {self.in_dim}")
         out = x
         for layer in self.layers:
-            z = out @ layer.weights + layer.bias
-            act = _activation_forward(layer.activation, z)
+            z = out @ layer.weights
+            z += layer.bias
+            # z is fresh, so without a tape the activation overwrites it;
+            # a tape keeps the pre-activation for backward
+            act = _activation_forward(layer.activation, z,
+                                      out=z if tape is None else None)
             if tape is not None:
                 tape.append((out, z, act))
             out = act

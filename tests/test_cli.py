@@ -464,7 +464,10 @@ class TestExitCodes:
         (lambda lines: lines[:3] + [lines[3].replace(",adversarial,",
                                                      ",adversarail,")]
          + lines[4:], "row 4: unknown tag 'adversarail'"),
-    ], ids=["header", "non-numeric", "non-finite", "unknown-tag"])
+        (lambda lines: lines[:3] + [lines[3].replace(",nll,", ",nlll,")]
+         + lines[4:], "row 4: unknown detector 'nlll'"),
+    ], ids=["header", "non-numeric", "non-finite", "unknown-tag",
+            "unknown-detector"])
     def test_corrupt_scores_csv_is_5(self, pipeline, tiny_config, tmp_path,
                                      capsys, edit, message):
         out = tmp_path / "out"
@@ -531,6 +534,7 @@ class TestExitCodes:
         assert "i/o error" in err
         assert f"{out / 'models' / name}: {message}" in err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_every_regret_refit_diverging_is_4(self, pipeline, tmp_path,
                                                capsys):
         out = tmp_path / "out"

@@ -267,6 +267,13 @@ class TestImportanceWeights:
                            + np.log(2 * np.pi) + 0.4)
         assert w == pytest.approx(log_px + log_prior - log_post, abs=1e-10)
 
+    def test_draws_are_never_written(self):
+        model = flat_model(mu=0.3, logvar=0.4, probs=(0.6, 0.3))
+        draws = np.array([[0.4], [-1.2], [0.0]])
+        rng = FixedDraws(draws.copy())
+        cvae.iwae_bound(model, np.array([1.0, 0.0]), None, 3, rng)
+        assert np.array_equal(rng.draws, draws)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_term_is_named(self):
         model = flat_model(probs=(0.6, 0.3))
@@ -301,24 +308,54 @@ class TestLogMeanExp:
             cvae.log_mean_exp(np.array([]))
 
 
+def written_out_bound(model, x, label, k, seed):
+    """The log-weights behind iwae_bound, written as plain expressions."""
+    labels = None if label is None else np.full(k, label)
+    mu, logvar = cvae.encode(model, x[None, :],
+                             None if label is None else np.array([label]))
+    noise = np.random.default_rng(seed).standard_normal((k, model.latent_dim))
+    z = mu + np.exp(0.5 * logvar) * noise
+    probs = cvae.decode(model, z, labels)
+    log_px = cvae.bernoulli_log_likelihood(x[None, :], probs)
+    log_prior = -0.5 * (z * z + cvae.LOG_2PI).sum(axis=1)
+    log_post = -0.5 * ((z - mu) ** 2 / np.exp(logvar) + cvae.LOG_2PI
+                       + logvar).sum(axis=1)
+    return log_px + log_prior - log_post
+
+
+@pytest.fixture(scope="module")
+def trained_vae(trained_cvae):
+    model, _ = cvae.train_cvae(trained_cvae["train"], trained_cvae["config"],
+                               34, conditional=False)
+    return model
+
+
 class TestIwae:
     def test_k_one_equals_single_weight(self, trained_cvae):
         model = trained_cvae["model"]
         x = trained_cvae["test"].features[0]
         label = int(trained_cvae["test"].labels[0])
-        seed_rng = np.random.default_rng(19)
         got = cvae.iwae_bound(model, x, label, 1, np.random.default_rng(19))
-        mu, logvar = cvae.encode(model, x[None, :],
-                                 np.array([label]))
-        noise = seed_rng.standard_normal((1, model.latent_dim))
-        z = mu + np.exp(0.5 * logvar) * noise
-        probs = cvae.decode(model, z, np.array([label]))
-        log_px = cvae.bernoulli_log_likelihood(x[None, :], probs)
-        log_prior = -0.5 * (z * z + cvae.LOG_2PI).sum(axis=1)
-        log_post = -0.5 * ((z - mu) ** 2 / np.exp(logvar) + cvae.LOG_2PI
-                           + logvar).sum(axis=1)
-        want = (log_px + log_prior - log_post)[0]
-        assert got == want
+        assert got == written_out_bound(model, x, label, 1, 19)[0]
+
+    @pytest.mark.parametrize("label", [*range(data.N_CLASSES), None])
+    def test_k_500_weights_equal_the_written_out_ones(
+            self, trained_cvae, trained_vae, label, monkeypatch):
+        # the bound alone can round away a last-bit change in a weight
+        model = trained_vae if label is None else trained_cvae["model"]
+        x = trained_cvae["test"].features[2]
+        want = written_out_bound(model, x, label, 500, 20)
+        seen = []
+        log_mean_exp = cvae.log_mean_exp
+
+        def recording_log_mean_exp(weights):
+            seen.append(weights)
+            return log_mean_exp(weights)
+
+        monkeypatch.setattr(cvae, "log_mean_exp", recording_log_mean_exp)
+        got = cvae.iwae_bound(model, x, label, 500, np.random.default_rng(20))
+        assert np.array_equal(seen[0], want)
+        assert got == log_mean_exp(want)
 
     def test_each_bound_encodes_its_row_once(self, trained_cvae,
                                              monkeypatch):

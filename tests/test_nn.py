@@ -55,6 +55,22 @@ class TestForward:
         with pytest.raises(ShapeError):
             net.backward(np.zeros((2, 3)), [])
 
+    @pytest.mark.parametrize("activation", nn.ACTIVATIONS)
+    def test_forward_without_a_tape_equals_the_taped_output(self,
+                                                            activation):
+        hidden = "tanh" if activation == "softmax" else activation
+        net = toy_net([4, 8, 3], [hidden, activation])
+        x = np.random.default_rng(7).normal(scale=3.0, size=(6, 4))
+        x_before = x.copy()
+        tape = []
+        taped = net.forward(x, tape)
+        out = net.forward(x)
+        assert np.array_equal(out, taped)
+        assert np.array_equal(x, x_before)
+        assert not np.shares_memory(out, x)
+        for _, z, act in tape:
+            assert activation == "linear" or not np.shares_memory(z, act)
+
     def test_softmax_only_final(self):
         with pytest.raises(ValueError):
             toy_net([4, 8, 3], ["softmax", "relu"])
