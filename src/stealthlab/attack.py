@@ -214,19 +214,16 @@ def sweep(gen: Generator, ids_net: nn.Mlp, x_att: np.ndarray,
 
     ood_stats = {rho: stats(_ood(x_att, rho, seed))
                  for rho in config.rho_grid}
-    adv_stats: dict[tuple[float, int], dict] = {}
+    reports: list[StealthReport] = []
     for epsilon in config.epsilon_grid:
         snapshots = _trajectory(gen, x_att, labels, epsilon, config.n_ref_grid,
                                 seed)
-        for n_ref in config.n_ref_grid:
-            adv_stats[(epsilon, n_ref)] = stats(snapshots[n_ref])
-
-    reports: list[StealthReport] = []
-    for epsilon in config.epsilon_grid:
+        adv_stats = {n_ref: stats(snapshots[n_ref])
+                     for n_ref in config.n_ref_grid}
         for rho in config.rho_grid:
+            ood = ood_stats[rho]
             for n_ref in config.n_ref_grid:
-                adv = adv_stats[(epsilon, n_ref)]
-                ood = ood_stats[rho]
+                adv = adv_stats[n_ref]
                 reports.append(StealthReport(
                     epsilon=float(epsilon), rho=float(rho), n_ref=int(n_ref),
                     w_adv_att=adv["w"], w_ood_att=ood["w"],
@@ -235,11 +232,8 @@ def sweep(gen: Generator, ids_net: nn.Mlp, x_att: np.ndarray,
                     feasible=adv["succ"] >= config.eta_max,
                     w_adv_ben=adv["w_ben"], w_ood_ben=ood["w_ben"]))
 
-    selection = None
-    for report in reports:
-        if report.feasible and (selection is None
-                                or report.objective < selection.objective):
-            selection = report
+    selection = min((r for r in reports if r.feasible),
+                    key=lambda r: r.objective, default=None)
     return SweepResult(reports, selection)
 
 

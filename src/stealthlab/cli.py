@@ -240,16 +240,27 @@ def _write_curve_csv(path: Path, rows: list[dict], columns: list[str]) -> None:
 
 
 def _selected_operating_point(paths: dict) -> dict:
-    """The selected point in selection.json; DependencyError if none."""
+    """The selected point in selection.json; DependencyError if none, and a
+    ParseError naming the key if epsilon or rho is not finite and > 0 or
+    n_ref is negative."""
     selection = data.read_json(paths["selection"], {"feasible": bool,
                                                     "selected": dict | None})
     if not selection["feasible"] or selection["selected"] is None:
         raise DependencyError(
             "sweep found no feasible operating point; adjust the sweep "
             "grids or eta_max and rerun 'sweep'")
-    return data.check_keys(selection["selected"],
-                           {"epsilon": float, "rho": float, "n_ref": int},
-                           f"{paths['selection']}: 'selected'")
+    where = f"{paths['selection']}: 'selected'"
+    point = data.check_keys(selection["selected"],
+                            {"epsilon": float, "rho": float, "n_ref": int},
+                            where)
+    for key in ("epsilon", "rho"):
+        if not 0.0 < point[key] < np.inf:       # json reads NaN and Infinity
+            raise ParseError(f"{where}: '{key}' must be finite and > 0, "
+                             f"got {json.dumps(point[key])}")
+    if point["n_ref"] < 0:
+        raise ParseError(f"{where}: 'n_ref' must be >= 0, "
+                         f"got {point['n_ref']}")
+    return point
 
 
 # ---------------------------------------------------------------------------

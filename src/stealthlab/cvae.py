@@ -153,7 +153,7 @@ class ElboResult:
 def elbo_loss(model: CvaeModel, x: np.ndarray,
               labels: np.ndarray | None = None,
               rng: np.random.Generator | None = None,
-              noise: np.ndarray | None = None, kl_weight: float = 1.0,
+              noise: np.ndarray | None = None, *, kl_weight: float,
               with_grads: bool = True,
               posterior: np.ndarray | None = None) -> ElboResult:
     """Single-draw negative ELBO and its gradients for every parameter.

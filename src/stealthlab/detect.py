@@ -1,5 +1,6 @@
 """Detectors that separate crafted evasions from ordinary out-of-distribution
-noise, plus ROC tooling.
+noise, plus ROC tooling: `roc_auc` takes the curve and its AUC from one
+sorted pass over finite scores.
 
 Three scores, all oriented so that higher means "more likely adversarial":
 
@@ -295,45 +296,28 @@ class RocCurve:
 
 
 def roc_auc(scores: np.ndarray, positive: np.ndarray) -> RocCurve:
-    """Threshold sweep over the distinct scores; classify as positive when
-    score >= threshold. `positive` marks the positive rows. The AUC
-    accumulates in integer pair counts before a single division, so ties
-    contribute exactly one half.
+    """Threshold sweep over the distinct scores in one sorted pass; classify
+    as positive when score >= threshold. `positive` marks the positive rows.
+    The AUC is a doubled integer pair count divided once, so ties contribute
+    exactly one half. A non-finite score is a ValueError.
     """
     values = np.asarray(scores, dtype=np.float64)
     positive = np.asarray(positive, dtype=bool)
+    if not np.isfinite(values).all():
+        raise ValueError("scores must be finite")
     n_pos = int(positive.sum())
     n_neg = int(values.size - n_pos)
     if n_pos == 0 or n_neg == 0:
         raise ValueError("scores must contain at least one positive and one "
                          "negative row")
     order = np.argsort(-values, kind="stable")
-    thresholds = [np.inf]
-    fpr_counts = [0]
-    tpr_counts = [0]
-    area2 = 0   # doubled area in count units
-    cum_tp = 0
-    cum_fp = 0
-    idx = 0
-    while idx < values.size:
-        score = values[order[idx]]
-        tp_inc = 0
-        fp_inc = 0
-        while idx < values.size and values[order[idx]] == score:
-            if positive[order[idx]]:
-                tp_inc += 1
-            else:
-                fp_inc += 1
-            idx += 1
-        area2 += fp_inc * (2 * cum_tp + tp_inc)
-        cum_tp += tp_inc
-        cum_fp += fp_inc
-        thresholds.append(score)
-        tpr_counts.append(cum_tp)
-        fpr_counts.append(cum_fp)
-    return RocCurve(np.asarray(thresholds, dtype=np.float64),
-                    np.asarray(fpr_counts, dtype=np.float64) / n_neg,
-                    np.asarray(tpr_counts, dtype=np.float64) / n_pos,
+    ranked, hits = values[order], positive[order]
+    starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+    ends = np.r_[starts[1:], ranked.size] - 1
+    tp = np.r_[0, np.cumsum(hits)[ends]]
+    fp = np.r_[0, np.cumsum(~hits)[ends]]
+    area2 = int((np.diff(fp) * (tp[1:] + tp[:-1])).sum())
+    return RocCurve(np.r_[np.inf, ranked[starts]], fp / n_neg, tp / n_pos,
                     area2 / (2 * n_pos * n_neg))
 
 

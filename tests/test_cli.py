@@ -437,6 +437,32 @@ class TestExitCodes:
         assert "i/o error" in err
         assert str(out / sidecar) in err and message in err
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("n_ref", -1, "'n_ref' must be >= 0, got -1"),
+        ("epsilon", 0.0, "'epsilon' must be finite and > 0, got 0.0"),
+        ("rho", -0.5, "'rho' must be finite and > 0, got -0.5"),
+        ("epsilon", float("nan"), "'epsilon' must be finite and > 0, got NaN"),
+        ("rho", float("inf"), "'rho' must be finite and > 0, got Infinity"),
+        ("epsilon", float("-inf"),
+         "'epsilon' must be finite and > 0, got -Infinity"),
+    ], ids=["n_ref-negative", "epsilon-zero", "rho-negative", "epsilon-nan",
+            "rho-inf", "epsilon-minus-inf"])
+    def test_selected_point_out_of_range_is_5(self, pipeline, tiny_config,
+                                              tmp_path, capsys, key, value,
+                                              message):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline["out"], out)
+        path = out / "sweep" / "selection.json"
+        selection = json.loads(path.read_text(encoding="utf-8"))
+        selection["selected"][key] = value
+        path.write_text(json.dumps(selection), encoding="utf-8")
+        rc = cli.main(["detect", "--stage-only", "--config", tiny_config,
+                       "--out", str(out)])
+        assert rc == 5
+        err = capsys.readouterr().err
+        assert "i/o error" in err
+        assert f"{path}: 'selected': {message}" in err
+
     @pytest.mark.parametrize("key, value", [
         ("conditional", False), ("latent_dim", 5), ("n_classes", 3)])
     def test_cvae_meta_that_disagrees_with_the_weights_is_5(

@@ -118,7 +118,7 @@ class TestElbo:
     def test_standard_normal_posterior_has_zero_kl(self):
         model = flat_model(mu=0.0, logvar=0.0)
         res = cvae.elbo_loss(model, np.array([[0.3, 0.7]]),
-                             rng=derive_rng(8, "z"))
+                             rng=derive_rng(8, "z"), kl_weight=1.0)
         assert res.kl == 0.0
 
     def test_reconstruction_optimal_at_the_data(self):
@@ -136,13 +136,24 @@ class TestElbo:
         res = cvae.elbo_loss(model, x, labels, noise=noise, kl_weight=0.7)
         assert res.loss == pytest.approx(res.recon + 0.7 * res.kl, rel=1e-12)
 
+    def test_kl_weight_has_no_default(self):
+        # the trained objective's weight is cvae.kl_weight, not 1.0
+        model = toy_model(9)
+        x = derive_rng(10, "x").uniform(0.1, 0.9, size=(2, 4))
+        with pytest.raises(TypeError, match="kl_weight"):
+            cvae.elbo_loss(model, x, np.array([0, 1]),
+                           noise=np.zeros((2, 3)))
+        with pytest.raises(TypeError):
+            cvae.elbo_loss(model, x, np.array([0, 1]), None,
+                           np.zeros((2, 3)), 1.0)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_input_names_the_component(self):
         # constant nets stay finite, the x log p sum overflows to -inf
         model = flat_model(probs=(0.6, 0.3))
         x = np.full((1, 2), 1.7e308)
         with pytest.raises(NumericError, match="reconstruction"):
-            cvae.elbo_loss(model, x, noise=np.zeros((1, 1)))
+            cvae.elbo_loss(model, x, noise=np.zeros((1, 1)), kl_weight=1.0)
 
     def test_posterior_path_gives_the_encoder_upstream(self):
         model = toy_model(15)
@@ -166,7 +177,8 @@ class TestElbo:
         assert all(np.array_equal(a, b)
                    for a, b in zip(enc_grads, full.grads[:n_enc]))
         with pytest.raises(ShapeError):
-            cvae.elbo_loss(model, x, labels, noise=noise, posterior=post[:2])
+            cvae.elbo_loss(model, x, labels, noise=noise, kl_weight=1.0,
+                           posterior=post[:2])
 
     def test_gradcheck_with_frozen_noise(self):
         model = toy_model(13)

@@ -155,6 +155,31 @@ class TestRocAuc:
             assert np.array_equal(curve.fpr, base.fpr)
             assert np.array_equal(curve.tpr, base.tpr)
 
+    @pytest.mark.parametrize("first_zero", [-0.0, 0.0])
+    def test_curve_matches_written_out_reference(self, first_zero):
+        # tie-prone scores; the zero group's threshold keeps the sign of the
+        # group's first row, a +-0.0 tie included
+        rng = np.random.default_rng(21)
+        adv = np.r_[first_zero, rng.integers(-3, 6, 40) / 2.0, 0.0, -0.0]
+        ood = np.r_[-first_zero, rng.integers(-4, 4, 50) / 2.0]
+        curve = roc_of(adv, ood)
+        distinct = sorted(set(np.r_[adv, ood].tolist()), reverse=True)
+        assert curve.thresholds.tolist() == [np.inf] + distinct
+        zero = curve.thresholds == 0.0
+        assert zero.sum() == 1
+        assert np.signbit(curve.thresholds[zero]) == np.signbit(first_zero)
+        assert curve.fpr.tolist() == [(ood >= t).sum() / ood.size
+                                      for t in curve.thresholds]
+        assert curve.tpr.tolist() == [(adv >= t).sum() / adv.size
+                                      for t in curve.thresholds]
+        assert curve.auc == auc_oracle(adv, ood)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            detect.roc_auc(np.array([1.0, bad, 0.5]),
+                           np.array([True, False, False]))
+
     def test_single_tag_rejected(self):
         with pytest.raises(ValueError):
             detect.roc_auc(np.arange(3.0), np.ones(3, dtype=bool))
