@@ -16,8 +16,14 @@ Scoring uses the importance-weighted bound: with z_i ~ q(z|x,c),
     L_k = log(1/k sum_i exp(w_i))    (computed with max-shift)
     NLL = -L_k
 
-`iwae_bound` computes L_k for one row and `iwae_batch` the array of per-row
-bounds; the NLL detector negates it.
+The bound of one row has two independent halves. The q side,
+`iwae_proposal`, encodes the row, draws the k z_i and computes log p(z_i)
+and log q(z_i|x,c); the p side, `iwae_bound`, decodes the z_i as one k-row
+batch and weighs them into L_k. `iwae_batch` returns the array of per-row
+bounds, drawing row i+1's proposal on one worker thread while row i is
+decoded; the NLL detector negates it. One worker, and only the q side:
+a second thread decoding whole rows would hold a second k-row decoder batch
+and its BLAS buffer.
 
 `elbo_loss(..., posterior=...)` takes the ELBO and its gradient at a given
 posterior [mu | log-variance] instead of the encoder's; the likelihood-regret
@@ -35,6 +41,7 @@ config's `cvae` section. `save_cvae` returns the paths it wrote, and
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -269,22 +276,24 @@ def log_mean_exp(weights: np.ndarray) -> float:
     return float(np.log(np.exp(weights - shift).mean()) + shift)
 
 
-def iwae_bound(model: CvaeModel, x: np.ndarray, label: int | None, k: int,
-               rng: np.random.Generator) -> float:
-    """k-sample importance-weighted lower bound on log p(x [, c]): one
-    encoder pass, z_i = mu + sigma * noise_i for k draws from `rng`. The
-    k-row terms are computed in place, bitwise the plain expressions, and
-    the draws are never written: the rng may hand out an array it keeps."""
+# (z, log p(z), log q(z|x,c)) of one row's k draws
+Proposal = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def iwae_proposal(model: CvaeModel, x: np.ndarray, label: int | None, k: int,
+                  rng: np.random.Generator) -> Proposal:
+    """The q side of the k-sample bound for one row: (z, log p(z),
+    log q(z|x,c)) for z_i = mu + sigma * noise_i, one encoder pass and k
+    draws from `rng`. The k-row terms are computed in place, bitwise the
+    plain expressions, and the draws are never written: the rng may hand out
+    an array it keeps."""
     if k < 1:
         raise ValueError("k must be >= 1")
     x = np.asarray(x, dtype=np.float64).ravel()
     mu, logvar = encode(model, x[None, :],
                         None if label is None else np.array([label]))
-    noise = rng.standard_normal((k, model.latent_dim))
-    z = np.exp(0.5 * logvar) * noise
+    z = np.exp(0.5 * logvar) * rng.standard_normal((k, model.latent_dim))
     z += mu
-    probs = decode(model, z, None if label is None else np.full(k, label))
-    log_px = bernoulli_log_likelihood(np.broadcast_to(x, probs.shape), probs)
     # log p(z) = -0.5 * sum(z^2 + log 2pi) and
     # log q(z|x,c) = -0.5 * sum((z - mu)^2 / sigma^2 + log 2pi + logvar),
     # term by term in one scratch array
@@ -297,6 +306,18 @@ def iwae_bound(model: CvaeModel, x: np.ndarray, label: int | None, k: int,
     scratch += LOG_2PI
     scratch += logvar
     log_post = -0.5 * scratch.sum(axis=1)
+    return z, log_prior, log_post
+
+
+def iwae_bound(model: CvaeModel, x: np.ndarray, label: int | None,
+               proposal: Proposal) -> float:
+    """The p side: the k-sample importance-weighted lower bound on
+    log p(x [, c]) from `iwae_proposal`'s (z, log p(z), log q(z|x,c)) for
+    the same row and label, through one k-row decoder batch."""
+    z, log_prior, log_post = proposal
+    x = np.asarray(x, dtype=np.float64).ravel()
+    probs = decode(model, z, None if label is None else np.full(len(z), label))
+    log_px = bernoulli_log_likelihood(np.broadcast_to(x, probs.shape), probs)
     for name, term in (("log p(x|z,c)", log_px), ("log p(z)", log_prior),
                        ("log q(z|x,c)", log_post)):
         if not np.isfinite(term).all():
@@ -304,18 +325,44 @@ def iwae_bound(model: CvaeModel, x: np.ndarray, label: int | None, k: int,
     return log_mean_exp(log_px + log_prior - log_post)
 
 
+def _row_proposal(model: CvaeModel, row: np.ndarray, label: int | None,
+                  k: int, seed: int) -> Proposal:
+    row_seed = stable_hash(seed, "iwae", row.tobytes(),
+                           -1 if label is None else label)
+    return iwae_proposal(model, row, label, k, np.random.default_rng(row_seed))
+
+
 def iwae_batch(model: CvaeModel, batch: np.ndarray, labels: np.ndarray | None,
                k: int, seed: int = 0) -> np.ndarray:
     """The bound of each row, its draws seeded from its content and label:
-    duplicated rows score identically and order never matters."""
+    duplicated rows score identically and order never matters.
+
+    One worker thread runs row i+1's q side (`iwae_proposal`) while this
+    thread runs row i's p side (`iwae_bound`); numpy releases the GIL in the
+    draws, the k-row ufuncs and the decoder's GEMMs, so the halves overlap.
+    Each row's operations and their order are those of the two halves
+    composed, so every bound keeps its bits, and a row's q-side error is
+    read only after the row before it is weighed: errors surface in row
+    order, and the proposal drawn ahead of a failing row is dropped once the
+    worker is done with it. The worker never runs a k-row GEMM, so it adds no BLAS buffer
+    and its allocations hold one row's z and one scratch array. Splitting
+    whole rows between two threads would hold two decoder batches and their
+    BLAS buffers at once, for more peak memory.
+    """
     batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-    bounds = np.empty(batch.shape[0])
-    for i, row in enumerate(batch):
-        label = None if labels is None else int(labels[i])
-        row_seed = stable_hash(seed, "iwae", row.tobytes(),
-                               -1 if label is None else label)
-        bounds[i] = iwae_bound(model, row, label, k,
-                               np.random.default_rng(row_seed))
+    rows = [(row, None if labels is None else int(labels[i]))
+            for i, row in enumerate(batch)]
+    bounds = np.empty(len(rows))
+    with ThreadPoolExecutor(max_workers=1,
+                            thread_name_prefix="iwae-proposal") as worker:
+        if rows:
+            ahead = worker.submit(_row_proposal, model, *rows[0], k, seed)
+        for i, (row, label) in enumerate(rows):
+            proposal = ahead.result()
+            if i + 1 < len(rows):
+                ahead = worker.submit(_row_proposal, model, *rows[i + 1], k,
+                                      seed)
+            bounds[i] = iwae_bound(model, row, label, proposal)
     return bounds
 
 

@@ -182,11 +182,16 @@ def fit_gaussians(model: CvaeModel, train: Dataset,
             raise SchemaError(
                 f"class '{CLASS_NAMES[class_id]}' has {rows.size} "
                 f"training rows, need at least 2 to fit a covariance")
-        latents, _ = encode(model, train.features[rows],
-                            train.labels[rows] if model.conditional else None)
-        means[class_id] = latents.mean(axis=0)
-        centered = latents - means[class_id]
+        # for the stage's peak memory, one (rows x latent) array per class:
+        # a copy of the encoder means, so the encoder output and the
+        # log-variance go at once, centred in place, dropped before the
+        # shrinkage
+        centered = encode(model, train.features[rows], train.labels[rows]
+                          if model.conditional else None)[0].copy()
+        means[class_id] = centered.mean(axis=0)
+        centered -= means[class_id]
         cov = centered.T @ centered / (rows.size - 1)
+        del centered
         cov = (1.0 - shrinkage) * cov + shrinkage * np.diag(np.diag(cov))
         try:
             chols[class_id] = np.linalg.cholesky(cov)
@@ -299,10 +304,14 @@ def roc_auc(scores: np.ndarray, positive: np.ndarray) -> RocCurve:
     """Threshold sweep over the distinct scores in one sorted pass; classify
     as positive when score >= threshold. `positive` marks the positive rows.
     The AUC is a doubled integer pair count divided once, so ties contribute
-    exactly one half. A non-finite score is a ValueError.
+    exactly one half. A non-finite score, or a mask whose shape is not the
+    scores', is a ValueError.
     """
     values = np.asarray(scores, dtype=np.float64)
     positive = np.asarray(positive, dtype=bool)
+    if positive.shape != values.shape:
+        raise ValueError(f"positive mask has shape {positive.shape}, "
+                         f"scores have {values.shape}")
     if not np.isfinite(values).all():
         raise ValueError("scores must be finite")
     n_pos = int(positive.sum())

@@ -1,4 +1,5 @@
 import json
+import threading
 import time
 from pathlib import Path
 
@@ -9,6 +10,16 @@ from stealthlab import data, ids
 from stealthlab.cli import RunConfig, run_stage
 
 PIPELINE_STAGES = ["data", "ids", "gan", "cvae", "sweep", "detect", "report"]
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_alive():
+    """Fails a test that leaves a thread it started still running."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before]
+    if left:
+        pytest.fail(f"threads left alive: {left}")
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,11 @@
+import threading
+
 import numpy as np
 import pytest
 
 from stealthlab import cvae, data, nn
 from stealthlab.errors import NumericError, ShapeError
-from stealthlab.rng import derive_rng
+from stealthlab.rng import derive_rng, stable_hash
 
 
 def finite_difference(loss_fn, params, h=1e-5):
@@ -242,8 +244,16 @@ class TestTraining:
         assert np.array_equal(mu_a, mu_b)
 
 
+def composed_bound(model, x, label, k, rng):
+    """One row's bound: the q side, then the p side, as iwae_batch runs
+    them."""
+    return cvae.iwae_bound(model, x, label,
+                           cvae.iwae_proposal(model, x, label, k, rng))
+
+
 class FixedDraws:
-    """Stands in for iwae_bound's rng: its standard-normal draws are given."""
+    """Stands in for iwae_proposal's rng: its standard-normal draws are
+    given."""
 
     def __init__(self, draws):
         self.draws = np.asarray(draws, dtype=np.float64)
@@ -255,7 +265,8 @@ class FixedDraws:
 
 class TestImportanceWeights:
     # the log weights w_i = log p(x|z_i) + log p(z_i) - log q(z_i|x) behind
-    # iwae_bound, which draws its k noise rows from the rng it is given
+    # iwae_bound, whose proposal draws its k noise rows from the rng it is
+    # given
     def test_matched_proposal_reduces_to_likelihood(self):
         # q = p(z) = N(0, 1), so z = noise, and a decoder that ignores z:
         # every weight is log p(x), and so is their log-mean-exp for any k
@@ -265,13 +276,13 @@ class TestImportanceWeights:
         probs = np.array([[0.6, 0.3]])
         expected = cvae.bernoulli_log_likelihood(x[None, :], probs)[0]
         for k in (1, 2, 3):
-            assert cvae.iwae_bound(model, x, None, k,
-                                   FixedDraws(z[:k])) == expected
+            assert composed_bound(model, x, None, k,
+                                  FixedDraws(z[:k])) == expected
 
     def test_hand_computed_two_feature_toy(self):
         model = flat_model(mu=0.3, logvar=0.4, probs=(0.6, 0.3))
         x = np.array([1.0, 0.0])
-        w = cvae.iwae_bound(model, x, None, 1, np.random.default_rng(9))
+        w = composed_bound(model, x, None, 1, np.random.default_rng(9))
         z = 0.3 + np.exp(0.2) * np.random.default_rng(9).standard_normal()
         log_px = np.log(0.6) + np.log(0.7)
         log_prior = -0.5 * (z**2 + np.log(2 * np.pi))
@@ -283,7 +294,7 @@ class TestImportanceWeights:
         model = flat_model(mu=0.3, logvar=0.4, probs=(0.6, 0.3))
         draws = np.array([[0.4], [-1.2], [0.0]])
         rng = FixedDraws(draws.copy())
-        cvae.iwae_bound(model, np.array([1.0, 0.0]), None, 3, rng)
+        composed_bound(model, np.array([1.0, 0.0]), None, 3, rng)
         assert np.array_equal(rng.draws, draws)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -291,7 +302,7 @@ class TestImportanceWeights:
         model = flat_model(probs=(0.6, 0.3))
         x = np.full(2, 1.7e308)
         with pytest.raises(NumericError, match=r"log p\(x\|z"):
-            cvae.iwae_bound(model, x, None, 2, np.random.default_rng(0))
+            composed_bound(model, x, None, 2, np.random.default_rng(0))
 
 
 class TestLogMeanExp:
@@ -347,7 +358,7 @@ class TestIwae:
         model = trained_cvae["model"]
         x = trained_cvae["test"].features[0]
         label = int(trained_cvae["test"].labels[0])
-        got = cvae.iwae_bound(model, x, label, 1, np.random.default_rng(19))
+        got = composed_bound(model, x, label, 1, np.random.default_rng(19))
         assert got == written_out_bound(model, x, label, 1, 19)[0]
 
     @pytest.mark.parametrize("label", [*range(data.N_CLASSES), None])
@@ -365,7 +376,7 @@ class TestIwae:
             return log_mean_exp(weights)
 
         monkeypatch.setattr(cvae, "log_mean_exp", recording_log_mean_exp)
-        got = cvae.iwae_bound(model, x, label, 500, np.random.default_rng(20))
+        got = composed_bound(model, x, label, 500, np.random.default_rng(20))
         assert np.array_equal(seen[0], want)
         assert got == log_mean_exp(want)
 
@@ -374,7 +385,7 @@ class TestIwae:
         model = trained_cvae["model"]
         x = trained_cvae["test"].features[1]
         label = int(trained_cvae["test"].labels[1])
-        want = cvae.iwae_bound(model, x, label, 7, np.random.default_rng(5))
+        want = composed_bound(model, x, label, 7, np.random.default_rng(5))
         calls = []
         encode = cvae.encode
 
@@ -383,15 +394,15 @@ class TestIwae:
             return encode(*args, **kwargs)
 
         monkeypatch.setattr(cvae, "encode", counting_encode)
-        got = cvae.iwae_bound(model, x, label, 7, np.random.default_rng(5))
+        got = composed_bound(model, x, label, 7, np.random.default_rng(5))
         assert len(calls) == 1
         assert got == want
 
     def test_k_zero_rejected(self, trained_cvae):
         with pytest.raises(ValueError):
-            cvae.iwae_bound(trained_cvae["model"],
-                            trained_cvae["test"].features[0], 0, 0,
-                            np.random.default_rng(0))
+            composed_bound(trained_cvae["model"],
+                           trained_cvae["test"].features[0], 0, 0,
+                           np.random.default_rng(0))
 
     def test_ordering_in_k_over_test_batch(self, trained_cvae):
         model = trained_cvae["model"]
@@ -430,6 +441,72 @@ class TestIwae:
                                                        dtype=np.int64),
                                 10, seed=23)
         assert right.mean() > wrong.mean()    # lower NLL under the right label
+
+
+def rows_bounded_alone(model, rows, label, k, seed):
+    """iwae_batch's bounds, one row at a time, each from its content seed."""
+    return np.array([
+        composed_bound(model, row, label, k, np.random.default_rng(
+            stable_hash(seed, "iwae", row.tobytes(),
+                        -1 if label is None else label)))
+        for row in rows], dtype=np.float64)
+
+
+class TestIwaePipeline:
+    # iwae_batch draws row i+1's proposal on a worker while row i is weighed
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 37])
+    @pytest.mark.parametrize("k", [1, 500])
+    @pytest.mark.parametrize("label", [None, *range(data.N_CLASSES)])
+    def test_batch_equals_rows_bounded_alone(self, trained_cvae, trained_vae,
+                                             label, k, n_rows):
+        model = trained_vae if label is None else trained_cvae["model"]
+        rows = trained_cvae["test"].features[:n_rows]
+        labels = None if label is None else np.full(n_rows, label)
+        got = cvae.iwae_batch(model, rows, labels, k, seed=25)
+        want = rows_bounded_alone(model, rows, label, k, 25)
+        assert got.shape == (n_rows,)
+        assert got.tobytes() == want.tobytes()
+
+    @staticmethod
+    def faulty_rows(q_fault_row):
+        # row 1 overflows log p(x|z,c), a p-side fault; the NaN row makes
+        # the encoder's output non-finite, a q-side fault
+        rows = np.array([[0.2, 0.8], [1.7e308, 1.7e308], [0.5, 0.5],
+                         [0.9, 0.1]])
+        rows[q_fault_row, 0] = np.nan
+        return rows
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("q_fault_row", [2, 3])
+    def test_errors_surface_in_row_order(self, q_fault_row):
+        model = flat_model(probs=(0.6, 0.3))
+        rows = self.faulty_rows(q_fault_row)
+        row_rng = [np.random.default_rng(stable_hash(27, "iwae", row.tobytes(),
+                                                     -1))
+                   for row in rows]
+        proposal = cvae.iwae_proposal(model, rows[1], None, 4, row_rng[1])
+        with pytest.raises(NumericError) as alone:
+            cvae.iwae_bound(model, rows[1], None, proposal)
+        with pytest.raises(NumericError, match="forward pass"):
+            cvae.iwae_proposal(model, rows[q_fault_row], None, 4,
+                               row_rng[q_fault_row])
+        with pytest.raises(NumericError) as batched:
+            cvae.iwae_batch(model, rows, None, 4, seed=27)
+        assert "log p(x|z,c)" in str(alone.value)
+        assert str(batched.value) == str(alone.value)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_no_thread_outlives_a_call(self, trained_cvae):
+        before = threading.active_count()
+        cvae.iwae_batch(trained_cvae["model"],
+                        trained_cvae["test"].features[:5],
+                        trained_cvae["test"].labels[:5], 3, seed=28)
+        assert threading.active_count() == before
+        with pytest.raises(NumericError):
+            cvae.iwae_batch(flat_model(probs=(0.6, 0.3)),
+                            self.faulty_rows(3), None, 4, seed=28)
+        assert threading.active_count() == before
 
 
 class TestPersistence:

@@ -186,6 +186,12 @@ class TestRocAuc:
         with pytest.raises(ValueError):
             detect.roc_auc(np.arange(3.0), np.zeros(3, dtype=bool))
 
+    @pytest.mark.parametrize("mask", [[True, False, False, True],
+                                      [True, False]])
+    def test_mask_of_another_length_rejected(self, mask):
+        with pytest.raises(ValueError, match="positive mask"):
+            detect.roc_auc(np.array([3.0, 2.0, 1.0]), np.array(mask))
+
     def test_curve_is_monotone(self):
         rng = np.random.default_rng(3)
         curve = roc_of(rng.integers(0, 8, 50) / 7.0,
@@ -302,6 +308,22 @@ class TestMahalanobis:
             per_class[class_id] = np.sqrt(((u - mean) ** 2 / var).sum(axis=1))
         assert np.allclose(scores, per_class.min(axis=0),
                            rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("shrinkage", [0.0, 0.1, 1.0])
+    def test_fit_equals_the_written_out_steps(self, lab, shrinkage):
+        model, train = lab["cvae"], lab["train"]
+        gaussians = detect.fit_gaussians(model, train, shrinkage)
+        for class_id in range(data.N_CLASSES):
+            rows = train.class_rows(class_id)
+            latents = cvae.encode(model, train.features[rows],
+                                  train.labels[rows])[0]
+            mean = latents.mean(axis=0)
+            centered = latents - mean
+            cov = centered.T @ centered / (rows.size - 1)
+            cov = (1.0 - shrinkage) * cov + shrinkage * np.diag(np.diag(cov))
+            assert gaussians.means[class_id].tobytes() == mean.tobytes()
+            assert (gaussians.choleskys[class_id].tobytes()
+                    == np.linalg.cholesky(cov).tobytes())
 
     def test_constant_latents_raise_without_shrinkage_cure(self):
         # zero-weight encoder collapses every row to the same latent mean
