@@ -22,14 +22,13 @@ themselves.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
 from . import nn
 from .cgan import Generator, generate_perturbation
-from .data import atomic_write
+from .data import write_csv
 from .errors import ShapeError
 from .ids import predict_label
 from .rng import derive_rng, derive_seed
@@ -237,19 +236,6 @@ def sweep(gen: Generator, ids_net: nn.Mlp, x_att: np.ndarray,
     return SweepResult(reports, selection)
 
 
-SWEEP_CSV_COLUMNS = ["epsilon", "rho", "n_ref", "w_adv_att", "w_ood_att",
-                     "objective", "succ_adv", "succ_ood", "feasible",
-                     "w_adv_ben", "w_ood_ben"]
-
-
 def sweep_to_csv(result: SweepResult, path) -> None:
-    with atomic_write(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_CSV_COLUMNS)
-        for r in result.reports:
-            writer.writerow([repr(r.epsilon), repr(r.rho), str(r.n_ref),
-                             repr(r.w_adv_att), repr(r.w_ood_att),
-                             repr(r.objective), repr(r.succ_adv),
-                             repr(r.succ_ood),
-                             "true" if r.feasible else "false",
-                             repr(r.w_adv_ben), repr(r.w_ood_ben)])
+    write_csv(path, [f.name for f in fields(StealthReport)],
+              map(astuple, result.reports))

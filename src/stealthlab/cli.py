@@ -25,6 +25,7 @@ import sys
 import time
 import typing
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable
 
@@ -227,18 +228,6 @@ def _paths(out_dir: Path) -> dict:
     }
 
 
-def _write_curve_csv(path: Path, rows: list[dict], columns: list[str]) -> None:
-    with data.atomic_write(path) as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            cells = []
-            for col in columns:
-                value = row[col]
-                cells.append(str(value) if isinstance(value, int)
-                             else repr(float(value)))
-            fh.write(",".join(cells) + "\n")
-
-
 def _selected_operating_point(paths: dict) -> dict:
     """The selected point in selection.json; DependencyError if none, and a
     ParseError naming the key if epsilon or rho is not finite and > 0 or
@@ -301,8 +290,9 @@ def stage_ids(config: RunConfig, out_dir: Path) -> tuple[list[Path], dict]:
     artifacts = ids.save_ids(net, paths["models"], extra_meta={
         "scaler_ref": str(paths["scaler"].relative_to(out_dir)),
         "metrics": metrics, "config": dataclasses.asdict(config.ids)})
-    _write_curve_csv(paths["ids_curve"], curve,
-                     ["epoch", "loss", "train_accuracy"])
+    columns = ["epoch", "loss", "train_accuracy"]
+    data.write_csv(paths["ids_curve"], columns,
+                   map(itemgetter(*columns), curve), "\n")
     return artifacts + [paths["ids_curve"]], metrics
 
 
@@ -319,12 +309,11 @@ def stage_gan(config: RunConfig, out_dir: Path) -> tuple[list[Path], dict]:
                            "training; the frozen-oracle contract is broken")
     artifacts = (cgan.save_generator(generator, paths["models"])
                  + cgan.save_discriminator(discriminator, paths["models"]))
-    _write_curve_csv(paths["gan_curve"], curve,
-                     ["epoch", "d_loss", "g_cls", "g_stealth", "g_gan"])
+    columns = ["epoch", "d_loss", "g_cls", "g_stealth", "g_gan"]
+    data.write_csv(paths["gan_curve"], columns,
+                   map(itemgetter(*columns), curve), "\n")
     meta = {"epochs_run": len(curve),
-            "final": {k: curve[-1][k] for k in
-                      ("d_loss", "g_cls", "g_stealth", "g_gan")}
-            if curve else {}}
+            "final": {k: curve[-1][k] for k in columns[1:]} if curve else {}}
     return artifacts + [paths["gan_curve"]], meta
 
 
@@ -339,11 +328,12 @@ def stage_cvae(config: RunConfig, out_dir: Path) -> tuple[list[Path], dict]:
                                        derive_seed(config.seed, "cvae"),
                                        conditional)
         artifacts.extend(cvae.save_cvae(model, paths["models"], name=name))
-        _write_curve_csv(curve_path, curve, ["epoch", "loss", "recon", "kl"])
+        columns = ["epoch", "loss", "recon", "kl"]
+        data.write_csv(curve_path, columns, map(itemgetter(*columns), curve),
+                       "\n")
         artifacts.append(curve_path)
-        meta[name] = {"final_loss": curve[-1]["loss"],
-                      "final_recon": curve[-1]["recon"],
-                      "final_kl": curve[-1]["kl"]} if curve else {}
+        meta[name] = {f"final_{k}": curve[-1][k]
+                      for k in columns[1:]} if curve else {}
 
     fit(True, "cvae", paths["cvae_curve"])
     if config.cvae.train_baseline_vae:
@@ -463,7 +453,8 @@ def stage_report(config: RunConfig, out_dir: Path) -> tuple[list[Path], dict]:
                                tags[adv_ood] == detect.TAG_ADVERSARIAL)
         aucs[name] = curve.auc
         roc_path = report_dir / f"roc_{name}.csv"
-        detect.roc_to_csv(curve, roc_path)
+        data.write_csv(roc_path, ["threshold", "fpr", "tpr"],
+                       zip(curve.thresholds, curve.fpr, curve.tpr))
         hist_path = report_dir / f"hist_{name}.csv"
         detect.histograms_to_csv(
             detect.export_histograms(scores, tags,

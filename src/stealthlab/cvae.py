@@ -158,15 +158,13 @@ class ElboResult:
 
 
 def elbo_loss(model: CvaeModel, x: np.ndarray,
-              labels: np.ndarray | None = None,
-              rng: np.random.Generator | None = None,
-              noise: np.ndarray | None = None, *, kl_weight: float,
-              with_grads: bool = True,
+              labels: np.ndarray | None = None, *, noise: np.ndarray,
+              kl_weight: float, with_grads: bool = True,
               posterior: np.ndarray | None = None) -> ElboResult:
     """Single-draw negative ELBO and its gradients for every parameter.
 
-    Pass `noise` to freeze the reparameterization draw (gradient checks,
-    per-sample refits); otherwise it is drawn from `rng`. Pass `posterior`,
+    `noise` is the (n, latent_dim) standard-normal reparameterization
+    draw, which the caller makes (or freezes). Pass `posterior`,
     an (n, 2 * latent_dim) array [mu | log-variance] such as the encoder's
     output, to take the ELBO at that posterior instead of the encoder's: the
     encoder does not run, the decoder is backpropagated for its input
@@ -186,10 +184,6 @@ def elbo_loss(model: CvaeModel, x: np.ndarray,
     mu = post[:, :model.latent_dim]
     raw_logvar = post[:, model.latent_dim:]
     logvar = np.clip(raw_logvar, LOGVAR_MIN, LOGVAR_MAX)
-    if noise is None:
-        if rng is None:
-            raise ValueError("need rng or frozen noise")
-        noise = rng.standard_normal(mu.shape)
     noise = np.asarray(noise, dtype=np.float64)
     if noise.shape != mu.shape:
         raise ShapeError("noise shape must match (n, latent_dim)")
@@ -235,22 +229,24 @@ def train_cvae(train: Dataset, config: CvaeTrainConfig, seed: int,
     """Minibatch Adam on the ELBO loss; conditional=False fits a plain VAE.
 
     Curve rows: {epoch, loss, recon, kl}; the reconstruction column is what
-    the conditional-vs-plain comparison reads.
-    """
+    the conditional-vs-plain comparison reads. Every batch draws its noise
+    into one buffer: a fresh array per batch raises the stage's peak memory."""
     rng = derive_rng(seed, "cvae-train")
     model = build_cvae(rng, input_dim=train.features.shape[1],
                        latent_dim=config.latent_dim,
                        conditional=conditional)
     optimiser = nn.adam_init(model.params(), config.learning_rate)
     curve: list[dict] = []
+    draws = np.empty((config.batch_size, model.latent_dim))
     for epoch in range(config.epochs):
         order = rng.permutation(train.n)
         sums = {"loss": 0.0, "recon": 0.0, "kl": 0.0}
         for start in range(0, train.n, config.batch_size):
             rows = order[start:start + config.batch_size]
+            noise = rng.standard_normal(out=draws[:rows.size])
             result = elbo_loss(model, train.features[rows],
                                train.labels[rows] if conditional else None,
-                               rng=rng, kl_weight=config.kl_weight)
+                               noise=noise, kl_weight=config.kl_weight)
             nn.adam_step(optimiser, model.params(), result.grads)
             sums["loss"] += result.loss * rows.size
             sums["recon"] += result.recon * rows.size

@@ -12,6 +12,9 @@ from, the train fraction and the synthetic generator's shape. The seed is an
 argument, `synth_generate(config, seed)`. `write_json` is the package's one
 JSON artifact writer and `read_json` its one reader: a file that is not a
 JSON object with the keys and types its reader names is a ParseError.
+`write_csv` is the one CSV artifact writer: the modules that own a CSV
+format decide its header and rows, and this one how a cell and a line are
+written.
 """
 
 from __future__ import annotations
@@ -174,16 +177,32 @@ def load_csv(path) -> Dataset:
 
 
 def save_csv(path, dataset: Dataset) -> None:
-    """Write a dataset in the same schema load_csv reads (labels as names).
+    """Write a dataset in the same schema load_csv reads (labels as names)."""
+    # row by row: the whole matrix as Python floats raises peak memory by MiBs
+    write_csv(path, list(dataset.feature_names) + [LABEL_COLUMN],
+              (row.tolist() + [CLASS_NAMES[label]] for row, label in
+               zip(dataset.features, dataset.labels)))
 
-    Floats are serialised with repr so a load round-trips bit exactly.
-    """
+
+def write_csv(path, header: list[str], rows, lineterminator="\r\n") -> None:
+    """`header`, then a line per row, through `atomic_write`: a bool cell is
+    `true`/`false`, an integer (numpy's too) bare, a string as it is, and
+    any other number the repr of its float, so it loads back bit for bit."""
     with atomic_write(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(dataset.feature_names) + [LABEL_COLUMN])
-        for row, label in zip(dataset.features, dataset.labels):
-            writer.writerow([repr(float(v)) for v in row]
-                            + [CLASS_NAMES[label]])
+        writer = csv.writer(fh, lineterminator=lineterminator)
+        writer.writerow(header)
+        for row in rows:
+            # most cells are floats: one type test, no call, for those
+            writer.writerow([repr(v) if type(v) is float else _cell(v)
+                             for v in row])
+
+
+def _cell(value) -> str:
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return value if isinstance(value, str) else repr(float(value))
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import nn
 from .cvae import CvaeModel, elbo_loss, encode, iwae_batch
-from .data import CLASS_NAMES, N_CLASSES, Dataset, atomic_write, open_csv
+from .data import CLASS_NAMES, N_CLASSES, Dataset, open_csv, write_csv
 from .errors import NumericError, ParseError, SchemaError
 from .ids import predict_label
 from .rng import derive_seed, stable_hash
@@ -138,23 +138,23 @@ def score_table(populations: list[tuple], model: CvaeModel, ids_net: nn.Mlp,
 def score_nll(model: CvaeModel, ids_net: nn.Mlp, batch: np.ndarray,
               k: int = 50, seed: int = 0,
               label_mode: str = "ids") -> tuple[np.ndarray, np.ndarray]:
-    """(importance-weighted NLL, label conditioned on) per row, per
-    `label_mode`: "ids" uses the intrusion detector's predicted label, "min"
-    scores under every label and keeps the smallest NLL."""
+    """(importance-weighted NLL, label conditioned on) per row, the least
+    over the candidate labels: the intrusion detector's prediction ("ids"
+    `label_mode`, or a plain VAE) or, in "min" mode, every label."""
     batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     if label_mode not in ("ids", "min"):
         raise ValueError("label_mode must be 'ids' or 'min'")
     if label_mode == "ids" or not model.conditional:
-        labels = predict_label(ids_net, batch)
-        return -iwae_batch(model, batch,
-                           labels if model.conditional else None, k,
-                           seed), labels
+        candidates = predict_label(ids_net, batch)[None, :]
+    else:
+        candidates = np.arange(N_CLASSES)[:, None].repeat(batch.shape[0], 1)
     per_label = -np.stack([
-        iwae_batch(model, batch, np.full(batch.shape[0], c, dtype=np.int64),
-                   k, seed)
-        for c in range(N_CLASSES)
+        iwae_batch(model, batch, labels if model.conditional else None, k,
+                   seed)
+        for labels in candidates
     ])
-    return per_label.min(axis=0), per_label.argmin(axis=0)
+    return per_label.min(axis=0), np.choose(per_label.argmin(axis=0),
+                                            candidates)
 
 
 # ---------------------------------------------------------------------------
@@ -360,22 +360,20 @@ def scores_to_csv(path, sample_ids: np.ndarray, tags: np.ndarray,
                   scores: dict[str, np.ndarray]) -> None:
     """One row per (detector, row) with a finite score, detectors in the
     order of `scores`, rows in table order."""
-    with atomic_write(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SCORES_CSV_COLUMNS)
-        for detector, values in scores.items():
-            for sid, tag, score in zip(sample_ids, tags, values):
-                if np.isfinite(score):
-                    writer.writerow([int(sid), tag, detector,
-                                     repr(float(score))])
+    write_csv(path, SCORES_CSV_COLUMNS, [
+        (sid, tag, detector, score) for detector, values in scores.items()
+        for sid, tag, score in zip(sample_ids, tags, values)
+        if np.isfinite(score)])
 
 
 def scores_from_csv(path) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """{detector: (tags, scores)} from a scores.csv. A header other than
-    SCORES_CSV_COLUMNS, a row of another width, a tag outside TAGS, a
-    detector outside DETECTORS, a non-finite or non-numeric score, or
+    SCORES_CSV_COLUMNS, a row of another width, a sample id that is not a
+    non-negative integer or repeats with its tag and detector, a tag outside
+    TAGS, a detector outside DETECTORS, a non-finite or non-numeric score, or
     non-UTF-8 bytes are a ParseError naming the file (and row)."""
     by_detector: dict[str, tuple[list, list]] = {}
+    first_row: dict[tuple, int] = {}    # (sample id, tag, detector) -> row
     with open_csv(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -386,7 +384,10 @@ def scores_from_csv(path) -> dict[str, tuple[np.ndarray, np.ndarray]]:
             if len(row) != len(header):
                 raise ParseError(f"{path}: row {row_no} has {len(row)} "
                                  f"cells, expected {len(header)}")
-            _, tag, detector, cell = row
+            sid, tag, detector, cell = row
+            if not (sid.isascii() and sid.isdigit()):
+                raise ParseError(f"{path}: row {row_no}: sample_id '{sid}' "
+                                 f"is not a non-negative integer")
             if tag not in TAGS:
                 raise ParseError(f"{path}: row {row_no}: unknown tag '{tag}', "
                                  f"expected one of {list(TAGS)}")
@@ -394,6 +395,10 @@ def scores_from_csv(path) -> dict[str, tuple[np.ndarray, np.ndarray]]:
                 raise ParseError(f"{path}: row {row_no}: unknown detector "
                                  f"'{detector}', expected one of "
                                  f"{list(DETECTORS)}")
+            earlier = first_row.setdefault((int(sid), tag, detector), row_no)
+            if earlier != row_no:
+                raise ParseError(f"{path}: row {row_no} repeats the sample_id,"
+                                 f" tag and detector of row {earlier}")
             try:
                 score = float(cell)
             except ValueError:
@@ -410,30 +415,13 @@ def scores_from_csv(path) -> dict[str, tuple[np.ndarray, np.ndarray]]:
 
 
 def nll_scores_to_csv(path, table: ScoreTable, k: int) -> None:
-    with atomic_write(path) as fh:
-        fh.write("sample_id,source_tag,label_used,k,nll\n")
-        for sid, tag, label, score in zip(table.sample_ids, table.tags,
-                                          table.nll_labels,
-                                          table.scores["nll"]):
-            fh.write(f"{int(sid)},{tag},{int(label)},{k},"
-                     f"{repr(float(score))}\n")
-
-
-def roc_to_csv(curve: RocCurve, path) -> None:
-    with atomic_write(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["threshold", "fpr", "tpr"])
-        for thr, fpr, tpr in zip(curve.thresholds, curve.fpr, curve.tpr):
-            writer.writerow([repr(float(thr)), repr(float(fpr)),
-                             repr(float(tpr))])
+    write_csv(path, ["sample_id", "source_tag", "label_used", "k", "nll"],
+              zip(table.sample_ids, table.tags, table.nll_labels,
+                  [k] * len(table.tags), table.scores["nll"]), "\n")
 
 
 def histograms_to_csv(hist: dict, path) -> None:
     edges = hist["edges"]
-    with atomic_write(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tag", "bin_lo", "bin_hi", "count"])
-        for tag in sorted(hist["counts"]):
-            for i, count in enumerate(hist["counts"][tag]):
-                writer.writerow([tag, repr(float(edges[i])),
-                                 repr(float(edges[i + 1])), int(count)])
+    write_csv(path, ["tag", "bin_lo", "bin_hi", "count"], [
+        (tag, lo, hi, count) for tag in sorted(hist["counts"])
+        for lo, hi, count in zip(edges[:-1], edges[1:], hist["counts"][tag])])

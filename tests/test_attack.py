@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -362,7 +363,8 @@ class TestSweep:
         attack.sweep_to_csv(result, path)
         lines = path.read_text().splitlines()
         header = lines[0].split(",")
-        assert header == attack.SWEEP_CSV_COLUMNS
+        assert header == [f.name for f in
+                          dataclasses.fields(attack.StealthReport)]
         assert header[9:] == ["w_adv_ben", "w_ood_ben"]
         row = dict(zip(header, lines[1].split(",")))
         report = result.reports[0]

@@ -492,8 +492,12 @@ class TestExitCodes:
          + lines[4:], "row 4: unknown tag 'adversarail'"),
         (lambda lines: lines[:3] + [lines[3].replace(",nll,", ",nlll,")]
          + lines[4:], "row 4: unknown detector 'nlll'"),
+        (lambda lines: lines[:3] + ["abc," + lines[3].split(",", 1)[1]]
+         + lines[4:], "row 4: sample_id 'abc' is not a non-negative integer"),
+        (lambda lines: lines[:4] + [lines[3]] + lines[4:],
+         "row 5 repeats the sample_id, tag and detector of row 4"),
     ], ids=["header", "non-numeric", "non-finite", "unknown-tag",
-            "unknown-detector"])
+            "unknown-detector", "sample-id", "repeated-row"])
     def test_corrupt_scores_csv_is_5(self, pipeline, tiny_config, tmp_path,
                                      capsys, edit, message):
         out = tmp_path / "out"
@@ -693,7 +697,7 @@ class TestManifest:
             raise OSError("disk full")
 
         class WriterThatFails:
-            def __init__(self, fh):
+            def __init__(self, fh, lineterminator):
                 self.fh = fh
 
             def writerow(self, row):

@@ -120,7 +120,8 @@ class TestElbo:
     def test_standard_normal_posterior_has_zero_kl(self):
         model = flat_model(mu=0.0, logvar=0.0)
         res = cvae.elbo_loss(model, np.array([[0.3, 0.7]]),
-                             rng=derive_rng(8, "z"), kl_weight=1.0)
+                             noise=derive_rng(8, "z").standard_normal((1, 1)),
+                             kl_weight=1.0)
         assert res.kl == 0.0
 
     def test_reconstruction_optimal_at_the_data(self):
@@ -146,8 +147,8 @@ class TestElbo:
             cvae.elbo_loss(model, x, np.array([0, 1]),
                            noise=np.zeros((2, 3)))
         with pytest.raises(TypeError):
-            cvae.elbo_loss(model, x, np.array([0, 1]), None,
-                           np.zeros((2, 3)), 1.0)
+            cvae.elbo_loss(model, x, np.array([0, 1]), np.zeros((2, 3)),
+                           1.0)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_input_names_the_component(self):

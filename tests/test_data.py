@@ -91,6 +91,24 @@ class TestCsv:
         assert ds.n == 1
         assert ds.labels[0] == data.CLASS_NAMES.index("deauth")
 
+    @pytest.mark.parametrize("lineterminator, expected", [
+        ("\r\n", b'"sample_id, padded",x,y,z,flag,tag\r\n'
+                 b'3,0.1,-0.0,inf,true,benign\r\n'
+                 b'7,1e-05,2.5,-inf,false,adversarial\r\n'),
+        ("\n", b'"sample_id, padded",x,y,z,flag,tag\n'
+               b'3,0.1,-0.0,inf,true,benign\n'
+               b'7,1e-05,2.5,-inf,false,adversarial\n'),
+    ], ids=["crlf", "lf"])
+    def test_write_csv_bytes(self, tmp_path, lineterminator, expected):
+        path = tmp_path / "table.csv"
+        data.write_csv(path, ["sample_id, padded", "x", "y", "z", "flag",
+                              "tag"],
+                       [[np.int64(3), np.float64(0.1), -0.0, float("inf"),
+                         True, "benign"],
+                        (7, 1e-05, np.float64(2.5), -np.inf, np.bool_(False),
+                         "adversarial")], lineterminator)
+        assert path.read_bytes() == expected
+
 
 class TestScaler:
     def test_basic_mapping(self):

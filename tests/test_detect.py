@@ -205,7 +205,8 @@ class TestRocAuc:
     def test_roc_csv_round_trip(self, tmp_path):
         curve = roc_of([1.0, 2.0], [0.5, 1.5])
         path = tmp_path / "roc.csv"
-        detect.roc_to_csv(curve, path)
+        data.write_csv(path, ["threshold", "fpr", "tpr"],
+                       zip(curve.thresholds, curve.fpr, curve.tpr))
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [float(r["threshold"]) for r in rows] \
