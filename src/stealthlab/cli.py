@@ -60,8 +60,8 @@ class RunConfig:
 
 def _build_section(cls, payload: dict, where: str):
     """cls(**payload), recursing into dataclass-typed fields; unknown keys,
-    values of the wrong type and values the section's checks reject are
-    ConfigErrors."""
+    values of the wrong type, non-finite floats (JSON's NaN and Infinity) and
+    values the section's checks reject are ConfigErrors."""
     if not isinstance(payload, dict):
         raise ConfigError(f"{where or 'config'} must be a JSON object")
     hints = typing.get_type_hints(cls)
@@ -78,6 +78,10 @@ def _build_section(cls, payload: dict, where: str):
                 f"'{name}' must be of type "
                 f"{hint.__name__ if isinstance(hint, type) else hint}, "
                 f"got {json.dumps(value)}")
+        elif any(isinstance(v, float) and not np.isfinite(v)
+                 for v in (value if isinstance(value, list) else [value])):
+            raise ConfigError(f"'{name}' must be finite, "
+                              f"got {json.dumps(value)}")
         kwargs[key] = value
     try:
         return cls(**kwargs)
@@ -105,7 +109,7 @@ def load_config(path: str | None, out_override: str | None = None,
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 payload = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:        # invalid JSON or bad UTF-8
                 raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
         config = parse_config(payload)
     if out_override is not None:

@@ -12,9 +12,9 @@ from, the train fraction and the synthetic generator's shape. The seed is an
 argument, `synth_generate(config, seed)`. `write_json` is the package's one
 JSON artifact writer and `read_json` its one reader: a file that is not a
 JSON object with the keys and types its reader names is a ParseError.
-`write_csv` is the one CSV artifact writer: the modules that own a CSV
-format decide its header and rows, and this one how a cell and a line are
-written.
+`write_csv` is the one CSV artifact writer and `read_csv` the one CSV
+reader: the modules that own a CSV format decide its header and rows, and
+this one how a cell and a line are written and how a file splits into rows.
 """
 
 from __future__ import annotations
@@ -90,90 +90,86 @@ def default_feature_names(n: int = N_FEATURES) -> list[str]:
 # columns plus a label column called "label" (any position, case-insensitive).
 # Label cells hold class names or integer class indices.
 
-@contextmanager
-def open_csv(path):
-    """`path` opened for csv.reader; non-UTF-8 bytes are a ParseError."""
+def read_csv(path):
+    """Yield `path`'s header cells (None for an empty file), then (row
+    number, cells) for each row after it; a blank row is skipped but counted.
+    Bytes that are not UTF-8, or a row of another width than the header, are
+    a ParseError naming the file."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            yield fh
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            yield header
+            for row_no, cells in enumerate(reader, start=2):
+                if not cells:
+                    continue
+                if len(cells) != len(header):
+                    raise ParseError(
+                        f"{path}: row {row_no} has {len(cells)} cells, "
+                        f"expected {len(header)}")
+                yield row_no, cells
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not valid UTF-8 ({exc.reason})") from None
 
 
 def load_csv(path) -> Dataset:
-    with open_csv(path) as fh:
-        reader = csv.reader(fh)
+    rows = read_csv(path)
+    header = next(rows)
+    if header is None:
+        raise SchemaError(f"{path}: empty file, header row required")
+    header = [h.strip() for h in header]
+    label_idx = next((i for i, name in enumerate(header)
+                      if name.lower() == LABEL_COLUMN), None)
+    if label_idx is None:
+        raise SchemaError(f"{path}: missing column '{LABEL_COLUMN}'")
+    feature_names = header[:label_idx] + header[label_idx + 1:]
+    if len(feature_names) != N_FEATURES:
+        raise SchemaError(
+            f"{path}: expected {N_FEATURES} feature columns, "
+            f"found {len(feature_names)}")
+    name_to_id = {n.lower(): i for i, n in enumerate(CLASS_NAMES)}
+    features, labels = [], []
+    for row_no, cells in rows:
+        raw_label = cells.pop(label_idx).strip()
+        # one parse per row, float()'s bits; a cell is located only when
+        # the row fails
         try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file, header row required") from None
-        header = [h.strip() for h in header]
-        label_idx = None
-        for i, name in enumerate(header):
-            if name.lower() == LABEL_COLUMN:
-                label_idx = i
-                break
-        if label_idx is None:
-            raise SchemaError(f"{path}: missing column '{LABEL_COLUMN}'")
-        feature_names = [h for i, h in enumerate(header) if i != label_idx]
-        if len(feature_names) != N_FEATURES:
-            raise SchemaError(
-                f"{path}: expected {N_FEATURES} feature columns, "
-                f"found {len(feature_names)}")
-        name_to_id = {n.lower(): i for i, n in enumerate(CLASS_NAMES)}
-        features = []
-        labels = []
-        blank_rows = []
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                blank_rows.append(row_no)
-                continue
-            if len(row) != len(header):
-                raise ParseError(
-                    f"{path}: row {row_no} has {len(row)} cells, "
-                    f"expected {len(header)}")
-            feats = np.empty(N_FEATURES)
-            col = 0
-            for i, cell in enumerate(row):
-                if i == label_idx:
-                    continue
-                try:
-                    feats[col] = float(cell)
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: row {row_no}, column '{header[i]}': "
-                        f"non-numeric cell '{cell.strip()}'") from None
-                col += 1
-            raw_label = row[label_idx].strip()
-            if raw_label.lower() in name_to_id:
-                labels.append(name_to_id[raw_label.lower()])
-            else:
-                try:
-                    as_int = int(raw_label)
-                except ValueError:
-                    raise LabelError(
-                        f"{path}: row {row_no}: unknown label '{raw_label}'"
-                    ) from None
-                if not 0 <= as_int < N_CLASSES:
-                    raise LabelError(
-                        f"{path}: row {row_no}: label index {as_int} out of range")
-                labels.append(as_int)
-            features.append(feats)
+            feats = np.array(cells, dtype=np.float64)
+        except ValueError:
+            feats = None
+        if feats is None or not np.isfinite(feats).all():
+            raise _bad_cell(f"{path}: row {row_no}", feature_names, cells)
+        label = name_to_id.get(raw_label.lower())
+        if label is None:
+            try:
+                label = int(raw_label)
+            except ValueError:
+                raise LabelError(
+                    f"{path}: row {row_no}: unknown label '{raw_label}'"
+                ) from None
+            if not 0 <= label < N_CLASSES:
+                raise LabelError(
+                    f"{path}: row {row_no}: label index {label} out of range")
+        features.append(feats)
+        labels.append(label)
     if not features:
         raise SchemaError(f"{path}: no data rows")
-    features = np.vstack(features)
-    # float() accepts "nan" and "inf": one check on the whole matrix, and the
-    # cell is located only when it fails
-    if not np.isfinite(features).all():
-        index, col = np.argwhere(~np.isfinite(features))[0]
-        row_no = int(index) + 2
-        for blank in blank_rows:        # skipped blank rows shift the count
-            row_no += blank <= row_no
-        raise ParseError(
-            f"{path}: row {row_no}, column '{feature_names[col]}': "
-            f"non-finite value {float(features[index, col])}")
-    return Dataset(features, np.asarray(labels, dtype=np.int64),
+    return Dataset(np.vstack(features), np.asarray(labels, dtype=np.int64),
                    feature_names)
+
+
+def _bad_cell(where: str, names: list[str], cells: list[str]) -> ParseError:
+    """The error for a row's first cell that is not a finite number."""
+    for name, cell in zip(names, cells):
+        try:
+            value = float(cell)
+        except ValueError:
+            return ParseError(f"{where}, column '{name}': "
+                              f"non-numeric cell '{cell.strip()}'")
+        if not np.isfinite(value):
+            return ParseError(f"{where}, column '{name}': "
+                              f"non-finite value {value}")
+    raise AssertionError("unreachable: the row holds no bad cell")
 
 
 def save_csv(path, dataset: Dataset) -> None:

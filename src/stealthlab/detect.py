@@ -27,7 +27,6 @@ regret sign by the table's benign rows. `DetectConfig` is the run config's
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass, field
 
@@ -35,7 +34,7 @@ import numpy as np
 
 from . import nn
 from .cvae import CvaeModel, elbo_loss, encode, iwae_batch
-from .data import CLASS_NAMES, N_CLASSES, Dataset, open_csv, write_csv
+from .data import CLASS_NAMES, N_CLASSES, Dataset, read_csv, write_csv
 from .errors import NumericError, ParseError, SchemaError
 from .ids import predict_label
 from .rng import derive_seed, stable_hash
@@ -371,45 +370,41 @@ def scores_from_csv(path) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     SCORES_CSV_COLUMNS, a row of another width, a sample id that is not a
     non-negative integer or repeats with its tag and detector, a tag outside
     TAGS, a detector outside DETECTORS, a non-finite or non-numeric score, or
-    non-UTF-8 bytes are a ParseError naming the file (and row)."""
+    non-UTF-8 bytes are a ParseError naming the file (and row); a blank row
+    is skipped, as `read_csv` skips it."""
     by_detector: dict[str, tuple[list, list]] = {}
     first_row: dict[tuple, int] = {}    # (sample id, tag, detector) -> row
-    with open_csv(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != SCORES_CSV_COLUMNS:
-            raise ParseError(f"{path}: header {header} is not "
-                             f"{SCORES_CSV_COLUMNS}")
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ParseError(f"{path}: row {row_no} has {len(row)} "
-                                 f"cells, expected {len(header)}")
-            sid, tag, detector, cell = row
-            if not (sid.isascii() and sid.isdigit()):
-                raise ParseError(f"{path}: row {row_no}: sample_id '{sid}' "
-                                 f"is not a non-negative integer")
-            if tag not in TAGS:
-                raise ParseError(f"{path}: row {row_no}: unknown tag '{tag}', "
-                                 f"expected one of {list(TAGS)}")
-            if detector not in DETECTORS:
-                raise ParseError(f"{path}: row {row_no}: unknown detector "
-                                 f"'{detector}', expected one of "
-                                 f"{list(DETECTORS)}")
-            earlier = first_row.setdefault((int(sid), tag, detector), row_no)
-            if earlier != row_no:
-                raise ParseError(f"{path}: row {row_no} repeats the sample_id,"
-                                 f" tag and detector of row {earlier}")
-            try:
-                score = float(cell)
-            except ValueError:
-                raise ParseError(f"{path}: row {row_no}: non-numeric score "
-                                 f"'{cell}'") from None
-            if not np.isfinite(score):
-                raise ParseError(f"{path}: row {row_no}: non-finite score "
-                                 f"{score}")
-            tags, scores = by_detector.setdefault(detector, ([], []))
-            tags.append(tag)
-            scores.append(score)
+    rows = read_csv(path)
+    header = next(rows)
+    if header != SCORES_CSV_COLUMNS:
+        raise ParseError(f"{path}: header {header} is not "
+                         f"{SCORES_CSV_COLUMNS}")
+    for row_no, (sid, tag, detector, cell) in rows:
+        if not (sid.isascii() and sid.isdigit()):
+            raise ParseError(f"{path}: row {row_no}: sample_id '{sid}' "
+                             f"is not a non-negative integer")
+        if tag not in TAGS:
+            raise ParseError(f"{path}: row {row_no}: unknown tag '{tag}', "
+                             f"expected one of {list(TAGS)}")
+        if detector not in DETECTORS:
+            raise ParseError(f"{path}: row {row_no}: unknown detector "
+                             f"'{detector}', expected one of "
+                             f"{list(DETECTORS)}")
+        earlier = first_row.setdefault((int(sid), tag, detector), row_no)
+        if earlier != row_no:
+            raise ParseError(f"{path}: row {row_no} repeats the sample_id,"
+                             f" tag and detector of row {earlier}")
+        try:
+            score = float(cell)
+        except ValueError:
+            raise ParseError(f"{path}: row {row_no}: non-numeric score "
+                             f"'{cell}'") from None
+        if not np.isfinite(score):
+            raise ParseError(f"{path}: row {row_no}: non-finite score "
+                             f"{score}")
+        tags, scores = by_detector.setdefault(detector, ([], []))
+        tags.append(tag)
+        scores.append(score)
     return {detector: (np.array(tags, dtype=object), np.array(scores))
             for detector, (tags, scores) in by_detector.items()}
 

@@ -145,6 +145,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unknown key 'lamda'"):
             cli.parse_config({"schema_version": 1, "lamda": 3})
 
+    def test_non_finite_value_names_the_key(self):
+        with pytest.raises(ConfigError,
+                           match="'sweep.rho_grid' must be finite, got "
+                                 r"\[0.2, NaN\]"):
+            cli.parse_config({"schema_version": 1,
+                              "sweep": {"rho_grid": [0.2, float("nan")]}})
+
     def test_unknown_nested_key_rejected(self):
         with pytest.raises(ConfigError, match="gan.lambda_styl"):
             cli.parse_config({"schema_version": 1,
@@ -261,6 +268,12 @@ class TestExitCodes:
         ("sweep", "epsilon_grid", [0.05, True]),
         ("sweep", "eta_max", "0.5"),
         ("detect", "k", 2.5),
+        # JSON's NaN and Infinity, read by Python's json module
+        ("dataset", "std", float("inf")),
+        ("dataset", "separation", float("nan")),
+        ("cvae", "learning_rate", float("nan")),
+        ("sweep", "epsilon_grid", [0.05, float("inf")]),
+        ("detect", "regret", {"learning_rate": float("inf")}),
     ])
     def test_value_a_stage_would_reject_is_2(self, tmp_path, capsys, section,
                                              key, value):
@@ -276,6 +289,14 @@ class TestExitCodes:
     def test_invalid_json_is_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
+        rc = cli.main(["synth", "--config", str(path), "--out",
+                       str(tmp_path / "out")])
+        assert rc == 2
+        assert "invalid JSON" in capsys.readouterr().err
+
+    def test_config_that_is_not_utf8_is_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"schema_version": 1}\xff')
         rc = cli.main(["synth", "--config", str(path), "--out",
                        str(tmp_path / "out")])
         assert rc == 2
@@ -510,6 +531,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "i/o error" in err
         assert f"{scores}: {message}" in err
+
+    def test_blank_row_in_scores_csv_is_skipped(self, pipeline, tiny_config,
+                                                tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline["out"], out)
+        scores = out / "detect" / "scores.csv"
+        lines = scores.read_text(encoding="utf-8").splitlines()
+        lines[3:3] = [""]
+        scores.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert cli.main(["report", "--config", tiny_config, "--out",
+                         str(out)]) == 0
+        summaries = [json.loads((run / "report" / "summary.json").read_text(
+            encoding="utf-8")) for run in (pipeline["out"], out)]
+        assert summaries[0]["auc"] == summaries[1]["auc"]
+        # a bad row after the blank one is named by its row in the file
+        lines[5] = lines[5].rsplit(",", 1)[0] + ",abc"
+        scores.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["report", "--config", tiny_config, "--out",
+                         str(out)]) == 5
+        assert (f"{scores}: row 6: non-numeric score 'abc'"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("name, damage, command", [
         ("data/test.csv", lambda raw: raw + b"\xff\xfe", "sweep"),

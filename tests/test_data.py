@@ -70,6 +70,44 @@ class TestCsv:
                            match="row 6, column 'f07': non-finite"):
             data.load_csv(path)
 
+    def test_round_trip_is_bitwise(self, tmp_path):
+        values = [5e-324, -0.0, 0.1, 1 / 3, 1e-05, 2.220446049250313e-16,
+                  1.7976931348623157e308]
+        # every value in every column, one row per shift
+        features = np.resize(values, (len(values), data.N_FEATURES))
+        ds = data.Dataset(features, np.arange(len(values)) % data.N_CLASSES,
+                          data.default_feature_names())
+        path = tmp_path / "data.csv"
+        data.save_csv(path, ds)
+        loaded = data.load_csv(path)
+        assert np.array_equal(loaded.features.view(np.int64),
+                              ds.features.view(np.int64))
+        assert np.array_equal(loaded.labels, ds.labels)
+
+    def test_cells_padded_with_spaces_load(self, tmp_path):
+        path = tmp_path / "data.csv"
+        names = data.default_feature_names() + ["label"]
+        row = [" 0.5 "] * data.N_FEATURES + [" deauth "]
+        path.write_text(",".join(names) + "\n" + ",".join(row) + "\n")
+        ds = data.load_csv(path)
+        assert np.all(ds.features == 0.5)
+        assert ds.labels.tolist() == [data.CLASS_NAMES.index("deauth")]
+
+    def test_read_csv_skips_and_counts_blank_rows(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("a,b\r\n1,2\r\n\r\n3,4\r\n")
+        rows = data.read_csv(path)
+        assert next(rows) == ["a", "b"]
+        assert list(rows) == [(2, ["1", "2"]), (4, ["3", "4"])]
+        path.write_text("")
+        assert list(data.read_csv(path)) == [None]
+
+    def test_read_csv_row_of_another_width(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("a,b\n1,2\n\n3\n")
+        with pytest.raises(ParseError, match="row 4 has 1 cells, expected 2"):
+            list(data.read_csv(path))
+
     def test_unknown_label_rejected(self, tmp_path):
         ds = tiny_dataset()
         path = tmp_path / "data.csv"
