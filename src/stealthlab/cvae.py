@@ -27,7 +27,8 @@ and its BLAS buffer.
 
 `elbo_loss(..., posterior=...)` takes the ELBO and its gradient at a given
 posterior [mu | log-variance] instead of the encoder's; the likelihood-regret
-detector refits each row's posterior through it. `elbo_loss` tapes the
+detector refits a population's posteriors through it at once, each row's
+loss read from `ElboResult.rows`. `elbo_loss` tapes the
 encoder and decoder passes it backpropagates in local lists, so no call
 here leaves state on the model.
 
@@ -152,6 +153,7 @@ class ElboResult:
     loss: float          # recon + kl_weight * kl, meaned over the batch
     recon: float         # mean per-sample reconstruction NLL
     kl: float            # mean per-sample posterior KL
+    rows: np.ndarray     # per-row recon_i + kl_weight * kl_i; [loss] at n = 1
     # encoder params then decoder params; with `posterior`, [d posterior]
     # alone; None without with_grads
     grads: list[np.ndarray] | None
@@ -202,8 +204,9 @@ def elbo_loss(model: CvaeModel, x: np.ndarray,
     if not np.isfinite(kl):
         raise NumericError("ELBO KL term is non-finite")
     loss = recon + kl_weight * kl
+    rows = recon_rows + kl_weight * kl_rows
     if not with_grads:
-        return ElboResult(loss, recon, kl, None)
+        return ElboResult(loss, recon, kl, rows, None)
 
     # reconstruction gradient through the (rarely active) output clamp
     clamp_open = (dec_out > nn.PROB_CLAMP) & (dec_out < 1.0 - nn.PROB_CLAMP)
@@ -219,9 +222,9 @@ def elbo_loss(model: CvaeModel, x: np.ndarray,
     logvar_open = (raw_logvar > LOGVAR_MIN) & (raw_logvar < LOGVAR_MAX)
     d_post = np.hstack([d_mu, np.where(logvar_open, d_logvar, 0.0)])
     if posterior is not None:
-        return ElboResult(loss, recon, kl, [d_post])
+        return ElboResult(loss, recon, kl, rows, [d_post])
     enc_grads, _ = model.encoder.backward(d_post, enc_tape)
-    return ElboResult(loss, recon, kl, enc_grads + dec_grads)
+    return ElboResult(loss, recon, kl, rows, enc_grads + dec_grads)
 
 
 def train_cvae(train: Dataset, config: CvaeTrainConfig, seed: int,

@@ -93,10 +93,11 @@ def default_feature_names(n: int = N_FEATURES) -> list[str]:
 def read_csv(path):
     """Yield `path`'s header cells (None for an empty file), then (row
     number, cells) for each row after it; a blank row is skipped but counted.
-    Bytes that are not UTF-8, or a row of another width than the header, are
-    a ParseError naming the file."""
+    A leading UTF-8 byte-order mark is dropped. Bytes that are not UTF-8, or
+    a row of another width than the header, are a ParseError naming the
+    file."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             yield header

@@ -9,11 +9,16 @@ Three scores, all oriented so that higher means "more likely adversarial":
                (or the minimum over all labels);
 * mahalanobis  minimum over classes of the Mahalanobis distance between the
                encoder mean and a per-class Gaussian fit on training data;
-* regret       ELBO improvement from a short per-sample Adam refit of the
-               row's posterior (mu, log-variance) with the decoder and the
+* regret       ELBO improvement from a short Adam refit of the row's
+               posterior (mu, log-variance) with the decoder and the
                encoder frozen: the amortization gap of the encoder, under
                the KL weight the CVAE was trained with; its sign is
-               calibrated once against benign reference scores.
+               calibrated once against benign reference scores. A
+               population's posteriors are refit together, as one array
+               with one decoder batch per step, each row with its own
+               gradient; a population whose refit diverges is rescored row
+               by row. Scores move at the 1e-14 relative level between
+               batch sizes, since BLAS picks its kernels by batch size.
 
 Each detector scores a batch and returns one value per row, in row order.
 This module owns the score table and the regret sign: `score_table` scores
@@ -235,46 +240,66 @@ def score_regret(model: CvaeModel, batch: np.ndarray,
     """Best ELBO improvement from `steps` Adam steps on each sample's
     posterior (likelihood regret, Xiao, Yan & Amit 2020).
 
-    Each sample is refit alone: its posterior [mu | log-variance] starts at
-    the encoder's output and a fresh optimiser steps it through
-    `elbo_loss(..., posterior=)` under `kl_weight`, which should be the
-    weight the model was trained with. The reparameterization draw is
-    frozen and seeded from the sample's content, and the reported regret is
-    best-minus-initial, so it is never negative. Only `post` and its
-    optimiser change; nothing is written to the model.
-    A sample whose refit diverges scores NaN and is counted in n_invalid.
+    The batch is refit together: the rows' posteriors [mu | log-variance]
+    start at the encoder's output as one (n, 2 * latent_dim) array, and one
+    optimiser steps it through `elbo_loss(..., posterior=)` under
+    `kl_weight`, which should be the weight the model was trained with.
+    The posterior gradient is scaled by n, which turns the batch-mean
+    gradient into each row's own, so each row follows its own refit; each
+    row's best is kept from `ElboResult.rows`. The reparameterization draw
+    is frozen and seeded from the sample's content, and the reported regret
+    is best-minus-initial, so it is never negative. Only the posteriors and
+    their optimiser change; nothing is written to the model.
+
+    A row's score does not depend on the other rows, but BLAS picks its
+    kernels by batch size, so scores move at the 1e-14 relative level
+    between a batch and its rows scored alone. If the batch refit diverges,
+    each row is refit alone; a sample whose own refit diverges scores NaN
+    and is counted in n_invalid.
     """
     batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-    scores = np.full(batch.shape[0], np.nan)
-    n_invalid = 0
-    for i, row in enumerate(batch):
-        label = None if labels is None else int(labels[i])
-        row_seed = stable_hash(seed, "regret", row.tobytes(),
-                               -1 if label is None else label)
-        noise = np.random.default_rng(row_seed).standard_normal(
-            (1, model.latent_dim))
-        x = row[None, :]
-        row_labels = None if label is None else np.array([label])
-        try:
-            post = np.hstack(encode(model, x, row_labels))
-            optimiser = nn.adam_init([post], config.learning_rate)
-            result = elbo_loss(model, x, row_labels, noise=noise,
-                               kl_weight=kl_weight, posterior=post)
-            initial = best = -result.loss
-            for step in range(1, config.steps + 1):
-                nn.adam_step(optimiser, [post], result.grads)
-                result = elbo_loss(model, x, row_labels, noise=noise,
-                                   kl_weight=kl_weight,
-                                   with_grads=step < config.steps,
-                                   posterior=post)
-                best = max(best, -result.loss)
-        except NumericError:
-            n_invalid += 1
-            continue
-        scores[i] = best - initial
+    keys = [-1] * len(batch) if labels is None else [int(v) for v in labels]
+    noise = np.empty((len(batch), model.latent_dim))
+    for row, key, draw in zip(batch, keys, noise):
+        np.random.default_rng(stable_hash(seed, "regret", row.tobytes(), key)
+                              ).standard_normal(out=draw)
+    labels = None if labels is None else np.array(keys)
+    try:
+        scores = _refit(model, batch, labels, noise, config, kl_weight)
+    except NumericError:
+        scores = np.full(len(batch), np.nan)
+        for i in range(len(batch)):
+            try:
+                scores[i:i + 1] = _refit(
+                    model, batch[i:i + 1],
+                    None if labels is None else labels[i:i + 1],
+                    noise[i:i + 1], config, kl_weight)
+            except NumericError:
+                pass
+    n_invalid = int(np.isnan(scores).sum())
     if n_invalid:
         log.warning("regret scoring dropped %d diverged sample(s)", n_invalid)
     return RegretScores(scores, n_invalid)
+
+
+def _refit(model: CvaeModel, x: np.ndarray, labels: np.ndarray | None,
+           noise: np.ndarray, config: RegretConfig,
+           kl_weight: float) -> np.ndarray:
+    """Each row's best-minus-initial negative loss over `config.steps` Adam
+    steps on the rows' posteriors, stepped as one array."""
+    post = np.hstack(encode(model, x, labels))
+    optimiser = nn.adam_init([post], config.learning_rate)
+    result = elbo_loss(model, x, labels, noise=noise, kl_weight=kl_weight,
+                       posterior=post)
+    initial = best = -result.rows
+    for step in range(1, config.steps + 1):
+        result.grads[0] *= len(x)     # each row's own gradient
+        nn.adam_step(optimiser, [post], result.grads)
+        result = elbo_loss(model, x, labels, noise=noise,
+                           kl_weight=kl_weight,
+                           with_grads=step < config.steps, posterior=post)
+        best = np.maximum(best, -result.rows)
+    return best - initial
 
 
 def choose_orientation(scored: np.ndarray, benign_reference: np.ndarray) -> int:

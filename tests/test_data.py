@@ -129,6 +129,25 @@ class TestCsv:
         assert ds.n == 1
         assert ds.labels[0] == data.CLASS_NAMES.index("deauth")
 
+    @pytest.mark.parametrize("label_first", [False, True],
+                             ids=["feature-first", "label-first"])
+    def test_byte_order_mark_is_dropped(self, tmp_path, label_first):
+        # spreadsheet programs save "CSV UTF-8" with a leading BOM
+        ds, names = tiny_dataset(), data.default_feature_names()
+        lines = [names + ["label"]] + [
+            [repr(float(v)) for v in row] + [data.CLASS_NAMES[label]]
+            for row, label in zip(ds.features, ds.labels)]
+        if label_first:
+            lines = [line[-1:] + line[:-1] for line in lines]
+        text = "".join(",".join(line) + "\r\n" for line in lines)
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        want, got = data.load_csv(plain), data.load_csv(marked)
+        assert got.feature_names == want.feature_names == names
+        assert np.array_equal(got.features, want.features)
+        assert np.array_equal(got.labels, want.labels)
+
     @pytest.mark.parametrize("lineterminator, expected", [
         ("\r\n", b'"sample_id, padded",x,y,z,flag,tag\r\n'
                  b'3,0.1,-0.0,inf,true,benign\r\n'

@@ -94,6 +94,29 @@ def dense_reference_regret(model, row, label, config, seed, kl_weight):
     return best - initial
 
 
+def looped_reference_regret(model, row, label, config, seed, kl_weight):
+    """One row's regret from its own posterior refit, batch 1: a fresh
+    optimiser per row and the loss of the one-row batch at each step."""
+    labels = None if label is None else np.array([label])
+    noise = np.random.default_rng(stable_hash(
+        seed, "regret", row.tobytes(), -1 if label is None else label)
+    ).standard_normal((1, model.latent_dim))
+    x = row[None, :]
+    post = np.hstack(cvae.encode(model, x, labels))
+    optimiser = nn.adam_init([post], config.learning_rate)
+    result = cvae.elbo_loss(model, x, labels, noise=noise,
+                            kl_weight=kl_weight, posterior=post)
+    initial = best = -result.loss
+    for step in range(1, config.steps + 1):
+        nn.adam_step(optimiser, [post], result.grads)
+        result = cvae.elbo_loss(model, x, labels, noise=noise,
+                                kl_weight=kl_weight,
+                                with_grads=step < config.steps,
+                                posterior=post)
+        best = max(best, -result.loss)
+    return best - initial
+
+
 def spearman(a, b):
     """Rank correlation of two tie-free score vectors."""
     ranks = [np.argsort(np.argsort(v)) for v in (a, b)]
@@ -397,19 +420,49 @@ class TestRegret:
         assert np.all(scores.scores >= 0.0)
         assert np.array_equal(scores.scores, again.scores)
 
-    def test_batch_scores_equal_rows_scored_alone(self, lab):
-        # each row is encoded and refit on its own: no state, and no batched
-        # kernel, is shared with its neighbours
+    def test_row_score_ignores_its_neighbours(self, lab):
+        # each row keeps its own noise, optimiser moments and best: with the
+        # batch size and its position fixed, replacing every other row
+        # leaves its score bitwise unchanged
+        features, labels = lab["test"].features, lab["test"].labels
+        config = detect.RegretConfig(steps=4)
+        first = detect.score_regret(lab["cvae"], features[:4], labels[:4],
+                                    config, 3, kl_weight=LAB_KL_WEIGHT)
+        for i in range(4):
+            rows = np.arange(4, 8)
+            rows[i] = i
+            mixed = detect.score_regret(lab["cvae"], features[rows],
+                                        labels[rows], config, 3,
+                                        kl_weight=LAB_KL_WEIGHT)
+            assert mixed.scores[i] == first.scores[i], i
+            assert not np.array_equal(np.delete(mixed.scores, i),
+                                      np.delete(first.scores, i))
+
+    def test_one_row_batch_is_the_per_row_refit(self, lab):
         batch = lab["test"].features[:4]
         labels = lab["test"].labels[:4]
-        config = detect.RegretConfig(steps=4)
+        config = detect.RegretConfig(steps=6)
+        for row, label in zip(batch, labels):
+            got = detect.score_regret(lab["cvae"], row[None, :],
+                                      np.array([label]), config, 3,
+                                      kl_weight=LAB_KL_WEIGHT)
+            assert got.scores[0] == looped_reference_regret(
+                lab["cvae"], row, int(label), config, 3, LAB_KL_WEIGHT)
+
+    def test_batch_agrees_with_rows_scored_alone(self, lab):
+        # the same refit per row; only the BLAS kernels, chosen by batch
+        # size, differ
+        batch = lab["test"].features[:8]
+        labels = lab["test"].labels[:8]
+        config = detect.RegretConfig(steps=20)
         together = detect.score_regret(lab["cvae"], batch, labels, config, 3,
                                        kl_weight=LAB_KL_WEIGHT)
-        alone = [detect.score_regret(lab["cvae"], batch[i:i + 1],
-                                     labels[i:i + 1], config, 3,
-                                     kl_weight=LAB_KL_WEIGHT).scores[0]
-                 for i in range(4)]
-        assert np.array_equal(together.scores, np.array(alone))
+        alone = np.array([
+            detect.score_regret(lab["cvae"], batch[i:i + 1], labels[i:i + 1],
+                                config, 3, kl_weight=LAB_KL_WEIGHT).scores[0]
+            for i in range(8)])
+        assert np.all(alone > 0.0)
+        assert np.all(np.abs(together.scores - alone) / alone <= 1e-10)
 
     # Measured on this fixture (12 clean rows plus their gen_ood copies,
     # 100 steps, posterior step 0.05 against encoder step 0.001): at kl
@@ -475,6 +528,25 @@ class TestRegret:
         after = model_params(model)
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_one_diverging_row_of_three_is_dropped(self, caplog):
+        # a feature of 1e308 overflows that row's reconstruction gradient
+        # alone: the batch refit fails, and each row is refit on its own
+        model = toy_cvae(seed=8)
+        batch = np.array([[0.2, 0.7], [1e308, 0.1], [0.9, 0.6]])
+        config = detect.RegretConfig(steps=3)
+        with caplog.at_level("WARNING", logger="stealthlab.detect"):
+            scores = detect.score_regret(model, batch, None, config, 0,
+                                         kl_weight=1.0)
+        assert scores.n_invalid == 1
+        assert "dropped 1" in caplog.text
+        assert np.isnan(scores.scores[1])
+        for i in (0, 2):
+            alone = detect.score_regret(model, batch[i:i + 1], None, config,
+                                        0, kl_weight=1.0)
+            assert np.isfinite(scores.scores[i])
+            assert scores.scores[i] == alone.scores[0]
+
     def test_kl_weight_has_no_default(self):
         # no caller falls back to an objective the model was not trained on
         with pytest.raises(TypeError, match="kl_weight"):
@@ -518,6 +590,17 @@ class TestScoresCsv:
             kept = np.isfinite(original)
             assert np.array_equal(back, original[kept])
             assert back_tags.tolist() == tags[kept].tolist()
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        scores, tags = make_scores([1.5], [0.25])
+        detect.scores_to_csv(path, np.arange(2), tags, {"regret": scores})
+        want = detect.scores_from_csv(path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        got = detect.scores_from_csv(path)
+        assert list(got) == list(want) == ["regret"]
+        assert got["regret"][0].tolist() == want["regret"][0].tolist()
+        assert np.array_equal(got["regret"][1], want["regret"][1])
 
     def test_header_matches_contract(self, tmp_path):
         path = tmp_path / "scores.csv"
