@@ -36,7 +36,6 @@ from .rng import derive_rng
 
 GEN_HIDDEN = (256, 256)
 DISC_HIDDEN = (256, 256)
-DIVERGENCE_LIMIT = 1e6
 
 
 @dataclass
@@ -259,7 +258,7 @@ def train_cgan(ids_net: nn.Mlp, train: Dataset, config: GanConfig,
                              + config.lambda_gan * row["g_gan"])
         for key, value in checks.items():
             if key != "epoch" and (not np.isfinite(value)
-                                   or abs(value) > DIVERGENCE_LIMIT):
+                                   or abs(value) > nn.DIVERGENCE_LIMIT):
                 raise NumericError(
                     f"GAN training diverged at epoch {epoch} ({key}={value})")
         curve.append(row)

@@ -32,8 +32,10 @@ loss read from `ElboResult.rows`. `elbo_loss` tapes the
 encoder and decoder passes it backpropagates in local lists, so no call
 here leaves state on the model.
 
-With conditional=False the class input is ignored everywhere and the model
-is a plain VAE; both variants train through the same routine,
+With conditional=False the model is a plain VAE. Every function here takes
+the class labels either way, one int per row: only `_conditioned` knows
+that a plain VAE ignores them, and `label_key` keys its draws -1 whatever
+the label. Both variants train through the same routine,
 `train_cvae(train, config, seed, conditional)`. The seed and the variant are
 arguments: `CvaeTrainConfig` holds the hyperparameters only and is the run
 config's `cvae` section. `save_cvae` returns the paths it wrote, and
@@ -58,7 +60,6 @@ HIDDEN_WIDTHS = (256, 256)
 LATENT_DIM = 200
 LOGVAR_MIN = -10.0
 LOGVAR_MAX = 10.0
-DIVERGENCE_LIMIT = 1e6
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 
@@ -110,16 +111,19 @@ def build_cvae(rng: np.random.Generator, input_dim: int = N_FEATURES,
 
 
 def _conditioned(model: CvaeModel, x: np.ndarray,
-                 labels: np.ndarray | None) -> np.ndarray:
+                 labels: np.ndarray) -> np.ndarray:
     if not model.conditional:
         return x
-    if labels is None:
-        raise ValueError("conditional model needs labels")
-    return np.hstack([x, one_hot(np.asarray(labels))])
+    return np.hstack([x, one_hot(labels)])
+
+
+def label_key(model: CvaeModel, label: int) -> int:
+    """The seed key of a row's draws under `label`: -1 for a plain VAE."""
+    return int(label) if model.conditional else -1
 
 
 def encode(model: CvaeModel, x: np.ndarray,
-           labels: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+           labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Posterior parameters (mu, log-variance), the latter clamped to +-10."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     out = model.encoder.forward(_conditioned(model, x, labels))
@@ -129,7 +133,7 @@ def encode(model: CvaeModel, x: np.ndarray,
 
 
 def decode(model: CvaeModel, z: np.ndarray,
-           labels: np.ndarray | None = None) -> np.ndarray:
+           labels: np.ndarray) -> np.ndarray:
     """Feature probabilities, clamped strictly inside (0, 1) for the logs."""
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     if z.shape[1] != model.latent_dim:
@@ -159,9 +163,8 @@ class ElboResult:
     grads: list[np.ndarray] | None
 
 
-def elbo_loss(model: CvaeModel, x: np.ndarray,
-              labels: np.ndarray | None = None, *, noise: np.ndarray,
-              kl_weight: float, with_grads: bool = True,
+def elbo_loss(model: CvaeModel, x: np.ndarray, labels: np.ndarray, *,
+              noise: np.ndarray, kl_weight: float, with_grads: bool = True,
               posterior: np.ndarray | None = None) -> ElboResult:
     """Single-draw negative ELBO and its gradients for every parameter.
 
@@ -248,15 +251,16 @@ def train_cvae(train: Dataset, config: CvaeTrainConfig, seed: int,
             rows = order[start:start + config.batch_size]
             noise = rng.standard_normal(out=draws[:rows.size])
             result = elbo_loss(model, train.features[rows],
-                               train.labels[rows] if conditional else None,
-                               noise=noise, kl_weight=config.kl_weight)
+                               train.labels[rows], noise=noise,
+                               kl_weight=config.kl_weight)
             nn.adam_step(optimiser, model.params(), result.grads)
             sums["loss"] += result.loss * rows.size
             sums["recon"] += result.recon * rows.size
             sums["kl"] += result.kl * rows.size
         row = {"epoch": epoch}
         row.update({k: v / train.n for k, v in sums.items()})
-        if not np.isfinite(row["loss"]) or abs(row["loss"]) > DIVERGENCE_LIMIT:
+        if (not np.isfinite(row["loss"])
+                or abs(row["loss"]) > nn.DIVERGENCE_LIMIT):
             raise NumericError(f"CVAE training diverged at epoch {epoch}")
         curve.append(row)
     return model, curve
@@ -279,7 +283,7 @@ def log_mean_exp(weights: np.ndarray) -> float:
 Proposal = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def iwae_proposal(model: CvaeModel, x: np.ndarray, label: int | None, k: int,
+def iwae_proposal(model: CvaeModel, x: np.ndarray, label: int, k: int,
                   rng: np.random.Generator) -> Proposal:
     """The q side of the k-sample bound for one row: (z, log p(z),
     log q(z|x,c)) for z_i = mu + sigma * noise_i, one encoder pass and k
@@ -289,8 +293,7 @@ def iwae_proposal(model: CvaeModel, x: np.ndarray, label: int | None, k: int,
     if k < 1:
         raise ValueError("k must be >= 1")
     x = np.asarray(x, dtype=np.float64).ravel()
-    mu, logvar = encode(model, x[None, :],
-                        None if label is None else np.array([label]))
+    mu, logvar = encode(model, x[None, :], np.array([label]))
     z = np.exp(0.5 * logvar) * rng.standard_normal((k, model.latent_dim))
     z += mu
     # log p(z) = -0.5 * sum(z^2 + log 2pi) and
@@ -308,14 +311,14 @@ def iwae_proposal(model: CvaeModel, x: np.ndarray, label: int | None, k: int,
     return z, log_prior, log_post
 
 
-def iwae_bound(model: CvaeModel, x: np.ndarray, label: int | None,
+def iwae_bound(model: CvaeModel, x: np.ndarray, label: int,
                proposal: Proposal) -> float:
     """The p side: the k-sample importance-weighted lower bound on
     log p(x [, c]) from `iwae_proposal`'s (z, log p(z), log q(z|x,c)) for
     the same row and label, through one k-row decoder batch."""
     z, log_prior, log_post = proposal
     x = np.asarray(x, dtype=np.float64).ravel()
-    probs = decode(model, z, None if label is None else np.full(len(z), label))
+    probs = decode(model, z, np.full(len(z), label))
     log_px = bernoulli_log_likelihood(np.broadcast_to(x, probs.shape), probs)
     for name, term in (("log p(x|z,c)", log_px), ("log p(z)", log_prior),
                        ("log q(z|x,c)", log_post)):
@@ -324,17 +327,18 @@ def iwae_bound(model: CvaeModel, x: np.ndarray, label: int | None,
     return log_mean_exp(log_px + log_prior - log_post)
 
 
-def _row_proposal(model: CvaeModel, row: np.ndarray, label: int | None,
-                  k: int, seed: int) -> Proposal:
+def _row_proposal(model: CvaeModel, row: np.ndarray, label: int, k: int,
+                  seed: int) -> Proposal:
     row_seed = stable_hash(seed, "iwae", row.tobytes(),
-                           -1 if label is None else label)
+                           label_key(model, label))
     return iwae_proposal(model, row, label, k, np.random.default_rng(row_seed))
 
 
-def iwae_batch(model: CvaeModel, batch: np.ndarray, labels: np.ndarray | None,
+def iwae_batch(model: CvaeModel, batch: np.ndarray, labels: np.ndarray,
                k: int, seed: int = 0) -> np.ndarray:
-    """The bound of each row, its draws seeded from its content and label:
-    duplicated rows score identically and order never matters.
+    """The bound of each row under its label, its draws seeded from its
+    content and `label_key`: duplicated rows score identically and order
+    never matters. Labels of another count than the rows are a ShapeError.
 
     One worker thread runs row i+1's q side (`iwae_proposal`) while this
     thread runs row i's p side (`iwae_bound`); numpy releases the GIL in the
@@ -349,8 +353,9 @@ def iwae_batch(model: CvaeModel, batch: np.ndarray, labels: np.ndarray | None,
     BLAS buffers at once, for more peak memory.
     """
     batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-    rows = [(row, None if labels is None else int(labels[i]))
-            for i, row in enumerate(batch)]
+    if len(labels) != len(batch):
+        raise ShapeError(f"{len(labels)} labels for {len(batch)} rows")
+    rows = [(row, int(label)) for row, label in zip(batch, labels)]
     bounds = np.empty(len(rows))
     with ThreadPoolExecutor(max_workers=1,
                             thread_name_prefix="iwae-proposal") as worker:

@@ -93,9 +93,10 @@ def default_feature_names(n: int = N_FEATURES) -> list[str]:
 def read_csv(path):
     """Yield `path`'s header cells (None for an empty file), then (row
     number, cells) for each row after it; a blank row is skipped but counted.
-    A leading UTF-8 byte-order mark is dropped. Bytes that are not UTF-8, or
-    a row of another width than the header, are a ParseError naming the
-    file."""
+    A leading UTF-8 byte-order mark is dropped. Bytes that are not UTF-8, a
+    row the csv module cannot split (such as a cell over its field size
+    limit) or a row of another width than the header are a ParseError naming
+    the file."""
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
@@ -111,6 +112,8 @@ def read_csv(path):
                 yield row_no, cells
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not valid UTF-8 ({exc.reason})") from None
+    except csv.Error as exc:
+        raise ParseError(f"{path}: row {reader.line_num}: {exc}") from None
 
 
 def load_csv(path) -> Dataset:

@@ -21,6 +21,9 @@ Three scores, all oriented so that higher means "more likely adversarial":
                batch sizes, since BLAS picks its kernels by batch size.
 
 Each detector scores a batch and returns one value per row, in row order.
+Every call into `cvae` passes labels, one per row, whether the model is a
+CVAE or a plain VAE: `cvae` alone knows that a plain VAE ignores them, and
+`cvae.label_key` keys a row's regret noise as it keys its NLL draws.
 This module owns the score table and the regret sign: `score_table` scores
 each (tag, rows, sample ids, regret label) population it is given, names the
 tag when a detector fails, joins the parts in population order and picks the
@@ -38,9 +41,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .cvae import CvaeModel, elbo_loss, encode, iwae_batch
+from .cvae import CvaeModel, elbo_loss, encode, iwae_batch, label_key
 from .data import CLASS_NAMES, N_CLASSES, Dataset, read_csv, write_csv
-from .errors import NumericError, ParseError, SchemaError
+from .errors import NumericError, ParseError, SchemaError, ShapeError
 from .ids import predict_label
 from .rng import derive_seed, stable_hash
 
@@ -114,9 +117,8 @@ def score_table(populations: list[tuple], model: CvaeModel, ids_net: nn.Mlp,
             nll, labels_used = score_nll(model, ids_net, x, config.k,
                                          nll_seed, config.label_mode)
             mahal = score_mahalanobis(gaussians, model, x)
-            regret = score_regret(
-                model, x, labels if model.conditional else None,
-                config.regret, regret_seed, kl_weight=kl_weight)
+            regret = score_regret(model, x, labels, config.regret,
+                                  regret_seed, kl_weight=kl_weight)
             if not np.isfinite(regret.scores).any():
                 raise NumericError("every regret refit diverged")
         except NumericError as exc:
@@ -152,11 +154,8 @@ def score_nll(model: CvaeModel, ids_net: nn.Mlp, batch: np.ndarray,
         candidates = predict_label(ids_net, batch)[None, :]
     else:
         candidates = np.arange(N_CLASSES)[:, None].repeat(batch.shape[0], 1)
-    per_label = -np.stack([
-        iwae_batch(model, batch, labels if model.conditional else None, k,
-                   seed)
-        for labels in candidates
-    ])
+    per_label = -np.stack([iwae_batch(model, batch, labels, k, seed)
+                           for labels in candidates])
     return per_label.min(axis=0), np.choose(per_label.argmin(axis=0),
                                             candidates)
 
@@ -190,8 +189,8 @@ def fit_gaussians(model: CvaeModel, train: Dataset,
         # a copy of the encoder means, so the encoder output and the
         # log-variance go at once, centred in place, dropped before the
         # shrinkage
-        centered = encode(model, train.features[rows], train.labels[rows]
-                          if model.conditional else None)[0].copy()
+        centered = encode(model, train.features[rows],
+                          train.labels[rows])[0].copy()
         means[class_id] = centered.mean(axis=0)
         centered -= means[class_id]
         cov = centered.T @ centered / (rows.size - 1)
@@ -215,8 +214,7 @@ def score_mahalanobis(gaussians: GaussianClassModel, model: CvaeModel,
     distances = np.empty((n_classes, batch.shape[0]))
     for class_id in range(n_classes):
         labels = np.full(batch.shape[0], class_id, dtype=np.int64)
-        latents, _ = encode(model, batch,
-                            labels if model.conditional else None)
+        latents, _ = encode(model, batch, labels)
         diff = latents - gaussians.means[class_id]
         # solve L y = diff^T, then dist^2 = sum y^2 (cov = L L^T)
         y = np.linalg.solve(gaussians.choleskys[class_id], diff.T)
@@ -234,9 +232,9 @@ class RegretScores:
     n_invalid: int
 
 
-def score_regret(model: CvaeModel, batch: np.ndarray,
-                 labels: np.ndarray | None, config: RegretConfig, seed: int,
-                 *, kl_weight: float) -> RegretScores:
+def score_regret(model: CvaeModel, batch: np.ndarray, labels: np.ndarray,
+                 config: RegretConfig, seed: int, *,
+                 kl_weight: float) -> RegretScores:
     """Best ELBO improvement from `steps` Adam steps on each sample's
     posterior (likelihood regret, Xiao, Yan & Amit 2020).
 
@@ -247,33 +245,34 @@ def score_regret(model: CvaeModel, batch: np.ndarray,
     The posterior gradient is scaled by n, which turns the batch-mean
     gradient into each row's own, so each row follows its own refit; each
     row's best is kept from `ElboResult.rows`. The reparameterization draw
-    is frozen and seeded from the sample's content, and the reported regret
-    is best-minus-initial, so it is never negative. Only the posteriors and
-    their optimiser change; nothing is written to the model.
+    is frozen and seeded from the sample's content and `label_key`, and the
+    reported regret is best-minus-initial, so it is never negative. Only the
+    posteriors and their optimiser change; nothing is written to the model.
 
     A row's score does not depend on the other rows, but BLAS picks its
     kernels by batch size, so scores move at the 1e-14 relative level
     between a batch and its rows scored alone. If the batch refit diverges,
     each row is refit alone; a sample whose own refit diverges scores NaN
-    and is counted in n_invalid.
+    and is counted in n_invalid. Labels of another count than the rows are
+    a ShapeError.
     """
     batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-    keys = [-1] * len(batch) if labels is None else [int(v) for v in labels]
+    if len(labels) != len(batch):
+        raise ShapeError(f"{len(labels)} labels for {len(batch)} rows")
     noise = np.empty((len(batch), model.latent_dim))
-    for row, key, draw in zip(batch, keys, noise):
-        np.random.default_rng(stable_hash(seed, "regret", row.tobytes(), key)
-                              ).standard_normal(out=draw)
-    labels = None if labels is None else np.array(keys)
+    for row, label, draw in zip(batch, labels, noise):
+        np.random.default_rng(stable_hash(
+            seed, "regret", row.tobytes(), label_key(model, label))
+        ).standard_normal(out=draw)
     try:
         scores = _refit(model, batch, labels, noise, config, kl_weight)
     except NumericError:
         scores = np.full(len(batch), np.nan)
         for i in range(len(batch)):
             try:
-                scores[i:i + 1] = _refit(
-                    model, batch[i:i + 1],
-                    None if labels is None else labels[i:i + 1],
-                    noise[i:i + 1], config, kl_weight)
+                scores[i:i + 1] = _refit(model, batch[i:i + 1],
+                                         labels[i:i + 1], noise[i:i + 1],
+                                         config, kl_weight)
             except NumericError:
                 pass
     n_invalid = int(np.isnan(scores).sum())
@@ -282,7 +281,7 @@ def score_regret(model: CvaeModel, batch: np.ndarray,
     return RegretScores(scores, n_invalid)
 
 
-def _refit(model: CvaeModel, x: np.ndarray, labels: np.ndarray | None,
+def _refit(model: CvaeModel, x: np.ndarray, labels: np.ndarray,
            noise: np.ndarray, config: RegretConfig,
            kl_weight: float) -> np.ndarray:
     """Each row's best-minus-initial negative loss over `config.steps` Adam

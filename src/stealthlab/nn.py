@@ -33,6 +33,8 @@ from .errors import NumericError, ParseError, ShapeError
 
 # probabilities are pulled into [PROB_CLAMP, 1 - PROB_CLAMP] before any log
 PROB_CLAMP = 1e-7
+# a training epoch whose mean loss exceeds this in magnitude has diverged
+DIVERGENCE_LIMIT = 1e6
 
 ACTIVATIONS = ("linear", "relu", "sigmoid", "tanh", "softmax")
 

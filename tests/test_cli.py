@@ -572,6 +572,32 @@ class TestExitCodes:
         assert "i/o error" in err
         assert f"{path}: not valid UTF-8" in err
 
+    def test_cell_over_the_csv_field_limit_is_5(self, pipeline, tiny_config,
+                                                tmp_path, capsys):
+        # the csv module refuses a cell of more than 131,072 characters;
+        # ingest and report read their CSVs through the same reader
+        huge = "1" * 131_073
+        csv_path = write_csv(tmp_path, counts=(10, 10, 10, 10, 10))
+        lines = csv_path.read_text(encoding="utf-8").splitlines()
+        lines[3] = huge + lines[3]
+        csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        shutil.copytree(pipeline["out"], out)
+        scores = out / "detect" / "scores.csv"
+        lines = scores.read_text(encoding="utf-8").splitlines()
+        lines[5] = lines[5].rsplit(",", 1)[0] + "," + huge
+        scores.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for command, config, run, path, row in (
+                ("ingest", csv_config(tmp_path, csv_path), tmp_path / "new",
+                 csv_path, 4),
+                ("report", tiny_config, out, scores, 6)):
+            rc = cli.main([command, "--config", config, "--out", str(run)])
+            assert rc == 5, command
+            err = capsys.readouterr().err
+            assert "i/o error" in err
+            assert (f"{path}: row {row}: field larger than field limit "
+                    f"(131072)") in err
+
     @pytest.mark.parametrize("noise_dim", [7, 33])
     def test_gen_meta_that_disagrees_with_the_weights_is_5(
             self, pipeline, tiny_config, tmp_path, capsys, noise_dim):
@@ -883,6 +909,32 @@ class TestDeterminism:
         b = pipeline_twin["manifest"]
         assert a["config_digest"] == b["config_digest"]
         assert a["stages"] == b["stages"]
+
+    def test_compare_manifests_names_each_differing_artifact(
+            self, pipeline, pipeline_twin, tmp_path):
+        script = ROOT / "scripts" / "compare_manifests.py"
+
+        def compare(run_a, run_b):
+            return subprocess.run(
+                [sys.executable, str(script), str(run_a), str(run_b)],
+                capture_output=True, text=True, timeout=60)
+
+        same = compare(pipeline["out"], pipeline_twin["out"])
+        assert same.returncode == 0, same.stdout + same.stderr
+        n = sum(len(entry["artifacts"])
+                for entry in pipeline["manifest"]["stages"].values())
+        assert same.stdout == f"0 of {n} artifacts differ\n"
+        edited = json.loads(json.dumps(pipeline_twin["manifest"]))
+        artifacts = edited["stages"]["detect"]["artifacts"]
+        want = artifacts["detect/scores.csv"]
+        artifacts["detect/scores.csv"] = "0" * 64
+        manifest = tmp_path / cli.MANIFEST_NAME
+        manifest.write_text(json.dumps(edited), encoding="utf-8")
+        differ = compare(pipeline["out"], manifest)
+        assert differ.returncode == 1
+        assert differ.stdout == (f"detect: detect/scores.csv: {want} != "
+                                 f"{'0' * 64}\n1 of {n} artifacts differ\n")
+        assert compare(pipeline["out"], tmp_path / "nowhere").returncode == 2
 
 
 class TestStageRebuild:

@@ -76,7 +76,7 @@ def trained_cvae():
 class TestCodecs:
     def test_clamped_floor_gives_near_deterministic_z(self):
         model = flat_model(mu=5.0, logvar=-1000.0)
-        mu, logvar = cvae.encode(model, np.array([[0.2, 0.8]]))
+        mu, logvar = cvae.encode(model, np.array([[0.2, 0.8]]), [0])
         assert np.all(logvar == cvae.LOGVAR_MIN)
         noise = derive_rng(1, "z").standard_normal(mu.shape)
         z = mu + np.exp(0.5 * logvar) * noise
@@ -92,8 +92,8 @@ class TestCodecs:
         model = toy_model(6)
         with pytest.raises(ShapeError):
             cvae.decode(model, np.zeros((2, 7)), np.array([1, 1]))
-        with pytest.raises(ValueError):
-            cvae.encode(model, np.zeros((1, 4)))    # conditional needs labels
+        with pytest.raises(TypeError):
+            cvae.encode(model, np.zeros((1, 4)))    # labels are required
 
 
 class TestElbo:
@@ -119,7 +119,7 @@ class TestElbo:
 
     def test_standard_normal_posterior_has_zero_kl(self):
         model = flat_model(mu=0.0, logvar=0.0)
-        res = cvae.elbo_loss(model, np.array([[0.3, 0.7]]),
+        res = cvae.elbo_loss(model, np.array([[0.3, 0.7]]), [0],
                              noise=derive_rng(8, "z").standard_normal((1, 1)),
                              kl_weight=1.0)
         assert res.kl == 0.0
@@ -156,7 +156,8 @@ class TestElbo:
         model = flat_model(probs=(0.6, 0.3))
         x = np.full((1, 2), 1.7e308)
         with pytest.raises(NumericError, match="reconstruction"):
-            cvae.elbo_loss(model, x, noise=np.zeros((1, 1)), kl_weight=1.0)
+            cvae.elbo_loss(model, x, [0], noise=np.zeros((1, 1)),
+                           kl_weight=1.0)
 
     def test_posterior_path_gives_the_encoder_upstream(self):
         model = toy_model(15)
@@ -240,8 +241,8 @@ class TestTraining:
         model, _ = cvae.train_cvae(ds, config, 46, conditional=False)
         assert not model.conditional
         assert model.encoder.in_dim == 30
-        mu_a, _ = cvae.encode(model, ds.features[:3])
-        mu_b, _ = cvae.encode(model, ds.features[:3], None)
+        mu_a, _ = cvae.encode(model, ds.features[:3], ds.labels[:3])
+        mu_b, _ = cvae.encode(model, ds.features[:3], np.full(3, 4))
         assert np.array_equal(mu_a, mu_b)
 
 
@@ -277,13 +278,13 @@ class TestImportanceWeights:
         probs = np.array([[0.6, 0.3]])
         expected = cvae.bernoulli_log_likelihood(x[None, :], probs)[0]
         for k in (1, 2, 3):
-            assert composed_bound(model, x, None, k,
+            assert composed_bound(model, x, 0, k,
                                   FixedDraws(z[:k])) == expected
 
     def test_hand_computed_two_feature_toy(self):
         model = flat_model(mu=0.3, logvar=0.4, probs=(0.6, 0.3))
         x = np.array([1.0, 0.0])
-        w = composed_bound(model, x, None, 1, np.random.default_rng(9))
+        w = composed_bound(model, x, 0, 1, np.random.default_rng(9))
         z = 0.3 + np.exp(0.2) * np.random.default_rng(9).standard_normal()
         log_px = np.log(0.6) + np.log(0.7)
         log_prior = -0.5 * (z**2 + np.log(2 * np.pi))
@@ -295,7 +296,7 @@ class TestImportanceWeights:
         model = flat_model(mu=0.3, logvar=0.4, probs=(0.6, 0.3))
         draws = np.array([[0.4], [-1.2], [0.0]])
         rng = FixedDraws(draws.copy())
-        composed_bound(model, np.array([1.0, 0.0]), None, 3, rng)
+        composed_bound(model, np.array([1.0, 0.0]), 0, 3, rng)
         assert np.array_equal(rng.draws, draws)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -303,7 +304,7 @@ class TestImportanceWeights:
         model = flat_model(probs=(0.6, 0.3))
         x = np.full(2, 1.7e308)
         with pytest.raises(NumericError, match=r"log p\(x\|z"):
-            composed_bound(model, x, None, 2, np.random.default_rng(0))
+            composed_bound(model, x, 0, 2, np.random.default_rng(0))
 
 
 class TestLogMeanExp:
@@ -334,17 +335,19 @@ class TestLogMeanExp:
 
 def written_out_bound(model, x, label, k, seed):
     """The log-weights behind iwae_bound, written as plain expressions."""
-    labels = None if label is None else np.full(k, label)
-    mu, logvar = cvae.encode(model, x[None, :],
-                             None if label is None else np.array([label]))
+    mu, logvar = cvae.encode(model, x[None, :], np.array([label]))
     noise = np.random.default_rng(seed).standard_normal((k, model.latent_dim))
     z = mu + np.exp(0.5 * logvar) * noise
-    probs = cvae.decode(model, z, labels)
+    probs = cvae.decode(model, z, np.full(k, label))
     log_px = cvae.bernoulli_log_likelihood(x[None, :], probs)
     log_prior = -0.5 * (z * z + cvae.LOG_2PI).sum(axis=1)
     log_post = -0.5 * ((z - mu) ** 2 / np.exp(logvar) + cvae.LOG_2PI
                        + logvar).sum(axis=1)
     return log_px + log_prior - log_post
+
+
+# the label cases of a plain VAE, which takes any label and ignores it
+VAE_LABELS = (0, data.N_CLASSES - 1)
 
 
 @pytest.fixture(scope="module")
@@ -362,13 +365,13 @@ class TestIwae:
         got = composed_bound(model, x, label, 1, np.random.default_rng(19))
         assert got == written_out_bound(model, x, label, 1, 19)[0]
 
+    # None is the plain VAE, scored under each of VAE_LABELS
     @pytest.mark.parametrize("label", [*range(data.N_CLASSES), None])
     def test_k_500_weights_equal_the_written_out_ones(
             self, trained_cvae, trained_vae, label, monkeypatch):
         # the bound alone can round away a last-bit change in a weight
         model = trained_vae if label is None else trained_cvae["model"]
         x = trained_cvae["test"].features[2]
-        want = written_out_bound(model, x, label, 500, 20)
         seen = []
         log_mean_exp = cvae.log_mean_exp
 
@@ -377,9 +380,12 @@ class TestIwae:
             return log_mean_exp(weights)
 
         monkeypatch.setattr(cvae, "log_mean_exp", recording_log_mean_exp)
-        got = composed_bound(model, x, label, 500, np.random.default_rng(20))
-        assert np.array_equal(seen[0], want)
-        assert got == log_mean_exp(want)
+        for given in VAE_LABELS if label is None else (label,):
+            want = written_out_bound(model, x, given, 500, 20)
+            got = composed_bound(model, x, given, 500,
+                                 np.random.default_rng(20))
+            assert np.array_equal(seen.pop(), want)
+            assert got == log_mean_exp(want)
 
     def test_each_bound_encodes_its_row_once(self, trained_cvae,
                                              monkeypatch):
@@ -445,17 +451,20 @@ class TestIwae:
 
 
 def rows_bounded_alone(model, rows, label, k, seed):
-    """iwae_batch's bounds, one row at a time, each from its content seed."""
+    """iwae_batch's bounds, one row at a time, each from its content seed,
+    keyed by the label under a CVAE and by -1 under a plain VAE."""
+    key = label if model.conditional else -1
     return np.array([
         composed_bound(model, row, label, k, np.random.default_rng(
-            stable_hash(seed, "iwae", row.tobytes(),
-                        -1 if label is None else label)))
+            stable_hash(seed, "iwae", row.tobytes(), key)))
         for row in rows], dtype=np.float64)
 
 
 class TestIwaePipeline:
     # iwae_batch draws row i+1's proposal on a worker while row i is weighed
 
+    # None is the plain VAE: under each of VAE_LABELS its bounds are the
+    # written-out ones keyed -1, so they are bitwise the same
     @pytest.mark.parametrize("n_rows", [0, 1, 37])
     @pytest.mark.parametrize("k", [1, 500])
     @pytest.mark.parametrize("label", [None, *range(data.N_CLASSES)])
@@ -463,11 +472,19 @@ class TestIwaePipeline:
                                              label, k, n_rows):
         model = trained_vae if label is None else trained_cvae["model"]
         rows = trained_cvae["test"].features[:n_rows]
-        labels = None if label is None else np.full(n_rows, label)
-        got = cvae.iwae_batch(model, rows, labels, k, seed=25)
-        want = rows_bounded_alone(model, rows, label, k, 25)
-        assert got.shape == (n_rows,)
-        assert got.tobytes() == want.tobytes()
+        for given in VAE_LABELS if label is None else (label,):
+            got = cvae.iwae_batch(model, rows, np.full(n_rows, given), k,
+                                  seed=25)
+            want = rows_bounded_alone(model, rows, given, k, 25)
+            assert got.shape == (n_rows,)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n_labels", [2, 4])
+    def test_label_count_must_match_the_rows(self, n_labels):
+        # a plain VAE ignores its labels, but not their count
+        rows = np.array([[0.2, 0.8], [0.5, 0.5], [0.9, 0.1]])
+        with pytest.raises(ShapeError, match=f"{n_labels} labels for 3 rows"):
+            cvae.iwae_batch(flat_model(), rows, np.zeros(n_labels, int), 2)
 
     @staticmethod
     def faulty_rows(q_fault_row):
@@ -486,14 +503,14 @@ class TestIwaePipeline:
         row_rng = [np.random.default_rng(stable_hash(27, "iwae", row.tobytes(),
                                                      -1))
                    for row in rows]
-        proposal = cvae.iwae_proposal(model, rows[1], None, 4, row_rng[1])
+        proposal = cvae.iwae_proposal(model, rows[1], 0, 4, row_rng[1])
         with pytest.raises(NumericError) as alone:
-            cvae.iwae_bound(model, rows[1], None, proposal)
+            cvae.iwae_bound(model, rows[1], 0, proposal)
         with pytest.raises(NumericError, match="forward pass"):
-            cvae.iwae_proposal(model, rows[q_fault_row], None, 4,
+            cvae.iwae_proposal(model, rows[q_fault_row], 0, 4,
                                row_rng[q_fault_row])
         with pytest.raises(NumericError) as batched:
-            cvae.iwae_batch(model, rows, None, 4, seed=27)
+            cvae.iwae_batch(model, rows, np.zeros(4, int), 4, seed=27)
         assert "log p(x|z,c)" in str(alone.value)
         assert str(batched.value) == str(alone.value)
 
@@ -506,7 +523,7 @@ class TestIwaePipeline:
         assert threading.active_count() == before
         with pytest.raises(NumericError):
             cvae.iwae_batch(flat_model(probs=(0.6, 0.3)),
-                            self.faulty_rows(3), None, 4, seed=28)
+                            self.faulty_rows(3), np.zeros(4, int), 4, seed=28)
         assert threading.active_count() == before
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from stealthlab import cvae, data, detect, nn
 from stealthlab.attack import gen_ood
-from stealthlab.errors import NumericError
+from stealthlab.errors import NumericError, ShapeError
 from stealthlab.ids import IdsTrainConfig, train_ids
 from stealthlab.rng import derive_rng, stable_hash
 
@@ -72,9 +72,9 @@ def dense_reference_regret(model, row, label, config, seed, kl_weight):
     params = work.encoder.params()
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
-    labels = None if label is None else np.array([label])
+    labels = np.array([label])
     noise = np.random.default_rng(stable_hash(
-        seed, "regret", row.tobytes(), -1 if label is None else label)
+        seed, "regret", row.tobytes(), label if model.conditional else -1)
     ).standard_normal((1, model.latent_dim))
     lr, beta1, beta2, eps = config.learning_rate, 0.9, 0.999, 1e-8
     result = cvae.elbo_loss(work, row[None, :], labels, noise=noise,
@@ -96,10 +96,11 @@ def dense_reference_regret(model, row, label, config, seed, kl_weight):
 
 def looped_reference_regret(model, row, label, config, seed, kl_weight):
     """One row's regret from its own posterior refit, batch 1: a fresh
-    optimiser per row and the loss of the one-row batch at each step."""
-    labels = None if label is None else np.array([label])
+    optimiser per row and the loss of the one-row batch at each step. The
+    noise is keyed by the label under a CVAE and by -1 under a plain VAE."""
+    labels = np.array([label])
     noise = np.random.default_rng(stable_hash(
-        seed, "regret", row.tobytes(), -1 if label is None else label)
+        seed, "regret", row.tobytes(), label if model.conditional else -1)
     ).standard_normal((1, model.latent_dim))
     x = row[None, :]
     post = np.hstack(cvae.encode(model, x, labels))
@@ -495,7 +496,7 @@ class TestRegret:
 
     def test_already_optimal_sample_has_tiny_regret(self):
         model = flat_cvae(mu=[0.0], probs=[0.5, 0.5])
-        scores = detect.score_regret(model, np.array([[0.5, 0.5]]), None,
+        scores = detect.score_regret(model, np.array([[0.5, 0.5]]), [0],
                                      detect.RegretConfig(steps=50), 0,
                                      kl_weight=1.0)
         assert 0.0 <= scores.scores[0] <= 0.1
@@ -519,8 +520,8 @@ class TestRegret:
         config = detect.RegretConfig(steps=2, learning_rate=1e160)
         before = model_params(model)
         with caplog.at_level("WARNING", logger="stealthlab.detect"):
-            scores = detect.score_regret(model, batch, None, config, 0,
-                                         kl_weight=1.0)
+            scores = detect.score_regret(model, batch, np.zeros(3, int),
+                                         config, 0, kl_weight=1.0)
         assert scores.scores.shape == (3,)
         assert np.all(np.isnan(scores.scores))
         assert scores.n_invalid == 3
@@ -536,13 +537,13 @@ class TestRegret:
         batch = np.array([[0.2, 0.7], [1e308, 0.1], [0.9, 0.6]])
         config = detect.RegretConfig(steps=3)
         with caplog.at_level("WARNING", logger="stealthlab.detect"):
-            scores = detect.score_regret(model, batch, None, config, 0,
-                                         kl_weight=1.0)
+            scores = detect.score_regret(model, batch, np.zeros(3, int),
+                                         config, 0, kl_weight=1.0)
         assert scores.n_invalid == 1
         assert "dropped 1" in caplog.text
         assert np.isnan(scores.scores[1])
         for i in (0, 2):
-            alone = detect.score_regret(model, batch[i:i + 1], None, config,
+            alone = detect.score_regret(model, batch[i:i + 1], [0], config,
                                         0, kl_weight=1.0)
             assert np.isfinite(scores.scores[i])
             assert scores.scores[i] == alone.scores[0]
@@ -550,8 +551,34 @@ class TestRegret:
     def test_kl_weight_has_no_default(self):
         # no caller falls back to an objective the model was not trained on
         with pytest.raises(TypeError, match="kl_weight"):
-            detect.score_regret(toy_cvae(), np.array([[0.2, 0.7]]), None,
+            detect.score_regret(toy_cvae(), np.array([[0.2, 0.7]]), [0],
                                 detect.RegretConfig(steps=1), 0)
+
+    def test_plain_vae_scores_ignore_the_label(self):
+        # a plain VAE's noise is keyed -1 whatever label it is given
+        model = toy_cvae(seed=5)
+        batch = np.array([[0.2, 0.7], [0.4, 0.1], [0.9, 0.6]])
+        config = detect.RegretConfig(steps=4)
+        first, last = (detect.score_regret(model, batch, np.full(3, label),
+                                           config, 2, kl_weight=1.0).scores
+                       for label in (0, data.N_CLASSES - 1))
+        assert first.tobytes() == last.tobytes()
+        for row in batch:
+            for label in (0, data.N_CLASSES - 1):
+                got = detect.score_regret(model, row[None, :], [label],
+                                          config, 2, kl_weight=1.0)
+                assert got.scores[0] == looped_reference_regret(
+                    model, row, label, config, 2, 1.0)
+
+    @pytest.mark.parametrize("n_labels", [2, 4])
+    def test_label_count_must_match_the_rows(self, n_labels):
+        # zipped with too few labels, the rows left over would keep undrawn
+        # noise
+        batch = np.array([[0.2, 0.7], [0.4, 0.1], [0.9, 0.6]])
+        with pytest.raises(ShapeError, match=f"{n_labels} labels for 3 rows"):
+            detect.score_regret(toy_cvae(), batch, np.zeros(n_labels, int),
+                                detect.RegretConfig(steps=1), 0,
+                                kl_weight=1.0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
