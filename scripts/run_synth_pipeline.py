@@ -5,18 +5,25 @@ Usage:
     python scripts/run_synth_pipeline.py [--out runs/synth] [--seed 0]
 
 Equivalent to the CLI sequence synth / train-ids / train-gan / train-cvae /
-sweep / detect / report with the stock configuration.
+sweep / detect / report with the stock configuration. BLAS runs on one
+thread unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS says otherwise: the
+NLL scorer's proposal worker is slower beside a second BLAS thread.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
 
-from stealthlab.cli import STAGES, RunConfig, run_stage
+# before numpy loads, or BLAS has already started its threads
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
+from stealthlab.cli import STAGES, RunConfig, run_stage  # noqa: E402
 
 
 def main() -> int:

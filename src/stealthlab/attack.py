@@ -90,11 +90,7 @@ def refine_trajectory(gen: Generator, x_att: np.ndarray, labels: np.ndarray,
     x_att = np.asarray(x_att, dtype=np.float64)
     if x_att.ndim != 2:
         raise ShapeError("x_att must be 2-d")
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be > 0")
     steps = sorted(set(int(s) for s in snapshot_steps))
-    if not steps or steps[0] < 0:
-        raise ValueError("snapshot steps must be non-negative")
     rng = derive_rng(seed, "refine-noise")
     lower = np.maximum(x_att - epsilon, 0.0)
     upper = np.minimum(x_att + epsilon, 1.0)
@@ -113,8 +109,6 @@ def refine_trajectory(gen: Generator, x_att: np.ndarray, labels: np.ndarray,
 
 def gen_ood(x_att: np.ndarray, noise_scale: float, seed: int) -> np.ndarray:
     """clip(x_att + N(0, noise_scale^2), 0, 1): unstructured out-of-distribution."""
-    if noise_scale <= 0.0:
-        raise ValueError("noise_scale must be > 0")
     x_att = np.asarray(x_att, dtype=np.float64)
     rng = derive_rng(seed, "ood-noise")
     noise = rng.normal(0.0, noise_scale, size=x_att.shape)
@@ -146,8 +140,6 @@ def operating_point(gen: Generator, x_att: np.ndarray, labels: np.ndarray,
 
 def success_rate(ids_net: nn.Mlp, batch: np.ndarray, n_att: int) -> float:
     """Fraction of rows the detector labels benign, over n_att."""
-    if n_att <= 0:
-        raise ValueError("n_att must be > 0")
     return float((predict_label(ids_net, batch) == 0).sum() / n_att)
 
 

@@ -75,20 +75,17 @@ class Generator:
     out_scale: float
 
 
-def build_generator(rng: np.random.Generator, noise_dim: int = 32,
-                    out_scale: float = 0.1, n_features: int = N_FEATURES,
+def build_generator(rng: np.random.Generator, noise_dim: int, out_scale: float,
                     hidden: tuple[int, ...] = GEN_HIDDEN) -> Generator:
-    dims = [noise_dim + N_CLASSES, *hidden, n_features]
+    dims = [noise_dim + N_CLASSES, *hidden, N_FEATURES]
     activations = ["relu"] * len(hidden) + ["tanh"]
     return Generator(nn.build_mlp(dims, activations, rng), noise_dim, out_scale)
 
 
-def build_discriminator(rng: np.random.Generator,
-                        n_features: int = N_FEATURES,
-                        hidden: tuple[int, ...] = DISC_HIDDEN) -> nn.Mlp:
-    """n_features -> ... -> 1, sigmoid head: the probability a row is real."""
-    dims = [n_features, *hidden, 1]
-    activations = ["relu"] * len(hidden) + ["sigmoid"]
+def build_discriminator(rng: np.random.Generator) -> nn.Mlp:
+    """N_FEATURES -> ... -> 1, sigmoid head: the probability a row is real."""
+    dims = [N_FEATURES, *DISC_HIDDEN, 1]
+    activations = ["relu"] * len(DISC_HIDDEN) + ["sigmoid"]
     return nn.build_mlp(dims, activations, rng)
 
 
@@ -186,8 +183,6 @@ def discriminator_loss(disc: nn.Mlp, x_benign: np.ndarray,
     """0.5 * (BCE(D(benign), 1) + BCE(D(adv), 0)) and its parameter grads."""
     x_benign = np.asarray(x_benign, dtype=np.float64)
     x_adv = np.asarray(x_adv, dtype=np.float64)
-    if x_benign.size == 0 or x_adv.size == 0:
-        raise ValueError("both batches must be non-empty")
     ben_tape, adv_tape = [], []
     p_ben = disc.forward(x_benign, ben_tape)
     loss_ben, d_ben = nn.binary_cross_entropy(p_ben, np.ones_like(p_ben))

@@ -51,13 +51,11 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .data import (Dataset, N_CLASSES, N_FEATURES, one_hot, read_json,
-                   write_json)
+from .data import Dataset, N_CLASSES, one_hot, read_json, write_json
 from .errors import NumericError, ParseError, ShapeError
 from .rng import derive_rng, stable_hash
 
 HIDDEN_WIDTHS = (256, 256)
-LATENT_DIM = 200
 LOGVAR_MIN = -10.0
 LOGVAR_MAX = 10.0
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -68,7 +66,7 @@ class CvaeTrainConfig:
     epochs: int = 120
     batch_size: int = 64
     learning_rate: float = 0.001
-    latent_dim: int = LATENT_DIM
+    latent_dim: int = 200
     # constant weight on the KL term; the synthetic clusters are
     # conditionally featureless, so a plain ELBO collapses the posterior and
     # a small weight keeps the latent space live
@@ -99,14 +97,14 @@ class CvaeModel:
         return self.encoder.params() + self.decoder.params()
 
 
-def build_cvae(rng: np.random.Generator, input_dim: int = N_FEATURES,
-               latent_dim: int = LATENT_DIM, conditional: bool = True,
-               hidden: tuple[int, ...] = HIDDEN_WIDTHS) -> CvaeModel:
+def build_cvae(rng: np.random.Generator, input_dim: int, latent_dim: int,
+               conditional: bool) -> CvaeModel:
     extra = N_CLASSES if conditional else 0
-    enc_dims = [input_dim + extra, *hidden, 2 * latent_dim]
-    dec_dims = [latent_dim + extra, *hidden, input_dim]
-    encoder = nn.build_mlp(enc_dims, ["relu"] * len(hidden) + ["linear"], rng)
-    decoder = nn.build_mlp(dec_dims, ["relu"] * len(hidden) + ["sigmoid"], rng)
+    enc_dims = [input_dim + extra, *HIDDEN_WIDTHS, 2 * latent_dim]
+    dec_dims = [latent_dim + extra, *HIDDEN_WIDTHS, input_dim]
+    relus = ["relu"] * len(HIDDEN_WIDTHS)
+    encoder = nn.build_mlp(enc_dims, relus + ["linear"], rng)
+    decoder = nn.build_mlp(dec_dims, relus + ["sigmoid"], rng)
     return CvaeModel(encoder, decoder, latent_dim, conditional)
 
 
@@ -231,16 +229,15 @@ def elbo_loss(model: CvaeModel, x: np.ndarray, labels: np.ndarray, *,
 
 
 def train_cvae(train: Dataset, config: CvaeTrainConfig, seed: int,
-               conditional: bool = True) -> tuple[CvaeModel, list[dict]]:
+               conditional: bool) -> tuple[CvaeModel, list[dict]]:
     """Minibatch Adam on the ELBO loss; conditional=False fits a plain VAE.
 
     Curve rows: {epoch, loss, recon, kl}; the reconstruction column is what
     the conditional-vs-plain comparison reads. Every batch draws its noise
     into one buffer: a fresh array per batch raises the stage's peak memory."""
     rng = derive_rng(seed, "cvae-train")
-    model = build_cvae(rng, input_dim=train.features.shape[1],
-                       latent_dim=config.latent_dim,
-                       conditional=conditional)
+    model = build_cvae(rng, train.features.shape[1], config.latent_dim,
+                       conditional)
     optimiser = nn.adam_init(model.params(), config.learning_rate)
     curve: list[dict] = []
     draws = np.empty((config.batch_size, model.latent_dim))
@@ -290,8 +287,6 @@ def iwae_proposal(model: CvaeModel, x: np.ndarray, label: int, k: int,
     draws from `rng`. The k-row terms are computed in place, bitwise the
     plain expressions, and the draws are never written: the rng may hand out
     an array it keeps."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     x = np.asarray(x, dtype=np.float64).ravel()
     mu, logvar = encode(model, x[None, :], np.array([label]))
     z = np.exp(0.5 * logvar) * rng.standard_normal((k, model.latent_dim))
@@ -335,7 +330,7 @@ def _row_proposal(model: CvaeModel, row: np.ndarray, label: int, k: int,
 
 
 def iwae_batch(model: CvaeModel, batch: np.ndarray, labels: np.ndarray,
-               k: int, seed: int = 0) -> np.ndarray:
+               k: int, seed: int) -> np.ndarray:
     """The bound of each row under its label, its draws seeded from its
     content and `label_key`: duplicated rows score identically and order
     never matters. Labels of another count than the rows are a ShapeError.

@@ -324,11 +324,9 @@ def has_type(value, hint) -> bool:
 # splitting
 # ---------------------------------------------------------------------------
 
-def stratified_split(dataset: Dataset, train_fraction: float = 0.8,
-                     seed: int = 0) -> tuple[Dataset, Dataset]:
+def stratified_split(dataset: Dataset, train_fraction: float,
+                     seed: int) -> tuple[Dataset, Dataset]:
     """Per-class shuffled split; every class lands in both halves."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must be in (0, 1)")
     rng = derive_rng(seed, "stratified-split")
     train_rows = []
     test_rows = []

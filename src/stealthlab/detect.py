@@ -142,14 +142,12 @@ def score_table(populations: list[tuple], model: CvaeModel, ids_net: nn.Mlp,
 # ---------------------------------------------------------------------------
 
 def score_nll(model: CvaeModel, ids_net: nn.Mlp, batch: np.ndarray,
-              k: int = 50, seed: int = 0,
-              label_mode: str = "ids") -> tuple[np.ndarray, np.ndarray]:
+              k: int, seed: int,
+              label_mode: str) -> tuple[np.ndarray, np.ndarray]:
     """(importance-weighted NLL, label conditioned on) per row, the least
     over the candidate labels: the intrusion detector's prediction ("ids"
     `label_mode`, or a plain VAE) or, in "min" mode, every label."""
     batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-    if label_mode not in ("ids", "min"):
-        raise ValueError("label_mode must be 'ids' or 'min'")
     if label_mode == "ids" or not model.conditional:
         candidates = predict_label(ids_net, batch)[None, :]
     else:
@@ -171,11 +169,9 @@ class GaussianClassModel:
 
 
 def fit_gaussians(model: CvaeModel, train: Dataset,
-                  shrinkage: float = 0.1) -> GaussianClassModel:
+                  shrinkage: float) -> GaussianClassModel:
     """Per-class Gaussian over encoder means, with diagonal shrinkage
     cov <- (1 - lambda) cov + lambda diag(cov) to keep it invertible."""
-    if not 0.0 <= shrinkage <= 1.0:
-        raise ValueError("shrinkage must be in [0, 1]")
     latent = model.latent_dim
     means = np.empty((N_CLASSES, latent))
     chols = np.empty((N_CLASSES, latent, latent))
@@ -358,10 +354,8 @@ def roc_auc(scores: np.ndarray, positive: np.ndarray) -> RocCurve:
 # ---------------------------------------------------------------------------
 
 def export_histograms(scores: np.ndarray, tags: np.ndarray,
-                      bins: int = 40) -> dict:
+                      bins: int) -> dict:
     """Per-tag counts over shared bin edges spanning all scores."""
-    if bins < 2:
-        raise ValueError("bins must be >= 2")
     if scores.size == 0:
         raise ValueError("no scores to histogram")
     lo = float(scores.min())

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -297,16 +297,15 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 
 @dataclass
 class AdamState:
-    learning_rate: float = 0.001
+    learning_rate: float
+    m: list
+    v: list
     step_count: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
 
 
-def adam_init(params: list[np.ndarray],
-              learning_rate: float = 0.001) -> AdamState:
-    return AdamState(learning_rate, m=[np.zeros_like(p) for p in params],
-                     v=[np.zeros_like(p) for p in params])
+def adam_init(params: list[np.ndarray], learning_rate: float) -> AdamState:
+    return AdamState(learning_rate, [np.zeros_like(p) for p in params],
+                     [np.zeros_like(p) for p in params])
 
 
 def adam_step(state: AdamState, params: list[np.ndarray],
@@ -363,6 +362,7 @@ def save_mlp(path, net: Mlp) -> None:
 
 
 def load_mlp(path) -> Mlp:
+    """The net save_mlp wrote; any other file is a ParseError naming it."""
     with open(path, "rb") as fh:
         magic = fh.read(len(WEIGHT_MAGIC))
         if magic != WEIGHT_MAGIC:
@@ -393,4 +393,7 @@ def load_mlp(path) -> Mlp:
                                     dtype="<f8").reshape(fan_in, fan_out)
             bias = np.frombuffer(fh.read(fan_out * 8), dtype="<f8")
             layers.append(DenseLayer(weights.copy(), bias.copy(), tag))
-    return Mlp(layers)
+    try:
+        return Mlp(layers)
+    except ValueError as exc:    # no layers, or widths that do not chain
+        raise ParseError(f"{path}: {exc}") from None

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import re
 import shutil
+import struct
 import subprocess
 import sys
 import types
@@ -274,6 +275,10 @@ class TestExitCodes:
         ("cvae", "learning_rate", float("nan")),
         ("sweep", "epsilon_grid", [0.05, float("inf")]),
         ("detect", "regret", {"learning_rate": float("inf")}),
+        # values only the config reader checks
+        ("detect", "label_mode", "argmax"),
+        ("detect", "k", 0),
+        ("dataset", "train_fraction", 1.0),
     ])
     def test_value_a_stage_would_reject_is_2(self, tmp_path, capsys, section,
                                              key, value):
@@ -613,6 +618,31 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "i/o error" in err
         assert f"{meta_path}: 'noise_dim' does not match" in err
+
+    @pytest.mark.parametrize("shapes, message", [
+        ([(34, 2, "relu"), (4, 30, "tanh")],
+         "layer dims do not chain: 2 -> 4"),
+        ([], "need at least one layer"),
+    ], ids=["unchained-layers", "no-layers"])
+    def test_gen_weights_that_make_no_net_are_5(
+            self, pipeline, tiny_config, tmp_path, capsys, shapes, message):
+        # a header of these layer shapes, and zeroed blocks of its size
+        out = tmp_path / "out"
+        shutil.copytree(pipeline["out"], out)
+        path = out / "models" / "gen.weights"
+        blob = nn.WEIGHT_MAGIC + struct.pack(
+            "<II", nn.WEIGHT_FORMAT_VERSION, len(shapes))
+        for fan_in, fan_out, tag in shapes:
+            blob += struct.pack("<II", fan_in, fan_out) + tag.encode().ljust(
+                8, b"\x00")
+        blob += bytes(sum((fan_in + 1) * fan_out * 8
+                          for fan_in, fan_out, _ in shapes))
+        path.write_bytes(blob)
+        rc = cli.main(["sweep", "--config", tiny_config, "--out", str(out)])
+        assert rc == 5
+        err = capsys.readouterr().err
+        assert "i/o error" in err
+        assert f"{path}: {message}" in err
 
     @pytest.mark.parametrize("command", ["train-gan", "sweep", "detect"])
     @pytest.mark.parametrize("damage, name, message", [

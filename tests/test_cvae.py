@@ -221,8 +221,8 @@ class TestTraining:
         ds = data.synth_generate(small_spec(20), 41)
         config = cvae.CvaeTrainConfig(epochs=2, batch_size=32,
                                       latent_dim=8, kl_weight=1.0)
-        model_a, curve_a = cvae.train_cvae(ds, config, 42)
-        model_b, curve_b = cvae.train_cvae(ds, config, 42)
+        model_a, curve_a = cvae.train_cvae(ds, config, 42, conditional=True)
+        model_b, curve_b = cvae.train_cvae(ds, config, 42, conditional=True)
         assert curve_a == curve_b
         for pa, pb in zip(model_a.params(), model_b.params()):
             assert np.array_equal(pa, pb)
@@ -232,7 +232,7 @@ class TestTraining:
         config = cvae.CvaeTrainConfig(epochs=1, batch_size=32, latent_dim=8,
                                       kl_weight=1e12)
         with pytest.raises(NumericError, match="epoch"):
-            cvae.train_cvae(ds, config, 44)
+            cvae.train_cvae(ds, config, 44, conditional=True)
 
     def test_unconditional_variant_ignores_labels(self):
         ds = data.synth_generate(small_spec(10), 45)
@@ -484,7 +484,8 @@ class TestIwaePipeline:
         # a plain VAE ignores its labels, but not their count
         rows = np.array([[0.2, 0.8], [0.5, 0.5], [0.9, 0.1]])
         with pytest.raises(ShapeError, match=f"{n_labels} labels for 3 rows"):
-            cvae.iwae_batch(flat_model(), rows, np.zeros(n_labels, int), 2)
+            cvae.iwae_batch(flat_model(), rows, np.zeros(n_labels, int), 2,
+                            seed=0)
 
     @staticmethod
     def faulty_rows(q_fault_row):
