@@ -87,7 +87,6 @@ def refine_trajectory(gen: Generator, x_att: np.ndarray, labels: np.ndarray,
     is drawn once per step, so a shorter run with the same seed is an exact
     prefix of a longer one; snapshots equal standalone runs bit for bit.
     """
-    x_att = np.asarray(x_att, dtype=np.float64)
     if x_att.ndim != 2:
         raise ShapeError("x_att must be 2-d")
     steps = sorted(set(int(s) for s in snapshot_steps))
@@ -109,7 +108,6 @@ def refine_trajectory(gen: Generator, x_att: np.ndarray, labels: np.ndarray,
 
 def gen_ood(x_att: np.ndarray, noise_scale: float, seed: int) -> np.ndarray:
     """clip(x_att + N(0, noise_scale^2), 0, 1): unstructured out-of-distribution."""
-    x_att = np.asarray(x_att, dtype=np.float64)
     rng = derive_rng(seed, "ood-noise")
     noise = rng.normal(0.0, noise_scale, size=x_att.shape)
     return np.clip(x_att + noise, 0.0, 1.0)
@@ -138,20 +136,18 @@ def operating_point(gen: Generator, x_att: np.ndarray, labels: np.ndarray,
             _ood(x_att, rho, seed))
 
 
-def success_rate(ids_net: nn.Mlp, batch: np.ndarray, n_att: int) -> float:
-    """Fraction of rows the detector labels benign, over n_att."""
-    return float((predict_label(ids_net, batch) == 0).sum() / n_att)
+def success_rate(ids_net: nn.Mlp, batch: np.ndarray) -> float:
+    """Fraction of the batch's rows the detector labels benign."""
+    return float((predict_label(ids_net, batch) == 0).mean())
 
 
 def wasserstein_1d(a: np.ndarray, b: np.ndarray) -> float:
-    """Exact empirical 1-d Wasserstein-1 distance between two samples.
+    """Exact empirical Wasserstein-1 distance between two 1-d samples.
 
     Equal sizes reduce to the mean absolute difference of the sorted samples;
     unequal sizes integrate |F_a - F_b| over the merged support, which equals
     the quantile-function integral.
     """
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
     if a.size == 0 or b.size == 0:
         raise ValueError("samples must be non-empty")
     if a.size == b.size:
@@ -165,8 +161,6 @@ def wasserstein_1d(a: np.ndarray, b: np.ndarray) -> float:
 
 def wasserstein_features(batch_a: np.ndarray, batch_b: np.ndarray) -> float:
     """Mean of the per-feature 1-d distances (columns are features)."""
-    batch_a = np.asarray(batch_a, dtype=np.float64)
-    batch_b = np.asarray(batch_b, dtype=np.float64)
     if batch_a.ndim != 2 or batch_b.ndim != 2:
         raise ShapeError("batches must be 2-d")
     if batch_a.shape[1] != batch_b.shape[1]:
@@ -193,14 +187,12 @@ def sweep(gen: Generator, ids_net: nn.Mlp, x_att: np.ndarray,
     across epsilon and n_ref, so results are independent of evaluation order.
     Ties resolve to the first grid point in (epsilon, rho, n_ref) order.
     """
-    x_att = np.asarray(x_att, dtype=np.float64)
     if x_att.shape[0] == 0:
         raise ValueError("x_att must be non-empty")
-    n_att = x_att.shape[0]
 
     def stats(batch: np.ndarray) -> dict:
         return {"w": wasserstein_features(batch, x_att),
-                "succ": success_rate(ids_net, batch, n_att),
+                "succ": success_rate(ids_net, batch),
                 "w_ben": wasserstein_features(batch, x_benign)}
 
     ood_stats = {rho: stats(_ood(x_att, rho, seed))

@@ -18,7 +18,8 @@ pass for its gradients.
 
 `train_cgan(ids_net, train, config, seed)` takes its seed as an argument;
 `GanConfig` holds the hyperparameters only and is the run config's `gan`
-section. The save functions return the paths they wrote.
+section. `save_generator` returns the paths it wrote. The discriminator is
+not saved: it only trains the generator, and no stage reads it.
 """
 
 from __future__ import annotations
@@ -100,8 +101,6 @@ def generate_perturbation(gen: Generator, noise: np.ndarray,
                           labels: np.ndarray,
                           tape: list | None = None) -> np.ndarray:
     """delta = out_scale * net(noise, onehot(class)); attack classes only."""
-    noise = np.asarray(noise, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
     if noise.ndim != 2 or noise.shape[1] != gen.noise_dim:
         raise ShapeError(f"noise must be (n, {gen.noise_dim})")
     if labels.shape != (noise.shape[0],):
@@ -127,9 +126,6 @@ def generator_loss(ids_net: nn.Mlp, disc: nn.Mlp,
                    x_att: np.ndarray, delta: np.ndarray,
                    x_benign: np.ndarray,
                    config: GanConfig) -> GeneratorLossResult:
-    x_att = np.asarray(x_att, dtype=np.float64)
-    delta = np.asarray(delta, dtype=np.float64)
-    x_benign = np.asarray(x_benign, dtype=np.float64)
     if x_att.shape != delta.shape or x_att.shape != x_benign.shape:
         raise ShapeError("x_att, delta and x_benign must share one shape")
     n = x_att.shape[0]
@@ -174,15 +170,13 @@ def generator_loss(ids_net: nn.Mlp, disc: nn.Mlp,
 def generator_param_grads(gen: Generator, d_delta: np.ndarray,
                           tape: list) -> list[np.ndarray]:
     """Chain dLoss/dDelta through the generator pass recorded in `tape`."""
-    grads, _ = gen.net.backward(gen.out_scale * np.asarray(d_delta), tape)
+    grads, _ = gen.net.backward(gen.out_scale * d_delta, tape)
     return grads
 
 
 def discriminator_loss(disc: nn.Mlp, x_benign: np.ndarray,
                        x_adv: np.ndarray) -> tuple[float, list[np.ndarray]]:
     """0.5 * (BCE(D(benign), 1) + BCE(D(adv), 0)) and its parameter grads."""
-    x_benign = np.asarray(x_benign, dtype=np.float64)
-    x_adv = np.asarray(x_adv, dtype=np.float64)
     ben_tape, adv_tape = [], []
     p_ben = disc.forward(x_benign, ben_tape)
     loss_ben, d_ben = nn.binary_cross_entropy(p_ben, np.ones_like(p_ben))
@@ -286,10 +280,3 @@ def load_generator(directory) -> Generator:
         raise ParseError(f"{meta_path}: 'noise_dim' does not match the "
                          f"generator weight file")
     return Generator(net, meta["noise_dim"], float(meta["out_scale"]))
-
-
-def save_discriminator(disc: nn.Mlp, directory) -> list[Path]:
-    """Write disc.weights; returns [its path]."""
-    path = Path(directory) / "disc.weights"
-    nn.save_mlp(path, disc)
-    return [path]

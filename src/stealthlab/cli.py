@@ -305,14 +305,13 @@ def stage_gan(config: RunConfig, out_dir: Path) -> tuple[list[Path], dict]:
     train = data.load_csv(paths["train_csv"])
     ids_net = ids.load_ids(paths["models"])
     before = [p.copy() for p in ids_net.params()]
-    generator, discriminator, curve = cgan.train_cgan(
+    generator, _, curve = cgan.train_cgan(
         ids_net, train, config.gan, derive_seed(config.seed, "gan"))
     frozen = all((a == b).all() for a, b in zip(before, ids_net.params()))
     if not frozen:
         raise NumericError("intrusion detector weights changed during GAN "
                            "training; the frozen-oracle contract is broken")
-    artifacts = (cgan.save_generator(generator, paths["models"])
-                 + cgan.save_discriminator(discriminator, paths["models"]))
+    artifacts = cgan.save_generator(generator, paths["models"])
     columns = ["epoch", "d_loss", "g_cls", "g_stealth", "g_gan"]
     data.write_csv(paths["gan_curve"], columns,
                    map(itemgetter(*columns), curve), "\n")

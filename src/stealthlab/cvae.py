@@ -123,7 +123,6 @@ def label_key(model: CvaeModel, label: int) -> int:
 def encode(model: CvaeModel, x: np.ndarray,
            labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Posterior parameters (mu, log-variance), the latter clamped to +-10."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     out = model.encoder.forward(_conditioned(model, x, labels))
     mu = out[:, :model.latent_dim]
     logvar = np.clip(out[:, model.latent_dim:], LOGVAR_MIN, LOGVAR_MAX)
@@ -133,7 +132,6 @@ def encode(model: CvaeModel, x: np.ndarray,
 def decode(model: CvaeModel, z: np.ndarray,
            labels: np.ndarray) -> np.ndarray:
     """Feature probabilities, clamped strictly inside (0, 1) for the logs."""
-    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     if z.shape[1] != model.latent_dim:
         raise ShapeError(f"z must have {model.latent_dim} columns")
     out = model.decoder.forward(_conditioned(model, z, labels))
@@ -175,19 +173,16 @@ def elbo_loss(model: CvaeModel, x: np.ndarray, labels: np.ndarray, *,
     that `model.encoder.backward`, given the tape of the encoder pass that
     produced `posterior`, turns into the encoder's parameter gradients.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     n = x.shape[0]
     enc_tape, dec_tape = ([], []) if with_grads else (None, None)
+    post = posterior
     if posterior is None:
         post = model.encoder.forward(_conditioned(model, x, labels), enc_tape)
-    else:
-        post = np.asarray(posterior, dtype=np.float64)
-        if post.shape != (n, 2 * model.latent_dim):
-            raise ShapeError("posterior shape must be (n, 2 * latent_dim)")
+    elif post.shape != (n, 2 * model.latent_dim):
+        raise ShapeError("posterior shape must be (n, 2 * latent_dim)")
     mu = post[:, :model.latent_dim]
     raw_logvar = post[:, model.latent_dim:]
     logvar = np.clip(raw_logvar, LOGVAR_MIN, LOGVAR_MAX)
-    noise = np.asarray(noise, dtype=np.float64)
     if noise.shape != mu.shape:
         raise ShapeError("noise shape must match (n, latent_dim)")
     sigma = np.exp(0.5 * logvar)
@@ -269,7 +264,6 @@ def train_cvae(train: Dataset, config: CvaeTrainConfig, seed: int,
 
 def log_mean_exp(weights: np.ndarray) -> float:
     """log(1/k sum exp(w_i)) with max-shift so large |w| cannot overflow."""
-    weights = np.asarray(weights, dtype=np.float64).ravel()
     if weights.size == 0:
         raise ValueError("need at least one weight")
     shift = weights.max()
@@ -287,7 +281,6 @@ def iwae_proposal(model: CvaeModel, x: np.ndarray, label: int, k: int,
     draws from `rng`. The k-row terms are computed in place, bitwise the
     plain expressions, and the draws are never written: the rng may hand out
     an array it keeps."""
-    x = np.asarray(x, dtype=np.float64).ravel()
     mu, logvar = encode(model, x[None, :], np.array([label]))
     z = np.exp(0.5 * logvar) * rng.standard_normal((k, model.latent_dim))
     z += mu
@@ -312,7 +305,6 @@ def iwae_bound(model: CvaeModel, x: np.ndarray, label: int,
     log p(x [, c]) from `iwae_proposal`'s (z, log p(z), log q(z|x,c)) for
     the same row and label, through one k-row decoder batch."""
     z, log_prior, log_post = proposal
-    x = np.asarray(x, dtype=np.float64).ravel()
     probs = decode(model, z, np.full(len(z), label))
     log_px = bernoulli_log_likelihood(np.broadcast_to(x, probs.shape), probs)
     for name, term in (("log p(x|z,c)", log_px), ("log p(z)", log_prior),
@@ -347,7 +339,6 @@ def iwae_batch(model: CvaeModel, batch: np.ndarray, labels: np.ndarray,
     whole rows between two threads would hold two decoder batches and their
     BLAS buffers at once, for more peak memory.
     """
-    batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     if len(labels) != len(batch):
         raise ShapeError(f"{len(labels)} labels for {len(batch)} rows")
     rows = [(row, int(label)) for row, label in zip(batch, labels)]

@@ -147,7 +147,6 @@ def score_nll(model: CvaeModel, ids_net: nn.Mlp, batch: np.ndarray,
     """(importance-weighted NLL, label conditioned on) per row, the least
     over the candidate labels: the intrusion detector's prediction ("ids"
     `label_mode`, or a plain VAE) or, in "min" mode, every label."""
-    batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     if label_mode == "ids" or not model.conditional:
         candidates = predict_label(ids_net, batch)[None, :]
     else:
@@ -205,7 +204,6 @@ def score_mahalanobis(gaussians: GaussianClassModel, model: CvaeModel,
                       batch: np.ndarray) -> np.ndarray:
     """Min over classes of sqrt((u - mean_c)^T cov_c^-1 (u - mean_c)), where
     u is the encoder mean of the row under that class's label."""
-    batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     n_classes = gaussians.means.shape[0]
     distances = np.empty((n_classes, batch.shape[0]))
     for class_id in range(n_classes):
@@ -252,7 +250,6 @@ def score_regret(model: CvaeModel, batch: np.ndarray, labels: np.ndarray,
     and is counted in n_invalid. Labels of another count than the rows are
     a ShapeError.
     """
-    batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     if len(labels) != len(batch):
         raise ShapeError(f"{len(labels)} labels for {len(batch)} rows")
     noise = np.empty((len(batch), model.latent_dim))
@@ -300,8 +297,6 @@ def _refit(model: CvaeModel, x: np.ndarray, labels: np.ndarray,
 def choose_orientation(scored: np.ndarray, benign_reference: np.ndarray) -> int:
     """+1 if the scored population already sits above the benign reference
     median (higher = adversarial holds as-is), else -1 to flip it."""
-    scored = np.asarray(scored, dtype=np.float64)
-    benign_reference = np.asarray(benign_reference, dtype=np.float64)
     if scored.size == 0 or benign_reference.size == 0:
         raise ValueError("need both scored and benign reference values")
     return 1 if np.median(scored) >= np.median(benign_reference) else -1
@@ -326,20 +321,20 @@ def roc_auc(scores: np.ndarray, positive: np.ndarray) -> RocCurve:
     exactly one half. A non-finite score, or a mask whose shape is not the
     scores', is a ValueError.
     """
-    values = np.asarray(scores, dtype=np.float64)
+    # an int mask under ~ below would count false positives wrongly
     positive = np.asarray(positive, dtype=bool)
-    if positive.shape != values.shape:
+    if positive.shape != scores.shape:
         raise ValueError(f"positive mask has shape {positive.shape}, "
-                         f"scores have {values.shape}")
-    if not np.isfinite(values).all():
+                         f"scores have {scores.shape}")
+    if not np.isfinite(scores).all():
         raise ValueError("scores must be finite")
     n_pos = int(positive.sum())
-    n_neg = int(values.size - n_pos)
+    n_neg = int(scores.size - n_pos)
     if n_pos == 0 or n_neg == 0:
         raise ValueError("scores must contain at least one positive and one "
                          "negative row")
-    order = np.argsort(-values, kind="stable")
-    ranked, hits = values[order], positive[order]
+    order = np.argsort(-scores, kind="stable")
+    ranked, hits = scores[order], positive[order]
     starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
     ends = np.r_[starts[1:], ranked.size] - 1
     tp = np.r_[0, np.cumsum(hits)[ends]]

@@ -6,6 +6,10 @@ deliberately small -- dense layers, five activations, reverse-mode gradients
 and a deterministic Adam. The reference path is single threaded; the same
 seed produces the same bits every run.
 
+Arrays are converted where they enter (`data.Dataset`, `data.ScalerParams`,
+`DenseLayer`). Functions take float64 ndarrays of their documented shapes and
+int labels, check them, and convert only where a result depends on it.
+
 A net holds only its layers: `forward(x, tape)` appends (input,
 pre-activation, output) per layer to the caller's list `tape`, and
 `backward(upstream, tape)` reads that pass back, whatever ran in between.
@@ -132,7 +136,6 @@ class Mlp:
         return self.layers[0].fan_in
 
     def forward(self, x: np.ndarray, tape: list | None = None) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2:
             raise ShapeError("batch must be 2-d (n_samples, n_features)")
         if x.shape[1] != self.in_dim:
@@ -167,7 +170,6 @@ class Mlp:
         if len(tape) != len(self.layers):
             raise ShapeError(f"tape has {len(tape)} entries, net has "
                              f"{len(self.layers)} layers")
-        upstream = np.asarray(upstream, dtype=np.float64)
         if upstream.shape != tape[-1][2].shape:
             raise ShapeError("upstream gradient shape does not match output")
         grads: list[np.ndarray] = []
@@ -221,8 +223,6 @@ def build_mlp(dims: list[int], activations: list[str],
 def softmax_cross_entropy(logits: np.ndarray,
                           labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cross-entropy from logits; gradient is (softmax - onehot)/n."""
-    logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels)
     if logits.ndim != 2:
         raise ShapeError("logits must be 2-d")
     if labels.shape != (logits.shape[0],):
@@ -247,8 +247,6 @@ def binary_cross_entropy(probs: np.ndarray,
     The gradient is taken with respect to the raw probabilities and is zero
     wherever the clamp is active.
     """
-    probs = np.asarray(probs, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
     if probs.shape != targets.shape:
         raise ShapeError("probs and targets must have the same shape")
     if not np.isin(targets, (0.0, 1.0)).all():
@@ -266,13 +264,12 @@ def binary_cross_entropy(probs: np.ndarray,
 
 
 def kl_categorical(p: np.ndarray, q: np.ndarray) -> float:
-    """Mean row-wise KL(p || q) over categorical rows, with 0*log(0) = 0.
+    """Mean KL(p || q) over the rows of a 2-d p, with 0*log(0) = 0.
 
     q must already be smoothed away from zero (entries >= PROB_CLAMP); the
     caller owns the smoothing policy.
     """
-    p = np.atleast_2d(np.asarray(p, dtype=np.float64))
-    q = np.atleast_2d(np.asarray(q, dtype=np.float64))
+    q = np.atleast_2d(q)
     if p.shape[1] != q.shape[1]:
         raise ShapeError("p and q must have the same number of classes")
     if q.shape[0] not in (1, p.shape[0]):

@@ -143,18 +143,18 @@ class TestSuccessRate:
     def test_all_benign(self):
         model = threshold_ids()
         batch = np.full((10, N), 0.2)
-        assert attack.success_rate(model, batch, 10) == 1.0
+        assert attack.success_rate(model, batch) == 1.0
 
     def test_none_benign(self):
         model = threshold_ids()
         batch = np.full((10, N), 0.9)
-        assert attack.success_rate(model, batch, 10) == 0.0
+        assert attack.success_rate(model, batch) == 0.0
 
     def test_eight_of_ten(self):
         model = threshold_ids()
         batch = np.full((10, N), 0.2)
         batch[:2, 0] = 0.9
-        assert attack.success_rate(model, batch, 10) == 0.8
+        assert attack.success_rate(model, batch) == 0.8
 
 
 def wasserstein_oracle(a, b):
@@ -343,10 +343,8 @@ class TestSweep:
                                                                    x_att)
             assert report.w_ood_att == attack.wasserstein_features(x_ood,
                                                                    x_att)
-            assert report.succ_adv == attack.success_rate(model, solo_x_adv,
-                                                          x_att.shape[0])
-            assert report.succ_ood == attack.success_rate(model, x_ood,
-                                                          x_att.shape[0])
+            assert report.succ_adv == attack.success_rate(model, solo_x_adv)
+            assert report.succ_ood == attack.success_rate(model, x_ood)
             assert report.w_adv_ben == attack.wasserstein_features(solo_x_adv,
                                                                    x_ben)
 

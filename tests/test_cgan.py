@@ -273,11 +273,3 @@ class TestPersistence:
         assert loaded.out_scale == gen.out_scale
         for pa, pb in zip(gen.net.params(), loaded.net.params()):
             assert np.array_equal(pa, pb)
-
-    def test_discriminator_round_trip(self, tmp_path):
-        disc = cgan.build_discriminator(derive_rng(5, "d"))
-        assert cgan.save_discriminator(disc, tmp_path) == [
-            tmp_path / "disc.weights"]
-        loaded = nn.load_mlp(tmp_path / "disc.weights")
-        for pa, pb in zip(disc.params(), loaded.params()):
-            assert np.array_equal(pa, pb)

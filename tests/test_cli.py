@@ -13,8 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stealthlab import cli, data, detect, nn
+from stealthlab import cgan, cli, data, detect, nn
 from stealthlab.errors import ConfigError, NumericError
+from stealthlab.rng import derive_rng
 
 TINY_CONFIG = {
     "schema_version": 1,
@@ -113,8 +114,9 @@ def cut_class_names(models):
 
 
 def swap_in_disc_weights(models):
-    """ids.weights replaced by the discriminator's 30 -> 1 net."""
-    shutil.copyfile(models / "disc.weights", models / "ids.weights")
+    """ids.weights replaced by a discriminator's 30 -> 1 net."""
+    nn.save_mlp(models / "ids.weights",
+                cgan.build_discriminator(derive_rng(5, "disc")))
 
 
 @pytest.fixture(scope="module")
@@ -886,6 +888,12 @@ class TestPipelineArtifacts:
         assert train.features.min() >= 0.0
         assert train.features.max() <= 1.0
 
+    def test_gan_stage_records_the_generator_and_its_curve(self, pipeline):
+        # the discriminator only trains the generator; nothing saves it
+        assert sorted(pipeline["manifest"]["stages"]["gan"]["artifacts"]) == [
+            "curves/gan_curve.csv", "models/gen.json", "models/gen.weights"]
+        assert not (pipeline["out"] / "models" / "disc.weights").exists()
+
     def test_cvae_stage_trains_plain_vae_baseline(self, pipeline):
         meta = pipeline["manifest"]["stages"]["cvae"]["meta"]
         assert "cvae" in meta and "vae" in meta
@@ -964,6 +972,14 @@ class TestDeterminism:
         assert differ.returncode == 1
         assert differ.stdout == (f"detect: detect/scores.csv: {want} != "
                                  f"{'0' * 64}\n1 of {n} artifacts differ\n")
+        # an artifact that one run did not record at all
+        artifacts["detect/scores.csv"] = want
+        gone = edited["stages"]["gan"]["artifacts"].pop("models/gen.json")
+        manifest.write_text(json.dumps(edited), encoding="utf-8")
+        missing = compare(pipeline["out"], manifest)
+        assert missing.returncode == 1
+        assert missing.stdout == (f"gan: models/gen.json: {gone} != missing\n"
+                                  f"1 of {n} artifacts differ\n")
         assert compare(pipeline["out"], tmp_path / "nowhere").returncode == 2
 
 
