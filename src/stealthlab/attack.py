@@ -15,9 +15,11 @@ meets the floor.
 section; `sweep(..., config, seed, x_benign)` takes the seed as an argument,
 and the benign rows that each point's batches are also measured against.
 Each grid point's crafted and OOD batches are seeded from the sweep seed and
-the point's coordinates, and `operating_point` rebuilds the pair the sweep
-scored at one point, so downstream stages never derive those seeds
-themselves.
+the point's coordinates, and `operating_point` rebuilds the rows the caller
+asks for of the pair the sweep scored at one point, so downstream stages
+never derive those seeds themselves. Every refinement step draws noise for
+all of `x_att`'s rows, whichever rows it advances, so the random stream is
+the sweep's; only the asked rows go through the generator and are clipped.
 """
 
 from __future__ import annotations
@@ -79,26 +81,33 @@ class SweepResult:
 
 
 def refine_trajectory(gen: Generator, x_att: np.ndarray, labels: np.ndarray,
-                      epsilon: float, snapshot_steps: list[int],
-                      seed: int) -> dict[int, np.ndarray]:
+                      epsilon: float, snapshot_steps: list[int], seed: int,
+                      rows: np.ndarray | slice = slice(None)
+                      ) -> dict[int, np.ndarray]:
     """Run max(snapshot_steps) refinement steps, snapshotting along the way.
 
-    Returns {step: rows after that step} (step 0 is the input itself). Noise
-    is drawn once per step, so a shorter run with the same seed is an exact
-    prefix of a longer one; snapshots equal standalone runs bit for bit.
+    Returns {step: x_att[rows] after that step} (step 0 is the input itself).
+    Noise is drawn once per step for every row of x_att, so a shorter run
+    with the same seed is an exact prefix of a longer one and the draws do
+    not depend on `rows`; snapshots equal standalone runs bit for bit. Only
+    the rows `rows` (an index array; by default all of them) go through the
+    generator and are clipped into their band. Their results are the full
+    batch's rows bit for bit when at least 2 rows are asked for: a 1-row
+    batch takes BLAS's matrix-vector path, whose sums may round differently.
     """
     if x_att.ndim != 2:
         raise ShapeError("x_att must be 2-d")
     steps = sorted(set(int(s) for s in snapshot_steps))
     rng = derive_rng(seed, "refine-noise")
-    lower = np.maximum(x_att - epsilon, 0.0)
-    upper = np.minimum(x_att + epsilon, 1.0)
+    start, labels = x_att[rows], labels[rows]
+    lower = np.maximum(start - epsilon, 0.0)
+    upper = np.minimum(start + epsilon, 1.0)
     snapshots: dict[int, np.ndarray] = {}
     if steps[0] == 0:
-        snapshots[0] = x_att.copy()
-    current = x_att.copy()
+        snapshots[0] = start.copy()
+    current = start.copy()
     for step in range(1, steps[-1] + 1):
-        noise = rng.standard_normal((x_att.shape[0], gen.noise_dim))
+        noise = rng.standard_normal((x_att.shape[0], gen.noise_dim))[rows]
         delta = generate_perturbation(gen, noise, labels)
         current = np.clip(current + delta, lower, upper)
         if step in steps:
@@ -117,10 +126,11 @@ def gen_ood(x_att: np.ndarray, noise_scale: float, seed: int) -> np.ndarray:
 # they take in a StealthReport, so an integer grid value in a config seeds the
 # same batch the selected report names.
 def _trajectory(gen: Generator, x_att: np.ndarray, labels: np.ndarray,
-                epsilon: float, n_refs: list[int],
-                seed: int) -> dict[int, np.ndarray]:
+                epsilon: float, n_refs: list[int], seed: int,
+                rows: np.ndarray | slice) -> dict[int, np.ndarray]:
     return refine_trajectory(gen, x_att, labels, epsilon, n_refs,
-                             derive_seed(seed, "sweep-refine", float(epsilon)))
+                             derive_seed(seed, "sweep-refine", float(epsilon)),
+                             rows)
 
 
 def _ood(x_att: np.ndarray, rho: float, seed: int) -> np.ndarray:
@@ -128,12 +138,15 @@ def _ood(x_att: np.ndarray, rho: float, seed: int) -> np.ndarray:
 
 
 def operating_point(gen: Generator, x_att: np.ndarray, labels: np.ndarray,
-                    epsilon: float, rho: float, n_ref: int,
-                    seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (x_adv, x_ood) pair that sweep(..., seed) scored at one grid
-    point, bit for bit."""
-    return (_trajectory(gen, x_att, labels, epsilon, [n_ref], seed)[n_ref],
-            _ood(x_att, rho, seed))
+                    epsilon: float, rho: float, n_ref: int, seed: int,
+                    rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows `rows` of the (x_adv, x_ood) pair that sweep(..., seed) scored at
+    one grid point, bit for bit when `rows` holds at least 2 indices or
+    x_att has 1 row (see refine_trajectory). Only those rows are refined,
+    so a call costs the rows it returns."""
+    return (_trajectory(gen, x_att, labels, epsilon, [n_ref], seed,
+                        rows)[n_ref],
+            _ood(x_att, rho, seed)[rows])
 
 
 def success_rate(ids_net: nn.Mlp, batch: np.ndarray) -> float:
@@ -148,26 +161,39 @@ def wasserstein_1d(a: np.ndarray, b: np.ndarray) -> float:
     unequal sizes integrate |F_a - F_b| over the merged support, which equals
     the quantile-function integral.
     """
+    return _sorted_wasserstein_1d(np.sort(a), np.sort(b))
+
+
+def _sorted_wasserstein_1d(a: np.ndarray, b: np.ndarray) -> float:
+    """wasserstein_1d of two samples already sorted ascending."""
     if a.size == 0 or b.size == 0:
         raise ValueError("samples must be non-empty")
     if a.size == b.size:
-        return float(np.abs(np.sort(a) - np.sort(b)).mean())
+        return float(np.abs(a - b).mean())
     merged = np.sort(np.concatenate([a, b]))
     widths = np.diff(merged)
-    cdf_a = np.searchsorted(np.sort(a), merged[:-1], side="right") / a.size
-    cdf_b = np.searchsorted(np.sort(b), merged[:-1], side="right") / b.size
+    cdf_a = np.searchsorted(a, merged[:-1], side="right") / a.size
+    cdf_b = np.searchsorted(b, merged[:-1], side="right") / b.size
     return float((np.abs(cdf_a - cdf_b) * widths).sum())
 
 
 def wasserstein_features(batch_a: np.ndarray, batch_b: np.ndarray) -> float:
     """Mean of the per-feature 1-d distances (columns are features)."""
-    if batch_a.ndim != 2 or batch_b.ndim != 2:
+    return _sorted_wasserstein_features(np.sort(batch_a, axis=0),
+                                        np.sort(batch_b, axis=0))
+
+
+def _sorted_wasserstein_features(sorted_a: np.ndarray,
+                                 sorted_b: np.ndarray) -> float:
+    """wasserstein_features of two batches whose columns are sorted, so a
+    batch measured against several others is sorted once."""
+    if sorted_a.ndim != 2 or sorted_b.ndim != 2:
         raise ShapeError("batches must be 2-d")
-    if batch_a.shape[1] != batch_b.shape[1]:
-        raise ShapeError(
-            f"feature count mismatch: {batch_a.shape[1]} vs {batch_b.shape[1]}")
-    per_col = [wasserstein_1d(batch_a[:, j], batch_b[:, j])
-               for j in range(batch_a.shape[1])]
+    if sorted_a.shape[1] != sorted_b.shape[1]:
+        raise ShapeError(f"feature count mismatch: {sorted_a.shape[1]} vs "
+                         f"{sorted_b.shape[1]}")
+    per_col = [_sorted_wasserstein_1d(sorted_a[:, j], sorted_b[:, j])
+               for j in range(sorted_a.shape[1])]
     return float(np.mean(per_col))
 
 
@@ -190,17 +216,21 @@ def sweep(gen: Generator, ids_net: nn.Mlp, x_att: np.ndarray,
     if x_att.shape[0] == 0:
         raise ValueError("x_att must be non-empty")
 
+    sorted_att = np.sort(x_att, axis=0)
+    sorted_benign = np.sort(x_benign, axis=0)
+
     def stats(batch: np.ndarray) -> dict:
-        return {"w": wasserstein_features(batch, x_att),
+        ordered = np.sort(batch, axis=0)
+        return {"w": _sorted_wasserstein_features(ordered, sorted_att),
                 "succ": success_rate(ids_net, batch),
-                "w_ben": wasserstein_features(batch, x_benign)}
+                "w_ben": _sorted_wasserstein_features(ordered, sorted_benign)}
 
     ood_stats = {rho: stats(_ood(x_att, rho, seed))
                  for rho in config.rho_grid}
     reports: list[StealthReport] = []
     for epsilon in config.epsilon_grid:
         snapshots = _trajectory(gen, x_att, labels, epsilon, config.n_ref_grid,
-                                seed)
+                                seed, slice(None))
         adv_stats = {n_ref: stats(snapshots[n_ref])
                      for n_ref in config.n_ref_grid}
         for rho in config.rho_grid:

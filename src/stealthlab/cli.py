@@ -396,9 +396,9 @@ def stage_detect(config: RunConfig, out_dir: Path) -> tuple[list[Path], dict]:
     n_keep = min(section.max_samples_per_tag, rows.size)
     keep = np.sort(derive_rng(config.seed, "detect-subset").choice(
         rows.size, size=n_keep, replace=False))
-    x_adv, x_ood = (x[keep] for x in attack.operating_point(
+    x_adv, x_ood = attack.operating_point(
         generator, test.features[rows], test.labels[rows], point["epsilon"],
-        point["rho"], point["n_ref"], derive_seed(config.seed, "sweep")))
+        point["rho"], point["n_ref"], derive_seed(config.seed, "sweep"), keep)
     adv_ids = rows[keep]
 
     benign_rows = train.class_rows(0)

@@ -338,7 +338,7 @@ class TestSweep:
         for report in result.reports:
             solo_x_adv, x_ood = attack.operating_point(
                 gen, x_att, labels, report.epsilon, report.rho, report.n_ref,
-                seed)
+                seed, np.arange(len(x_att)))
             assert report.w_adv_att == attack.wasserstein_features(solo_x_adv,
                                                                    x_att)
             assert report.w_ood_att == attack.wasserstein_features(x_ood,
@@ -382,6 +382,29 @@ class TestSweep:
         report = result.selection
         assert (report.epsilon, report.rho) == (1.0, 1.0)
         x_adv, x_ood = attack.operating_point(
-            gen, x_att, labels, report.epsilon, report.rho, report.n_ref, 8)
+            gen, x_att, labels, report.epsilon, report.rho, report.n_ref, 8,
+            np.arange(len(x_att)))
         assert report.w_adv_att == attack.wasserstein_features(x_adv, x_att)
         assert report.w_ood_att == attack.wasserstein_features(x_ood, x_att)
+
+    def test_operating_point_rows_are_the_full_pairs_rows(self):
+        # the stock 256-wide generator: a subset of at least 2 rows goes
+        # through the same matrix-matrix products as the full batch
+        rng = np.random.default_rng(26)
+        n = 40
+        x_att = rng.uniform(0.0, 1.0, size=(n, N))
+        labels = rng.integers(1, 5, size=n)
+        gen = cgan.build_generator(derive_rng(27, "stock-gen"), noise_dim=32,
+                                   out_scale=0.1)
+        epsilon, rho, n_ref, seed = point = (0.08, 0.2, 12, 9)
+        # the batches sweep(..., seed) scores at this point, every row
+        full_adv = attack._trajectory(gen, x_att, labels, epsilon, [n_ref],
+                                      seed, slice(None))[n_ref]
+        full_ood = attack._ood(x_att, rho, seed)
+        for rows in (np.array([3, 17]), np.array([0, 21, n - 1]),
+                     np.delete(np.arange(n), 11), np.arange(n),
+                     np.array([30, 2, 19, 7, 25])):
+            x_adv, x_ood = attack.operating_point(gen, x_att, labels, *point,
+                                                  rows)
+            assert np.array_equal(x_adv, full_adv[rows])
+            assert np.array_equal(x_ood, full_ood[rows])

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stealthlab import cgan, cli, data, detect, nn
+from stealthlab import attack, cgan, cli, data, detect, nn
 from stealthlab.errors import ConfigError, NumericError
 from stealthlab.rng import derive_rng
 
@@ -939,6 +939,28 @@ class TestPipelineArtifacts:
             assert 0 <= int(label) < 5
             assert int(k) == TINY_CONFIG["detect"]["k"]
             float(nll)
+
+    def test_detect_refines_only_the_rows_it_scores(self, pipeline,
+                                                    tiny_config, tmp_path,
+                                                    monkeypatch):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline["out"], out)
+        real, refined = attack.generate_perturbation, []
+
+        def counting(gen, noise, labels):
+            refined.append(len(noise))
+            return real(gen, noise, labels)
+
+        monkeypatch.setattr(attack, "generate_perturbation", counting)
+        assert cli.main(["detect", "--config", tiny_config, "--out",
+                         str(out)]) == 0
+        meta = json.loads((out / "detect" / "detect_meta.json").read_text(
+            encoding="utf-8"))
+        n_keep = TINY_CONFIG["detect"]["max_samples_per_tag"]
+        n_ref = TINY_CONFIG["sweep"]["n_ref_grid"][0]
+        assert (meta["n_per_tag"], meta["operating_point"]["n_ref"]) == (
+            n_keep, n_ref)
+        assert refined == [n_keep] * n_ref
 
 
 class TestDeterminism:
