@@ -9,12 +9,13 @@ reported separately and combined as
   + lambda_gan * (-mean log D(x_adv))
 
 where x_adv = clip(x_att + delta, 0, 1) and benign_target is the smoothed
-benign one-hot. The discriminator is a bare `nn.Mlp` with a sigmoid head
-and trains on plain BCE: benign rows toward 1, perturbed rows toward 0. The
-intrusion detector, also a bare `nn.Mlp`, is a frozen oracle that only
-supplies input gradients; nothing here writes to it. Each loss keeps the
-tapes it backpropagates through; the training loop tapes the generator's
-pass for its gradients.
+benign one-hot; the KL (0 * log 0 = 0) is written beside its gradient, and
+both are finite for every smoothing `GanConfig` accepts. The discriminator
+is a bare `nn.Mlp` with a sigmoid head and trains on plain BCE: benign rows
+toward 1, perturbed rows toward 0. The intrusion detector, also a bare
+`nn.Mlp`, is a frozen oracle that only supplies input gradients; nothing
+here writes to it. Each loss keeps the tapes it backpropagates through; the
+training loop tapes the generator's pass for its gradients.
 
 `train_cgan(ids_net, train, config, seed)` takes its seed as an argument;
 `GanConfig` holds the hyperparameters only and is the run config's `gan`
@@ -65,8 +66,10 @@ class GanConfig:
             raise ValueError("noise_dim must be >= 1")
         if self.out_scale <= 0.0:
             raise ValueError("out_scale must be > 0")
-        if not 0.0 < self.label_smoothing < 0.5:
-            raise ValueError("label_smoothing must be in (0, 0.5)")
+        # target entries stay normal floats, so probs / target is finite
+        floor = N_CLASSES * np.finfo(float).tiny
+        if not floor <= self.label_smoothing < 0.5:
+            raise ValueError(f"label_smoothing must be in [{floor:.3g}, 0.5)")
 
 
 @dataclass
@@ -100,15 +103,14 @@ def smoothed_benign_target(label_smoothing: float) -> np.ndarray:
 def generate_perturbation(gen: Generator, noise: np.ndarray,
                           labels: np.ndarray,
                           tape: list | None = None) -> np.ndarray:
-    """delta = out_scale * net(noise, onehot(class)); attack classes only."""
+    """delta = out_scale * net(noise, onehot(class)); attack classes only,
+    any other label is a ValueError."""
     if noise.ndim != 2 or noise.shape[1] != gen.noise_dim:
         raise ShapeError(f"noise must be (n, {gen.noise_dim})")
     if labels.shape != (noise.shape[0],):
         raise ShapeError("labels must be 1-d, one per noise row")
     if (labels == 0).any():
         raise ValueError("benign (class 0) is not a valid generation target")
-    if labels.size and (labels.min() < 0 or labels.max() >= N_CLASSES):
-        raise ValueError(f"label out of range [1, {N_CLASSES})")
     stacked = np.hstack([noise, one_hot(labels)])
     return gen.out_scale * gen.net.forward(stacked, tape)
 
@@ -137,7 +139,8 @@ def generator_loss(ids_net: nn.Mlp, disc: nn.Mlp,
     target = smoothed_benign_target(config.label_smoothing)
     ids_tape, disc_tape = [], []
     probs = ids_net.forward(x_adv, ids_tape)
-    cls = nn.kl_categorical(probs, target)
+    cls = float(np.where(probs > 0.0, probs * (np.log(np.maximum(
+        probs, 1e-300)) - np.log(target)), 0.0).sum(axis=1).mean())
     safe_probs = np.maximum(probs, nn.PROB_CLAMP)
     d_probs = (np.log(safe_probs / target) + 1.0) / n
     _, dx_cls = ids_net.backward(d_probs, ids_tape, param_grads=False)

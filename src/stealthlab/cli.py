@@ -9,7 +9,9 @@ against its field types and its own checks when the config is parsed. Stage
 seeds derive from the global seed plus the stage tag, so reruns are
 bit-identical. How a sweep grid point's batches are seeded is attack's
 business (`attack.operating_point`), and the score table is detect's
-(`detect.score_table`): the detect stage draws the populations and writes it.
+(`detect.score_table`), down to the label each row's regret is conditioned
+on: the detect stage draws the (tag, rows, sample ids) populations and
+writes the table.
 
 Exit codes: 0 success, 2 config error, 3 missing dependency, 4 numeric
 failure, 5 I/O or data-file problem.
@@ -406,14 +408,10 @@ def stage_detect(config: RunConfig, out_dir: Path) -> tuple[list[Path], dict]:
     cal_rows = np.sort(derive_rng(config.seed, "detect-benign").choice(
         benign_rows, size=n_cal, replace=False))
 
-    # (tag, rows, sample ids, regret conditioning label): the crafted and
-    # noise rows are conditioned on the IDS prediction, benign rows on benign
     table = detect.score_table([
-        (detect.TAG_ADVERSARIAL, x_adv, adv_ids,
-         ids.predict_label(ids_net, x_adv)),
-        (detect.TAG_OOD, x_ood, adv_ids, ids.predict_label(ids_net, x_ood)),
-        (detect.TAG_BENIGN, train.features[cal_rows], cal_rows,
-         np.zeros(n_cal, dtype=np.int64)),
+        (detect.TAG_ADVERSARIAL, x_adv, adv_ids),
+        (detect.TAG_OOD, x_ood, adv_ids),
+        (detect.TAG_BENIGN, train.features[cal_rows], cal_rows),
     ], cvae_model, ids_net, train, section, config.seed,
         kl_weight=config.cvae.kl_weight)
     detect.scores_to_csv(paths["scores_csv"], table.sample_ids, table.tags,

@@ -75,7 +75,8 @@ class Dataset:
         return np.flatnonzero(self.labels == class_id)
 
     def subset(self, rows: np.ndarray) -> "Dataset":
-        return Dataset(self.features[rows].copy(), self.labels[rows].copy(),
+        """The rows at `rows`, an index array, so the result is a copy."""
+        return Dataset(self.features[rows], self.labels[rows],
                        list(self.feature_names))
 
 

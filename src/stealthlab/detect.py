@@ -25,9 +25,10 @@ Every call into `cvae` passes labels, one per row, whether the model is a
 CVAE or a plain VAE: `cvae` alone knows that a plain VAE ignores them, and
 `cvae.label_key` keys a row's regret noise as it keys its NLL draws.
 This module owns the score table and the regret sign: `score_table` scores
-each (tag, rows, sample ids, regret label) population it is given, names the
-tag when a detector fails, joins the parts in population order and picks the
-regret sign by the table's benign rows. `DetectConfig` is the run config's
+each (tag, rows, sample ids) population it is given, conditions its regret
+refits (benign rows on benign, the rest on the IDS's prediction), names the
+tag when a detector fails, joins the parts in population order and picks
+the regret sign by the table's benign rows. `DetectConfig` is the run config's
 `detect` section. This module also owns both score file formats: `scores.csv`
 (finite scores of a known tag and detector under its own header) and
 `nll_scores.csv`.
@@ -105,15 +106,18 @@ class ScoreTable:
 def score_table(populations: list[tuple], model: CvaeModel, ids_net: nn.Mlp,
                 train: Dataset, config: DetectConfig, seed: int, *,
                 kl_weight: float) -> ScoreTable:
-    """Every detector over every (tag, rows, sample ids, regret label)
-    population; a NumericError, or a population whose every regret refit
+    """Every detector over every (tag, rows, sample ids) population, regret
+    conditioned on benign (0) for benign rows and on the IDS's prediction for
+    the rest; a NumericError, or a population whose every regret refit
     diverged, names the tag. The regret sign is `choose_orientation`'s."""
     gaussians = fit_gaussians(model, train, config.shrinkage)
     nll_seed = derive_seed(seed, "detect-nll")
     regret_seed = derive_seed(seed, "detect-regret")
     parts, n_invalid = [], 0
-    for tag, x, sid, labels in populations:
+    for tag, x, sid in populations:
         try:
+            labels = (np.zeros(len(x), dtype=np.int64) if tag == TAG_BENIGN
+                      else predict_label(ids_net, x))
             nll, labels_used = score_nll(model, ids_net, x, config.k,
                                          nll_seed, config.label_mode)
             mahal = score_mahalanobis(gaussians, model, x)

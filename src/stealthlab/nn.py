@@ -263,27 +263,6 @@ def binary_cross_entropy(probs: np.ndarray,
     return loss, grad
 
 
-def kl_categorical(p: np.ndarray, q: np.ndarray) -> float:
-    """Mean KL(p || q) over the rows of a 2-d p, with 0*log(0) = 0.
-
-    q must already be smoothed away from zero (entries >= PROB_CLAMP); the
-    caller owns the smoothing policy.
-    """
-    q = np.atleast_2d(q)
-    if p.shape[1] != q.shape[1]:
-        raise ShapeError("p and q must have the same number of classes")
-    if q.shape[0] not in (1, p.shape[0]):
-        raise ShapeError("q must be a single row or one row per row of p")
-    for name, dist in (("p", p), ("q", q)):
-        sums = dist.sum(axis=1)
-        if np.abs(sums - 1.0).max() > 1e-6:
-            raise ValueError(f"rows of {name} must sum to 1 within 1e-6")
-    if q.min() < PROB_CLAMP:
-        raise ValueError("q has entries below the smoothing floor; smooth q first")
-    terms = np.where(p > 0.0, p * (np.log(np.maximum(p, 1e-300)) - np.log(q)), 0.0)
-    return float(terms.sum(axis=1).mean())
-
-
 # ---------------------------------------------------------------------------
 # Adam
 # ---------------------------------------------------------------------------

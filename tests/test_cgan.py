@@ -75,13 +75,19 @@ def mean_delta_norm(gen, holdout, seed):
     return float(np.linalg.norm(delta, axis=1).mean())
 
 
+SMOOTHING_FLOOR = data.N_CLASSES * np.finfo(float).tiny
+
+
 class TestGenerator:
     def test_benign_label_rejected(self):
+        # and so are labels outside the vocabulary, through one_hot's
+        # LabelError
         gen = cgan.build_generator(derive_rng(0, "g"), noise_dim=32,
                                    out_scale=0.1)
-        with pytest.raises(ValueError):
-            cgan.generate_perturbation(gen, np.zeros((2, 32)),
-                                       np.array([0, 1]))
+        for label in (0, 5, -1):
+            with pytest.raises(ValueError):
+                cgan.generate_perturbation(gen, np.zeros((2, 32)),
+                                           np.array([label, 1]))
 
     def test_noise_width_checked(self):
         gen = cgan.build_generator(derive_rng(0, "g"), noise_dim=8,
@@ -106,6 +112,14 @@ class TestGenerator:
         assert target[0] == pytest.approx(0.99 + 0.002)
         assert np.all(target[1:] == 0.002)
         assert target.sum() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("smoothing", [SMOOTHING_FLOOR / 2, 5e-324, 0.0,
+                                           0.5])
+    def test_smoothing_outside_the_normal_range_rejected(self, smoothing):
+        # below N_CLASSES * tiny a target entry is subnormal or 0, and the
+        # KL gradient's probs / target overflows
+        with pytest.raises(ValueError, match="label_smoothing"):
+            cgan.GanConfig(label_smoothing=smoothing)
 
 
 class TestGeneratorLoss:
@@ -168,6 +182,36 @@ class TestGeneratorLoss:
         assert ((fast.total, fast.cls, fast.stealth, fast.gan)
                 == (full.total, full.cls, full.stealth, full.gan))
         assert np.array_equal(fast.d_delta, full.d_delta)
+
+    def test_cls_is_the_written_out_kl(self):
+        # a -1e3 bias gives class 2 an exact 0.0 probability on every row
+        ids_model, disc, gen, x_att, x_ben, noise, labels = self.toy_parts(4)
+        ids_model.layers[-1].bias[2] = -1e3
+        config = cgan.GanConfig(label_smoothing=0.03)
+        delta = cgan.generate_perturbation(gen, noise, labels)
+        res = cgan.generator_loss(ids_model, disc, x_att, delta, x_ben, config)
+        probs = ids_model.forward(np.clip(x_att + delta, 0.0, 1.0))
+        assert (probs[:, 2] == 0.0).all() and (probs[:, [0, 1, 3, 4]] > 0).all()
+        target = cgan.smoothed_benign_target(config.label_smoothing)
+        per_row = [sum(p * (np.log(p) - np.log(t))
+                       for p, t in zip(row, target) if p > 0.0)
+                   for row in probs]
+        assert res.cls == float(np.mean(per_row))
+
+    @given(st.one_of(st.just(1e-8), st.just(1e-300), st.just(SMOOTHING_FLOOR),
+                     st.floats(SMOOTHING_FLOOR, 0.5, exclude_max=True)),
+           st.integers(0, 7))
+    @settings(max_examples=40, deadline=None)
+    def test_every_accepted_smoothing_gives_finite_terms(self, smoothing,
+                                                         seed):
+        ids_model, disc, gen, x_att, x_ben, noise, labels = \
+            self.toy_parts(seed)
+        ids_model.layers[-1].bias[1] = -1e3      # one class at exactly 0.0
+        config = cgan.GanConfig(label_smoothing=smoothing)
+        delta = cgan.generate_perturbation(gen, noise, labels)
+        res = cgan.generator_loss(ids_model, disc, x_att, delta, x_ben, config)
+        assert np.isfinite([res.total, res.cls, res.stealth, res.gan]).all()
+        assert np.isfinite(res.d_delta).all()
 
     def test_gradcheck_through_generator_params(self):
         # smooth toy stack (tanh everywhere), inputs away from clip corners

@@ -281,6 +281,8 @@ class TestExitCodes:
         ("detect", "label_mode", "argmax"),
         ("detect", "k", 0),
         ("dataset", "train_fraction", 1.0),
+        # a smoothed target entry that is not a normal float
+        ("gan", "label_smoothing", 1e-310),
     ])
     def test_value_a_stage_would_reject_is_2(self, tmp_path, capsys, section,
                                              key, value):
@@ -337,6 +339,20 @@ class TestExitCodes:
         rc = cli.main(["train-gan", "--config", path, "--out", str(out)])
         assert rc == 4
         assert "numeric error" in capsys.readouterr().err
+
+    def test_gan_trains_with_the_smallest_smoothings(self, tiny_config,
+                                                      tmp_path, capsys):
+        # a smoothed target far below PROB_CLAMP keeps a finite KL
+        out = tmp_path / "smooth"
+        for command in ("synth", "train-ids"):
+            assert cli.main([command, "--config", tiny_config, "--out",
+                             str(out)]) == 0
+        for smoothing in (1e-8, 5 * np.finfo(float).tiny):
+            sharp = dict(TINY_CONFIG)
+            sharp["gan"] = dict(TINY_CONFIG["gan"], label_smoothing=smoothing)
+            path = write_config(tmp_path / "sharp.json", sharp)
+            rc = cli.main(["train-gan", "--config", path, "--out", str(out)])
+            assert rc == 0, capsys.readouterr().err
 
     def test_numeric_failure_names_the_tag(self, pipeline, tiny_config,
                                            tmp_path, capsys, monkeypatch):

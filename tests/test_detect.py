@@ -6,7 +6,7 @@ import pytest
 from stealthlab import cvae, data, detect, nn
 from stealthlab.attack import gen_ood
 from stealthlab.errors import NumericError, ShapeError
-from stealthlab.ids import IdsTrainConfig, train_ids
+from stealthlab.ids import IdsTrainConfig, predict_label, train_ids
 from stealthlab.rng import derive_rng, stable_hash
 
 
@@ -577,6 +577,38 @@ class TestRegret:
             detect.RegretConfig(steps=0)
         with pytest.raises(ValueError):
             detect.RegretConfig(learning_rate=0.0)
+
+
+class TestScoreTable:
+    def test_regret_is_conditioned_on_ids_labels_and_benign(
+            self, lab, monkeypatch):
+        # regret refits adversarial and ood rows under the IDS's prediction
+        # and benign rows under benign, whatever the IDS says of them: here
+        # the benign population is attack rows
+        test, train = lab["test"], lab["train"]
+        attack = test.features[test.labels > 0][:6]
+        ood = np.clip(attack + 0.3 * derive_rng(3, "ood").standard_normal(
+            attack.shape), 0.0, 1.0)
+        seen, real = [], detect.score_regret
+
+        def recording(model, batch, labels, *args, **kwargs):
+            seen.append(labels)
+            return real(model, batch, labels, *args, **kwargs)
+
+        monkeypatch.setattr(detect, "score_regret", recording)
+        detect.score_table(
+            [(detect.TAG_ADVERSARIAL, attack, np.arange(6)),
+             (detect.TAG_OOD, ood, np.arange(6)),
+             (detect.TAG_BENIGN, attack, np.arange(6))],
+            lab["cvae"], lab["ids"], train,
+            detect.DetectConfig(k=2, regret=detect.RegretConfig(steps=1)),
+            0, kl_weight=LAB_KL_WEIGHT)
+        expected = [predict_label(lab["ids"], attack),
+                    predict_label(lab["ids"], ood),
+                    np.zeros(6, dtype=np.int64)]
+        assert (expected[0] > 0).any()
+        assert [labels.tolist() for labels in seen] == [
+            labels.tolist() for labels in expected]
 
 
 class TestOrientation:

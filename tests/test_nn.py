@@ -199,31 +199,6 @@ class TestLosses:
         assert loss == pytest.approx(-math.log(nn.PROB_CLAMP))
         assert np.isfinite(grad).all()
 
-    def test_kl_two_point_half(self):
-        p = np.array([[0.5, 0.5]])
-        q = np.array([[0.99, 0.01]])
-        expected = 0.5 * math.log(0.5 / 0.99) + 0.5 * math.log(0.5 / 0.01)
-        loss = nn.kl_categorical(p, q)
-        assert abs(loss - expected) < 1e-12
-        assert abs(loss - 1.6144630803608508) < 1e-12
-
-    def test_kl_identical_is_zero(self):
-        p = np.array([[0.25, 0.75]])
-        assert abs(nn.kl_categorical(p, p)) < 1e-12
-
-    def test_kl_zero_mass_term_dropped(self):
-        p = np.array([[0.0, 1.0]])
-        q = np.array([[0.5, 0.5]])
-        assert abs(nn.kl_categorical(p, q) - math.log(2.0)) < 1e-12
-
-    def test_kl_nonnegative_random(self, rng):
-        for _ in range(50):
-            p = nn.softmax(rng.standard_normal((3, 5)))
-            q = nn.softmax(rng.standard_normal((1, 5)))
-            q = np.maximum(q, nn.PROB_CLAMP)
-            q = q / q.sum(axis=1, keepdims=True)
-            assert nn.kl_categorical(p, q) >= -1e-12
-
 
 def reference_adam_step(state, params, grads):
     """The whole-tensor Kingma & Ba update, the formula adam_step must match
