@@ -24,13 +24,13 @@ the sweep's; only the asked rows go through the generator and are clipped.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from . import nn
 from .cgan import Generator, generate_perturbation
-from .data import write_csv
+from .data import bound, check_bounds, write_csv
 from .errors import ShapeError
 from .ids import predict_label
 from .rng import derive_rng, derive_seed
@@ -38,25 +38,18 @@ from .rng import derive_rng, derive_seed
 
 @dataclass
 class SweepConfig:
-    epsilon_grid: list[float] = field(
-        default_factory=lambda: [round(0.01 * k, 2) for k in range(1, 11)])
-    rho_grid: list[float] = field(      # OOD noise scales
-        default_factory=lambda: [round(0.1 * k, 1) for k in range(1, 11)])
-    n_ref_grid: list[int] = field(      # refinement steps
-        default_factory=lambda: list(range(5, 65, 5)))
-    eta_max: float = 0.8                # evasion success floor
+    epsilon_grid: list[float] = bound(
+        [round(0.01 * k, 2) for k in range(1, 11)], gt=0.0)
+    rho_grid: list[float] = bound(      # OOD noise scales
+        [round(0.1 * k, 1) for k in range(1, 11)], gt=0.0)
+    n_ref_grid: list[int] = bound(      # refinement steps
+        list(range(5, 65, 5)), min=0)
+    eta_max: float = bound(0.8, min=0.0, max=1.0)   # evasion success floor
 
     def __post_init__(self):
         if not self.epsilon_grid or not self.rho_grid or not self.n_ref_grid:
             raise ValueError("all three grids must be non-empty")
-        if min(self.epsilon_grid) <= 0.0:
-            raise ValueError("epsilon_grid values must be > 0")
-        if min(self.rho_grid) <= 0.0:
-            raise ValueError("rho_grid values must be > 0")
-        if min(self.n_ref_grid) < 0:
-            raise ValueError("n_ref_grid values must be >= 0")
-        if not 0.0 <= self.eta_max <= 1.0:
-            raise ValueError("eta_max must be in [0, 1]")
+        check_bounds(self)
 
 
 @dataclass

@@ -17,10 +17,11 @@ toward 1, perturbed rows toward 0. The intrusion detector, also a bare
 here writes to it. Each loss keeps the tapes it backpropagates through; the
 training loop tapes the generator's pass for its gradients.
 
-`train_cgan(ids_net, train, config, seed)` takes its seed as an argument;
-`GanConfig` holds the hyperparameters only and is the run config's `gan`
-section. `save_generator` returns the paths it wrote. The discriminator is
-not saved: it only trains the generator, and no stage reads it.
+`train_cgan(ids_net, train, config, seed)` takes its seed as an argument
+and returns the generator and its training curve; `GanConfig` holds the
+hyperparameters only and is the run config's `gan` section. `save_generator`
+returns the paths it wrote. The discriminator is neither saved nor returned:
+it only trains the generator, and no stage reads it.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .data import (Dataset, N_CLASSES, N_FEATURES, one_hot, read_json,
-                   write_json)
+from .data import (Dataset, N_CLASSES, N_FEATURES, bound, check_bounds,
+                   one_hot, read_json, write_json)
 from .errors import NumericError, ParseError, SchemaError, ShapeError
 from .rng import derive_rng
 
@@ -42,34 +43,19 @@ DISC_HIDDEN = (256, 256)
 
 @dataclass
 class GanConfig:
-    lambda_cls: float = 1.0
-    lambda_stealth: float = 10.0
-    lambda_gan: float = 0.1
-    learning_rate: float = 0.001
-    epochs: int = 60
-    batch_size: int = 64
-    noise_dim: int = 32
-    out_scale: float = 0.1
-    label_smoothing: float = 0.01
+    lambda_cls: float = bound(1.0, min=0.0)
+    lambda_stealth: float = bound(10.0, min=0.0)
+    lambda_gan: float = bound(0.1, min=0.0)
+    learning_rate: float = bound(0.001, gt=0.0)
+    epochs: int = bound(60, min=0)
+    batch_size: int = bound(64, min=1)
+    noise_dim: int = bound(32, min=1)
+    out_scale: float = bound(0.1, gt=0.0)
+    # target entries stay normal floats, so probs / target is finite
+    label_smoothing: float = bound(0.01, min=N_CLASSES * np.finfo(float).tiny,
+                                   lt=0.5)
 
-    def __post_init__(self):
-        for name in ("lambda_cls", "lambda_stealth", "lambda_gan"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be > 0")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.noise_dim < 1:
-            raise ValueError("noise_dim must be >= 1")
-        if self.out_scale <= 0.0:
-            raise ValueError("out_scale must be > 0")
-        # target entries stay normal floats, so probs / target is finite
-        floor = N_CLASSES * np.finfo(float).tiny
-        if not floor <= self.label_smoothing < 0.5:
-            raise ValueError(f"label_smoothing must be in [{floor:.3g}, 0.5)")
+    __post_init__ = check_bounds
 
 
 @dataclass
@@ -193,7 +179,7 @@ def discriminator_loss(disc: nn.Mlp, x_benign: np.ndarray,
 
 
 def train_cgan(ids_net: nn.Mlp, train: Dataset, config: GanConfig,
-               seed: int) -> tuple[Generator, nn.Mlp, list[dict]]:
+               seed: int) -> tuple[Generator, list[dict]]:
     """Alternating one discriminator / one generator step per minibatch.
 
     Minibatches iterate over the attack rows; each step draws a fresh
@@ -254,7 +240,7 @@ def train_cgan(ids_net: nn.Mlp, train: Dataset, config: GanConfig,
                 raise NumericError(
                     f"GAN training diverged at epoch {epoch} ({key}={value})")
         curve.append(row)
-    return gen, disc, curve
+    return gen, curve
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ Stages form a chain (data -> ids -> gan -> sweep; data -> cvae; sweep + cvae
 exactly one stage, fails with a dependency error when upstream artifacts are
 missing, and records every file it wrote (with a sha256) in
 <out>/manifest.json. Every config section is a library config, checked
-against its field types and its own checks when the config is parsed. Stage
-seeds derive from the global seed plus the stage tag, so reruns are
+against its field types and its declared bounds when the config is parsed.
+Stage seeds derive from the global seed plus the stage tag, so reruns are
 bit-identical. How a sweep grid point's batches are seeded is attack's
 business (`attack.operating_point`), and the score table is detect's
 (`detect.score_table`), down to the label each row's regret is conditioned
@@ -307,7 +307,7 @@ def stage_gan(config: RunConfig, out_dir: Path) -> tuple[list[Path], dict]:
     train = data.load_csv(paths["train_csv"])
     ids_net = ids.load_ids(paths["models"])
     before = [p.copy() for p in ids_net.params()]
-    generator, _, curve = cgan.train_cgan(
+    generator, curve = cgan.train_cgan(
         ids_net, train, config.gan, derive_seed(config.seed, "gan"))
     frozen = all((a == b).all() for a, b in zip(before, ids_net.params()))
     if not frozen:

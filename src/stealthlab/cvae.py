@@ -51,7 +51,8 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .data import Dataset, N_CLASSES, one_hot, read_json, write_json
+from .data import (Dataset, N_CLASSES, bound, check_bounds, one_hot, read_json,
+                   write_json)
 from .errors import NumericError, ParseError, ShapeError
 from .rng import derive_rng, stable_hash
 
@@ -63,27 +64,17 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 
 @dataclass
 class CvaeTrainConfig:
-    epochs: int = 120
-    batch_size: int = 64
-    learning_rate: float = 0.001
-    latent_dim: int = 200
+    epochs: int = bound(120, min=0)
+    batch_size: int = bound(64, min=1)
+    learning_rate: float = bound(0.001, gt=0.0)
+    latent_dim: int = bound(200, min=1)
     # constant weight on the KL term; the synthetic clusters are
     # conditionally featureless, so a plain ELBO collapses the posterior and
     # a small weight keeps the latent space live
-    kl_weight: float = 0.02
+    kl_weight: float = bound(0.02, min=0.0)
     train_baseline_vae: bool = True   # the pipeline also fits a plain VAE
 
-    def __post_init__(self):
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be > 0")
-        if self.kl_weight < 0.0:
-            raise ValueError("kl_weight must be >= 0")
-        if self.latent_dim < 1:
-            raise ValueError("latent_dim must be >= 1")
+    __post_init__ = check_bounds
 
 
 @dataclass

@@ -15,17 +15,21 @@ JSON object with the keys and types its reader names is a ParseError.
 `write_csv` is the one CSV artifact writer and `read_csv` the one CSV
 reader: the modules that own a CSV format decide its header and rows, and
 this one how a cell and a line are written and how a file splits into rows.
+Beside `check_keys` and `has_type` sits the one bound rule of the config
+sections: a field declares its limits beside its default (`bound`), and
+`check_bounds` holds the section to them, NaN outside every limit.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import operator
 import os
 import types
 import typing
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -321,6 +325,45 @@ def has_type(value, hint) -> bool:
     return isinstance(value, hint)
 
 
+# each limit's test, its sign alone and its bracket as one end of a range
+_LIMITS = {"min": (operator.ge, ">=", "["), "gt": (operator.gt, ">", "("),
+           "max": (operator.le, "<=", "]"), "lt": (operator.lt, "<", ")")}
+
+
+def bound(default, **limits):
+    """A dataclass field with `default` (a list is copied for each instance)
+    and the `limits` that `check_bounds` holds each of its values to:
+    inclusive `min`/`max`, exclusive `gt`/`lt`, or `choices`."""
+    if isinstance(default, list):
+        return field(default_factory=default.copy, metadata=limits)
+    return field(default=default, metadata=limits)
+
+
+def check_bounds(config) -> None:
+    """ValueError naming the first field of the dataclass `config`, in
+    declaration order, with a value (or, for a list, an element) outside its
+    `bound` limits. NaN is outside every limit."""
+    for spec in fields(config):
+        value, limits = getattr(config, spec.name), spec.metadata
+        values = value if isinstance(value, list) else [value]
+        ends = [(key, limits[key]) for key in _LIMITS if key in limits]
+        if "choices" in limits:
+            if value in limits["choices"]:
+                continue
+            rule = " or ".join(map(repr, limits["choices"]))
+        elif all(_LIMITS[key][0](v, limit)
+                 for v in values for key, limit in ends):
+            continue
+        elif len(ends) == 1:
+            (key, limit), = ends
+            rule = f"{_LIMITS[key][1]} {limit:.3g}"
+        else:
+            (lo, low), (hi, high) = ends
+            rule = f"in {_LIMITS[lo][2]}{low:.3g}, {high:.3g}{_LIMITS[hi][2]}"
+        subject = spec.name + (" values" if isinstance(value, list) else "")
+        raise ValueError(f"{subject} must be {rule}")
+
+
 # ---------------------------------------------------------------------------
 # splitting
 # ---------------------------------------------------------------------------
@@ -355,26 +398,17 @@ def stratified_split(dataset: Dataset, train_fraction: float,
 
 @dataclass
 class DatasetConfig:
-    source: str = "synthetic"  # "synthetic" or "csv"
+    source: str = bound("synthetic", choices=("synthetic", "csv"))
     csv_path: str | None = None
-    train_fraction: float = 0.8
-    samples_per_class: int = 600
-    separation: float = 0.08   # benign/attack mean gap on the contrast block
-    std: float = 0.10          # within-class standard deviation, every axis
+    train_fraction: float = bound(0.8, gt=0.0, lt=1.0)
+    samples_per_class: int = bound(600, min=1)
+    separation: float = bound(0.08, gt=0.0)  # benign/attack mean contrast gap
+    std: float = bound(0.10, gt=0.0)  # within-class std dev on every axis
 
     def __post_init__(self):
-        if self.source not in ("synthetic", "csv"):
-            raise ValueError("source must be 'synthetic' or 'csv'")
+        check_bounds(self)
         if self.source == "csv" and not self.csv_path:
             raise ValueError("csv_path is required when source='csv'")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError("train_fraction must be in (0, 1)")
-        if self.samples_per_class < 1:
-            raise ValueError("samples_per_class must be >= 1")
-        if self.separation <= 0.0:
-            raise ValueError("separation must be > 0")
-        if self.std <= 0.0:
-            raise ValueError("std must be > 0")
 
 
 # benign-vs-attack contrast lives on the first block of features, the

@@ -43,7 +43,8 @@ import numpy as np
 
 from . import nn
 from .cvae import CvaeModel, elbo_loss, encode, iwae_batch, label_key
-from .data import CLASS_NAMES, N_CLASSES, Dataset, read_csv, write_csv
+from .data import (CLASS_NAMES, N_CLASSES, Dataset, bound, check_bounds,
+                   read_csv, write_csv)
 from .errors import NumericError, ParseError, SchemaError, ShapeError
 from .ids import predict_label
 from .rng import derive_seed, stable_hash
@@ -59,37 +60,23 @@ DETECTORS = ("nll", "mahalanobis", "regret")
 
 @dataclass
 class RegretConfig:
-    steps: int = 100
-    learning_rate: float = 0.05     # Adam step size on the posterior
+    steps: int = bound(100, min=1)
+    learning_rate: float = bound(0.05, gt=0.0)   # posterior Adam step size
 
-    def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be > 0")
+    __post_init__ = check_bounds
 
 
 @dataclass
 class DetectConfig:
-    k: int = 50
-    label_mode: str = "ids"            # "ids" or "min"
-    max_samples_per_tag: int = 192
-    benign_calibration: int = 64
-    shrinkage: float = 0.1
-    histogram_bins: int = 40
+    k: int = bound(50, min=1)
+    label_mode: str = bound("ids", choices=("ids", "min"))
+    max_samples_per_tag: int = bound(192, min=2)
+    benign_calibration: int = bound(64, min=2)
+    shrinkage: float = bound(0.1, min=0.0, max=1.0)
+    histogram_bins: int = bound(40, min=2)
     regret: RegretConfig = field(default_factory=RegretConfig)
 
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.label_mode not in ("ids", "min"):
-            raise ValueError("label_mode must be 'ids' or 'min'")
-        for name in ("max_samples_per_tag", "benign_calibration",
-                     "histogram_bins"):
-            if getattr(self, name) < 2:
-                raise ValueError(f"{name} must be >= 2")
-        if not 0.0 <= self.shrinkage <= 1.0:
-            raise ValueError("shrinkage must be in [0, 1]")
+    __post_init__ = check_bounds
 
 
 @dataclass

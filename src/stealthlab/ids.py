@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .data import (CLASS_NAMES, Dataset, N_CLASSES, N_FEATURES, read_json,
-                   write_json)
+from .data import (CLASS_NAMES, Dataset, N_CLASSES, N_FEATURES, bound,
+                   check_bounds, read_json, write_json)
 from .errors import NumericError, ParseError
 from .rng import derive_rng
 
@@ -31,17 +31,11 @@ EARLY_STOP_PATIENCE = 5
 
 @dataclass
 class IdsTrainConfig:
-    epochs: int = 200
-    batch_size: int = 64
-    learning_rate: float = 0.001
+    epochs: int = bound(200, min=0)
+    batch_size: int = bound(64, min=1)
+    learning_rate: float = bound(0.001, gt=0.0)
 
-    def __post_init__(self):
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be > 0")
+    __post_init__ = check_bounds
 
 
 def build_ids_net(rng: np.random.Generator) -> nn.Mlp:

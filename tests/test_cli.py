@@ -244,45 +244,65 @@ class TestExitCodes:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
 
+    # explicit ids: no case is renamed when another is added
     @pytest.mark.parametrize("section, key, value", [
-        ("dataset", "samples_per_class", 0),
-        ("dataset", "separation", 0.0),
-        ("dataset", "std", -0.1),
-        ("sweep", "epsilon_grid", [0.05, 0.0]),
-        ("sweep", "rho_grid", [-0.2]),
-        ("sweep", "n_ref_grid", [5, -1]),
-        ("detect", "shrinkage", 1.5),
-        ("detect", "shrinkage", -0.1),
-        ("detect", "histogram_bins", 1),
-        ("ids", "epochs", -1),
-        ("gan", "label_smoothing", 0.7),
-        ("cvae", "kl_weight", -1.0),
-        ("detect", "regret", {"steps": 0}),
+        pytest.param("dataset", "samples_per_class", 0,
+                     id="dataset-samples_per_class-0"),
+        pytest.param("dataset", "separation", 0.0,
+                     id="dataset-separation-0.0"),
+        pytest.param("dataset", "std", -0.1, id="dataset-std--0.1"),
+        pytest.param("sweep", "epsilon_grid", [0.05, 0.0],
+                     id="sweep-epsilon_grid-value3"),
+        pytest.param("sweep", "rho_grid", [-0.2], id="sweep-rho_grid-value4"),
+        pytest.param("sweep", "n_ref_grid", [5, -1],
+                     id="sweep-n_ref_grid-value5"),
+        pytest.param("detect", "shrinkage", 1.5, id="detect-shrinkage-1.5"),
+        pytest.param("detect", "shrinkage", -0.1, id="detect-shrinkage--0.1"),
+        pytest.param("detect", "histogram_bins", 1,
+                     id="detect-histogram_bins-1"),
+        pytest.param("ids", "epochs", -1, id="ids-epochs--1"),
+        pytest.param("gan", "label_smoothing", 0.7,
+                     id="gan-label_smoothing-0.7"),
+        pytest.param("cvae", "kl_weight", -1.0, id="cvae-kl_weight--1.0"),
+        pytest.param("detect", "regret", {"steps": 0},
+                     id="detect-regret-value12"),
         # values of the wrong type; section None is a top-level key
-        (None, "seed", "abc"),
-        (None, "seed", 1.5),
-        (None, "seed", True),
-        (None, "schema_version", True),
-        ("dataset", "samples_per_class", 10.5),
-        ("dataset", "csv_path", 3),
-        ("ids", "epochs", 2.5),
-        ("cvae", "train_baseline_vae", 1),
-        ("sweep", "n_ref_grid", [5.5]),
-        ("sweep", "epsilon_grid", [0.05, True]),
-        ("sweep", "eta_max", "0.5"),
-        ("detect", "k", 2.5),
+        pytest.param(None, "seed", "abc", id="None-seed-abc"),
+        pytest.param(None, "seed", 1.5, id="None-seed-1.5"),
+        pytest.param(None, "seed", True, id="None-seed-True"),
+        pytest.param(None, "schema_version", True,
+                     id="None-schema_version-True"),
+        pytest.param("dataset", "samples_per_class", 10.5,
+                     id="dataset-samples_per_class-10.5"),
+        pytest.param("dataset", "csv_path", 3, id="dataset-csv_path-3"),
+        pytest.param("ids", "epochs", 2.5, id="ids-epochs-2.5"),
+        pytest.param("cvae", "train_baseline_vae", 1,
+                     id="cvae-train_baseline_vae-1"),
+        pytest.param("sweep", "n_ref_grid", [5.5],
+                     id="sweep-n_ref_grid-value21"),
+        pytest.param("sweep", "epsilon_grid", [0.05, True],
+                     id="sweep-epsilon_grid-value22"),
+        pytest.param("sweep", "eta_max", "0.5", id="sweep-eta_max-0.5"),
+        pytest.param("detect", "k", 2.5, id="detect-k-2.5"),
         # JSON's NaN and Infinity, read by Python's json module
-        ("dataset", "std", float("inf")),
-        ("dataset", "separation", float("nan")),
-        ("cvae", "learning_rate", float("nan")),
-        ("sweep", "epsilon_grid", [0.05, float("inf")]),
-        ("detect", "regret", {"learning_rate": float("inf")}),
+        pytest.param("dataset", "std", float("inf"), id="dataset-std-inf"),
+        pytest.param("dataset", "separation", float("nan"),
+                     id="dataset-separation-nan"),
+        pytest.param("cvae", "learning_rate", float("nan"),
+                     id="cvae-learning_rate-nan"),
+        pytest.param("sweep", "epsilon_grid", [0.05, float("inf")],
+                     id="sweep-epsilon_grid-value28"),
+        pytest.param("detect", "regret", {"learning_rate": float("inf")},
+                     id="detect-regret-value29"),
         # values only the config reader checks
-        ("detect", "label_mode", "argmax"),
-        ("detect", "k", 0),
-        ("dataset", "train_fraction", 1.0),
+        pytest.param("detect", "label_mode", "argmax",
+                     id="detect-label_mode-argmax"),
+        pytest.param("detect", "k", 0, id="detect-k-0"),
+        pytest.param("dataset", "train_fraction", 1.0,
+                     id="dataset-train_fraction-1.0"),
         # a smoothed target entry that is not a normal float
-        ("gan", "label_smoothing", 1e-310),
+        pytest.param("gan", "label_smoothing", 1e-310,
+                     id="gan-label_smoothing-1e-310"),
     ])
     def test_value_a_stage_would_reject_is_2(self, tmp_path, capsys, section,
                                              key, value):

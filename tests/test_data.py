@@ -1,11 +1,19 @@
+import dataclasses
 import os
+import typing
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stealthlab import data, nn
+from stealthlab import cli, data, nn
+from stealthlab.attack import SweepConfig
+from stealthlab.cgan import GanConfig
+from stealthlab.cvae import CvaeTrainConfig
+from stealthlab.data import DatasetConfig
+from stealthlab.detect import DetectConfig, RegretConfig
+from stealthlab.ids import IdsTrainConfig
 from stealthlab.errors import LabelError, ParseError, SchemaError
 from stealthlab.rng import derive_rng
 
@@ -319,6 +327,147 @@ class TestSynthetic:
         assert hot.shape == (2, 5)
         assert hot[0, 0] == 1.0 and hot[0].sum() == 1.0
         assert hot[1, 2] == 1.0 and hot[1].sum() == 1.0
+
+
+def below(x):
+    return float(np.nextafter(x, -np.inf))
+
+
+def above(x):
+    return float(np.nextafter(x, np.inf))
+
+
+def case(cls, name, value, *expected):
+    return pytest.param(cls, name, value, *expected,
+                        id=f"{cls.__name__}.{name}={value}")
+
+
+SMOOTHING_FLOOR = data.N_CLASSES * np.finfo(float).tiny
+
+# a value just past each limit, or on an exclusive one, and its message
+OUT_OF_BOUNDS = [
+    case(DatasetConfig, "source", "parquet",
+         "source must be 'synthetic' or 'csv'"),
+    case(DatasetConfig, "train_fraction", 0.0,
+         "train_fraction must be in (0, 1)"),
+    case(DatasetConfig, "train_fraction", 1.0,
+         "train_fraction must be in (0, 1)"),
+    case(DatasetConfig, "samples_per_class", 0,
+         "samples_per_class must be >= 1"),
+    case(DatasetConfig, "separation", 0.0, "separation must be > 0"),
+    case(DatasetConfig, "std", 0.0, "std must be > 0"),
+    case(IdsTrainConfig, "epochs", -1, "epochs must be >= 0"),
+    case(IdsTrainConfig, "batch_size", 0, "batch_size must be >= 1"),
+    case(IdsTrainConfig, "learning_rate", 0.0, "learning_rate must be > 0"),
+    case(GanConfig, "lambda_cls", below(0.0), "lambda_cls must be >= 0"),
+    case(GanConfig, "lambda_stealth", below(0.0),
+         "lambda_stealth must be >= 0"),
+    case(GanConfig, "lambda_gan", below(0.0), "lambda_gan must be >= 0"),
+    case(GanConfig, "learning_rate", 0.0, "learning_rate must be > 0"),
+    case(GanConfig, "epochs", -1, "epochs must be >= 0"),
+    case(GanConfig, "batch_size", 0, "batch_size must be >= 1"),
+    case(GanConfig, "noise_dim", 0, "noise_dim must be >= 1"),
+    case(GanConfig, "out_scale", 0.0, "out_scale must be > 0"),
+    case(GanConfig, "label_smoothing", below(SMOOTHING_FLOOR),
+         "label_smoothing must be in [1.11e-307, 0.5)"),
+    case(GanConfig, "label_smoothing", 0.5,
+         "label_smoothing must be in [1.11e-307, 0.5)"),
+    case(CvaeTrainConfig, "epochs", -1, "epochs must be >= 0"),
+    case(CvaeTrainConfig, "batch_size", 0, "batch_size must be >= 1"),
+    case(CvaeTrainConfig, "learning_rate", 0.0, "learning_rate must be > 0"),
+    case(CvaeTrainConfig, "latent_dim", 0, "latent_dim must be >= 1"),
+    case(CvaeTrainConfig, "kl_weight", below(0.0), "kl_weight must be >= 0"),
+    case(SweepConfig, "epsilon_grid", [0.05, 0.0],
+         "epsilon_grid values must be > 0"),
+    case(SweepConfig, "rho_grid", [0.1, 0.0], "rho_grid values must be > 0"),
+    case(SweepConfig, "n_ref_grid", [5, -1], "n_ref_grid values must be >= 0"),
+    case(SweepConfig, "eta_max", below(0.0), "eta_max must be in [0, 1]"),
+    case(SweepConfig, "eta_max", above(1.0), "eta_max must be in [0, 1]"),
+    case(DetectConfig, "k", 0, "k must be >= 1"),
+    case(DetectConfig, "label_mode", "argmax",
+         "label_mode must be 'ids' or 'min'"),
+    case(DetectConfig, "max_samples_per_tag", 1,
+         "max_samples_per_tag must be >= 2"),
+    case(DetectConfig, "benign_calibration", 1,
+         "benign_calibration must be >= 2"),
+    case(DetectConfig, "shrinkage", below(0.0), "shrinkage must be in [0, 1]"),
+    case(DetectConfig, "shrinkage", above(1.0), "shrinkage must be in [0, 1]"),
+    case(DetectConfig, "histogram_bins", 1, "histogram_bins must be >= 2"),
+    case(RegretConfig, "steps", 0, "steps must be >= 1"),
+    case(RegretConfig, "learning_rate", 0.0, "learning_rate must be > 0"),
+]
+
+# each inclusive limit, and label_mode's other choice
+AT_THE_LIMIT = [
+    case(DatasetConfig, "samples_per_class", 1),
+    case(IdsTrainConfig, "epochs", 0),
+    case(IdsTrainConfig, "batch_size", 1),
+    case(GanConfig, "lambda_cls", 0.0),
+    case(GanConfig, "lambda_stealth", 0.0),
+    case(GanConfig, "lambda_gan", 0.0),
+    case(GanConfig, "epochs", 0),
+    case(GanConfig, "batch_size", 1),
+    case(GanConfig, "noise_dim", 1),
+    case(GanConfig, "label_smoothing", SMOOTHING_FLOOR),
+    case(CvaeTrainConfig, "epochs", 0),
+    case(CvaeTrainConfig, "batch_size", 1),
+    case(CvaeTrainConfig, "latent_dim", 1),
+    case(CvaeTrainConfig, "kl_weight", 0.0),
+    case(SweepConfig, "n_ref_grid", [0]),
+    case(SweepConfig, "eta_max", 0.0),
+    case(SweepConfig, "eta_max", 1.0),
+    case(DetectConfig, "k", 1),
+    case(DetectConfig, "label_mode", "min"),
+    case(DetectConfig, "max_samples_per_tag", 2),
+    case(DetectConfig, "benign_calibration", 2),
+    case(DetectConfig, "shrinkage", 0.0),
+    case(DetectConfig, "shrinkage", 1.0),
+    case(DetectConfig, "histogram_bins", 2),
+    case(RegretConfig, "steps", 1),
+]
+
+
+def config_sections(cls=cli.RunConfig):
+    """Every config section under `cls`, nested ones included."""
+    for hint in typing.get_type_hints(cls).values():
+        if dataclasses.is_dataclass(hint):
+            yield hint
+            yield from config_sections(hint)
+
+
+NUMERIC_FIELDS = [
+    (section, name) for section in config_sections()
+    for name, hint in typing.get_type_hints(section).items()
+    if hint in (int, float, list[int], list[float])]
+
+
+class TestBounds:
+    @pytest.mark.parametrize("cls, name, value, message", OUT_OF_BOUNDS)
+    def test_value_past_a_limit_names_it(self, cls, name, value, message):
+        with pytest.raises(ValueError) as info:
+            cls(**{name: value})
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("cls, name, value", AT_THE_LIMIT)
+    def test_value_on_an_inclusive_limit_builds(self, cls, name, value):
+        assert getattr(cls(**{name: value}), name) == value
+
+    @pytest.mark.parametrize(
+        "cls, name", [pytest.param(cls, name, id=f"{cls.__name__}.{name}")
+                      for cls, name in NUMERIC_FIELDS])
+    def test_nan_is_outside_every_bound(self, cls, name):
+        # a field that declared no limit would take NaN, so this also holds
+        # every number a config section adds to a bound
+        hint = typing.get_type_hints(cls)[name]
+        value = [0.5, np.nan] if typing.get_origin(hint) is list else np.nan
+        with pytest.raises(ValueError, match=f"^{name}( values)? must be "):
+            cls(**{name: value})
+
+    def test_every_bounded_field_has_its_message_pinned(self):
+        pinned = {(p.values[0], p.values[1]) for p in OUT_OF_BOUNDS}
+        assert pinned == {*NUMERIC_FIELDS, (DatasetConfig, "source"),
+                          (DetectConfig, "label_mode")}
+        assert len(pinned) == 34
 
 
 REAL_CSV = os.environ.get("STEALTHLAB_DATASET_CSV")
