@@ -8,18 +8,16 @@ CVAE likelihood, latent Mahalanobis distance, likelihood regret) at telling
 the crafted traffic apart from the genuinely noisy kind.
 """
 
-from .errors import (ConfigError, DependencyError, LabelError, NumericError,
-                     ParseError, SchemaError, ShapeError)
+from .errors import (ConfigError, DependencyError, NumericError, ParseError,
+                     ShapeError)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError",
     "DependencyError",
-    "LabelError",
     "NumericError",
     "ParseError",
-    "SchemaError",
     "ShapeError",
     "__version__",
 ]

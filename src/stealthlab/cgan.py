@@ -26,6 +26,7 @@ it only trains the generator, and no stage reads it.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,7 +35,7 @@ import numpy as np
 from . import nn
 from .data import (Dataset, N_CLASSES, N_FEATURES, bound, check_bounds,
                    one_hot, read_json, write_json)
-from .errors import NumericError, ParseError, SchemaError, ShapeError
+from .errors import NumericError, ParseError, ShapeError
 from .rng import derive_rng
 
 GEN_HIDDEN = (256, 256)
@@ -193,8 +194,8 @@ def train_cgan(ids_net: nn.Mlp, train: Dataset, config: GanConfig,
     benign_rows = np.flatnonzero(train.labels == 0)
     if benign_rows.size == 0 or attack_rows.size == 0:
         missing = "benign" if benign_rows.size == 0 else "attack"
-        raise SchemaError(f"training data has no {missing} rows; the GAN "
-                          f"needs both benign and attack rows")
+        raise ParseError(f"training data has no {missing} rows; the GAN "
+                         f"needs both benign and attack rows")
     opt_g = nn.adam_init(gen.net.params(), config.learning_rate)
     opt_d = nn.adam_init(disc.params(), config.learning_rate)
     curve: list[dict] = []
@@ -259,7 +260,8 @@ def save_generator(gen: Generator, directory) -> list[Path]:
 
 def load_generator(directory) -> Generator:
     """The generator save_generator wrote; a gen.json whose noise_dim does
-    not fit gen.weights' widths is a ParseError naming the file."""
+    not fit gen.weights' widths, or whose out_scale is not finite and > 0,
+    is a ParseError naming the file."""
     directory = Path(directory)
     net = nn.load_mlp(directory / "gen.weights")
     meta_path = directory / "gen.json"
@@ -268,4 +270,7 @@ def load_generator(directory) -> Generator:
             or net.layers[-1].fan_out != N_FEATURES):
         raise ParseError(f"{meta_path}: 'noise_dim' does not match the "
                          f"generator weight file")
+    if not 0.0 < meta["out_scale"] < np.inf:    # json reads NaN and Infinity
+        raise ParseError(f"{meta_path}: 'out_scale' must be finite and > 0, "
+                         f"got {json.dumps(meta['out_scale'])}")
     return Generator(net, meta["noise_dim"], float(meta["out_scale"]))

@@ -34,8 +34,7 @@ from typing import Callable
 import numpy as np
 
 from . import attack, cgan, cvae, data, detect, ids
-from .errors import (ConfigError, DependencyError, LabelError, NumericError,
-                     ParseError, SchemaError)
+from .errors import ConfigError, DependencyError, NumericError, ParseError
 from .rng import derive_rng, derive_seed
 
 SCHEMA_VERSION = 1
@@ -349,7 +348,7 @@ def stage_cvae(config: RunConfig, out_dir: Path) -> tuple[list[Path], dict]:
 def _attack_rows(test: data.Dataset) -> np.ndarray:
     rows = np.flatnonzero(test.labels > 0)
     if rows.size == 0:
-        raise SchemaError("test split has no attack rows to perturb")
+        raise ParseError("test split has no attack rows to perturb")
     return rows
 
 
@@ -363,7 +362,7 @@ def stage_sweep(config: RunConfig, out_dir: Path) -> tuple[list[Path], dict]:
     labels = test.labels[rows]
     benign_rows = test.class_rows(0)
     if benign_rows.size == 0:
-        raise SchemaError("test split has no benign rows to measure against")
+        raise ParseError("test split has no benign rows to measure against")
     result = attack.sweep(generator, ids_net, x_att, labels, config.sweep,
                           derive_seed(config.seed, "sweep"),
                           test.features[benign_rows])
@@ -576,7 +575,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 4
-    except (SchemaError, ParseError, LabelError, OSError) as exc:
+    except (ParseError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 5
 

@@ -17,7 +17,8 @@ reader: the modules that own a CSV format decide its header and rows, and
 this one how a cell and a line are written and how a file splits into rows.
 Beside `check_keys` and `has_type` sits the one bound rule of the config
 sections: a field declares its limits beside its default (`bound`), and
-`check_bounds` holds the section to them, NaN outside every limit.
+`check_bounds` holds the section to them, NaN and +-inf outside every
+limit.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import LabelError, ParseError, SchemaError, ShapeError
+from .errors import ParseError, ShapeError
 from .rng import derive_rng
 
 CLASS_NAMES = ["benign", "deauth", "replay", "eviltwin", "fdi"]
@@ -46,7 +47,7 @@ LABEL_COLUMN = "label"
 def one_hot(labels: np.ndarray) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size and (labels.min() < 0 or labels.max() >= N_CLASSES):
-        raise LabelError(f"label out of range [0, {N_CLASSES})")
+        raise ParseError(f"label out of range [0, {N_CLASSES})")
     out = np.zeros((labels.shape[0], N_CLASSES))
     out[np.arange(labels.shape[0]), labels] = 1.0
     return out
@@ -69,7 +70,7 @@ class Dataset:
             raise ShapeError("one feature name per column required")
         if self.labels.size and (self.labels.min() < 0
                                  or self.labels.max() >= N_CLASSES):
-            raise LabelError("label index outside class vocabulary")
+            raise ParseError("label index outside class vocabulary")
 
     @property
     def n(self) -> int:
@@ -92,7 +93,8 @@ def default_feature_names(n: int = N_FEATURES) -> list[str]:
 # CSV in/out
 # ---------------------------------------------------------------------------
 # Schema: UTF-8, comma separated, one header row naming N_FEATURES feature
-# columns plus a label column called "label" (any position, case-insensitive).
+# columns plus a label column called "label" (any position, case-insensitive),
+# each name once.
 # Label cells hold class names or integer class indices.
 
 def read_csv(path):
@@ -125,15 +127,19 @@ def load_csv(path) -> Dataset:
     rows = read_csv(path)
     header = next(rows)
     if header is None:
-        raise SchemaError(f"{path}: empty file, header row required")
+        raise ParseError(f"{path}: empty file, header row required")
     header = [h.strip() for h in header]
     label_idx = next((i for i, name in enumerate(header)
                       if name.lower() == LABEL_COLUMN), None)
     if label_idx is None:
-        raise SchemaError(f"{path}: missing column '{LABEL_COLUMN}'")
+        raise ParseError(f"{path}: missing column '{LABEL_COLUMN}'")
     feature_names = header[:label_idx] + header[label_idx + 1:]
+    repeated = [name for i, name in enumerate(feature_names)
+                if name in feature_names[:i] or name.lower() == LABEL_COLUMN]
+    if repeated:
+        raise ParseError(f"{path}: repeated column '{repeated[0]}'")
     if len(feature_names) != N_FEATURES:
-        raise SchemaError(
+        raise ParseError(
             f"{path}: expected {N_FEATURES} feature columns, "
             f"found {len(feature_names)}")
     name_to_id = {n.lower(): i for i, n in enumerate(CLASS_NAMES)}
@@ -153,16 +159,16 @@ def load_csv(path) -> Dataset:
             try:
                 label = int(raw_label)
             except ValueError:
-                raise LabelError(
+                raise ParseError(
                     f"{path}: row {row_no}: unknown label '{raw_label}'"
                 ) from None
             if not 0 <= label < N_CLASSES:
-                raise LabelError(
+                raise ParseError(
                     f"{path}: row {row_no}: label index {label} out of range")
         features.append(feats)
         labels.append(label)
     if not features:
-        raise SchemaError(f"{path}: no data rows")
+        raise ParseError(f"{path}: no data rows")
     return Dataset(np.vstack(features), np.asarray(labels, dtype=np.int64),
                    feature_names)
 
@@ -219,16 +225,6 @@ class ScalerParams:
     feature_names: list[str]
     mins: np.ndarray
     maxs: np.ndarray
-
-    def __post_init__(self):
-        self.mins = np.asarray(self.mins, dtype=np.float64)
-        self.maxs = np.asarray(self.maxs, dtype=np.float64)
-        if self.mins.shape != self.maxs.shape or self.mins.ndim != 1:
-            raise ShapeError("mins/maxs must be matching 1-d arrays")
-        if len(self.feature_names) != self.mins.shape[0]:
-            raise ShapeError("one feature name per column required")
-        if (self.maxs < self.mins).any():
-            raise ValueError("max < min for some feature")
 
 
 def fit_minmax(dataset: Dataset) -> ScalerParams:
@@ -342,7 +338,7 @@ def bound(default, **limits):
 def check_bounds(config) -> None:
     """ValueError naming the first field of the dataclass `config`, in
     declaration order, with a value (or, for a list, an element) outside its
-    `bound` limits. NaN is outside every limit."""
+    `bound` limits. NaN and +-inf are outside every limit."""
     for spec in fields(config):
         value, limits = getattr(config, spec.name), spec.metadata
         values = value if isinstance(value, list) else [value]
@@ -351,7 +347,7 @@ def check_bounds(config) -> None:
             if value in limits["choices"]:
                 continue
             rule = " or ".join(map(repr, limits["choices"]))
-        elif all(_LIMITS[key][0](v, limit)
+        elif all(-np.inf < v < np.inf and _LIMITS[key][0](v, limit)
                  for v in values for key, limit in ends):
             continue
         elif len(ends) == 1:
@@ -379,7 +375,7 @@ def stratified_split(dataset: Dataset, train_fraction: float,
         if rows.size == 0:
             continue
         if rows.size < 5:
-            raise SchemaError(
+            raise ParseError(
                 f"class '{CLASS_NAMES[class_id]}' has {rows.size} "
                 f"samples, need at least 5 to split")
         perm = rng.permutation(rows)

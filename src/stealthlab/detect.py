@@ -45,7 +45,7 @@ from . import nn
 from .cvae import CvaeModel, elbo_loss, encode, iwae_batch, label_key
 from .data import (CLASS_NAMES, N_CLASSES, Dataset, bound, check_bounds,
                    read_csv, write_csv)
-from .errors import NumericError, ParseError, SchemaError, ShapeError
+from .errors import NumericError, ParseError, ShapeError
 from .ids import predict_label
 from .rng import derive_seed, stable_hash
 
@@ -168,7 +168,7 @@ def fit_gaussians(model: CvaeModel, train: Dataset,
     for class_id in range(N_CLASSES):
         rows = train.class_rows(class_id)
         if rows.size < 2:
-            raise SchemaError(
+            raise ParseError(
                 f"class '{CLASS_NAMES[class_id]}' has {rows.size} "
                 f"training rows, need at least 2 to fit a covariance")
         # for the stage's peak memory, one (rows x latent) array per class:

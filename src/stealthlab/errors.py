@@ -1,8 +1,9 @@
-"""Error taxonomy shared across the package.
+"""Error taxonomy shared across the package: one class per exit code.
 
-Argument and shape problems raise builtin-compatible errors so callers can
-catch `ValueError` broadly; the CLI maps the categories below onto distinct
-exit codes.
+The CLI maps `ConfigError` to exit 2, `DependencyError` to 3,
+`NumericError` to 4 and `ParseError` (with `OSError`) to 5. `ShapeError`
+marks a caller's bug and has no exit code. Argument and shape problems raise
+builtin-compatible errors so callers can catch `ValueError` broadly.
 """
 
 
@@ -14,16 +15,10 @@ class NumericError(ArithmeticError):
     """A computation produced non-finite values or diverged."""
 
 
-class SchemaError(ValueError):
-    """A data file is missing required columns or rows."""
-
-
 class ParseError(ValueError):
-    """A data file has a cell that does not parse."""
-
-
-class LabelError(ValueError):
-    """A label value is not in the known class vocabulary."""
+    """An input file, or the data read from it, cannot be used: it does not
+    parse, lacks required columns or rows, or holds a label outside the
+    class vocabulary."""
 
 
 class ConfigError(ValueError):

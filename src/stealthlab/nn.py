@@ -6,9 +6,9 @@ deliberately small -- dense layers, five activations, reverse-mode gradients
 and a deterministic Adam. The reference path is single threaded; the same
 seed produces the same bits every run.
 
-Arrays are converted where they enter (`data.Dataset`, `data.ScalerParams`,
-`DenseLayer`). Functions take float64 ndarrays of their documented shapes and
-int labels, check them, and convert only where a result depends on it.
+Arrays are converted where they enter (`data.Dataset`, `DenseLayer`).
+Functions take float64 ndarrays of their documented shapes and int labels,
+check them, and convert only where a result depends on it.
 
 A net holds only its layers: `forward(x, tape)` appends (input,
 pre-activation, output) per layer to the caller's list `tape`, and

@@ -81,7 +81,7 @@ SMOOTHING_FLOOR = data.N_CLASSES * np.finfo(float).tiny
 class TestGenerator:
     def test_benign_label_rejected(self):
         # and so are labels outside the vocabulary, through one_hot's
-        # LabelError
+        # ParseError
         gen = cgan.build_generator(derive_rng(0, "g"), noise_dim=32,
                                    out_scale=0.1)
         for label in (0, 5, -1):

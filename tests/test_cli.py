@@ -13,8 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stealthlab import attack, cgan, cli, data, detect, nn
-from stealthlab.errors import ConfigError, NumericError
+from stealthlab import attack, cgan, cli, data, detect, errors, nn
+from stealthlab.errors import (ConfigError, DependencyError, NumericError,
+                               ParseError, ShapeError)
 from stealthlab.rng import derive_rng
 
 TINY_CONFIG = {
@@ -235,7 +236,36 @@ class TestConfigParsing:
         assert cli.config_digest(base) != cli.config_digest(reseeded)
 
 
+# each error class cli.main maps, its exit code and its stderr prefix
+EXIT_CODES = [
+    pytest.param(ConfigError, 2, "config error", id="ConfigError"),
+    pytest.param(DependencyError, 3, "dependency error", id="DependencyError"),
+    pytest.param(NumericError, 4, "numeric error", id="NumericError"),
+    pytest.param(ParseError, 5, "i/o error", id="ParseError"),
+    pytest.param(OSError, 5, "i/o error", id="OSError"),
+]
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("error, code, prefix", EXIT_CODES)
+    def test_error_class_maps_to_its_exit_code(self, tmp_path, capsys,
+                                               monkeypatch, error, code,
+                                               prefix):
+        def fail(*args):
+            raise error("injected")
+
+        monkeypatch.setattr(cli, "run_stage", fail)
+        assert cli.main(["synth", "--out", str(tmp_path / "out")]) == code
+        assert capsys.readouterr().err == f"{prefix}: injected\n"
+
+    def test_every_error_class_has_an_exit_code(self):
+        # ShapeError marks a caller's bug and has none
+        defined = {value for value in vars(errors).values()
+                   if isinstance(value, type)
+                   and value.__module__ == errors.__name__}
+        mapped = {case.values[0] for case in EXIT_CODES}
+        assert defined == mapped - {OSError} | {ShapeError}
+
     def test_config_error_is_2(self, tmp_path, capsys):
         path = write_config(tmp_path / "bad.json",
                             {"schema_version": 1, "whoops": True})
@@ -656,6 +686,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "i/o error" in err
         assert f"{meta_path}: 'noise_dim' does not match" in err
+
+    @pytest.mark.parametrize("value, shown", [
+        (-0.1, "-0.1"), (0.0, "0.0"), (float("nan"), "NaN"),
+        (float("inf"), "Infinity"), (float("-inf"), "-Infinity"),
+    ], ids=["negative", "zero", "nan", "inf", "minus-inf"])
+    def test_gen_meta_out_scale_out_of_range_is_5(
+            self, pipeline, tiny_config, tmp_path, capsys, value, shown):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline["out"], out)
+        meta_path = out / "models" / "gen.json"
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        meta["out_scale"] = value
+        meta_path.write_text(json.dumps(meta), encoding="utf-8")
+        rc = cli.main(["sweep", "--config", tiny_config, "--out", str(out),
+                       "--stage-only"])
+        assert rc == 5
+        err = capsys.readouterr().err
+        assert "i/o error" in err
+        assert (f"{meta_path}: 'out_scale' must be finite and > 0, "
+                f"got {shown}") in err
 
     @pytest.mark.parametrize("shapes, message", [
         ([(34, 2, "relu"), (4, 30, "tanh")],

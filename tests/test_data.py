@@ -14,7 +14,7 @@ from stealthlab.cvae import CvaeTrainConfig
 from stealthlab.data import DatasetConfig
 from stealthlab.detect import DetectConfig, RegretConfig
 from stealthlab.ids import IdsTrainConfig
-from stealthlab.errors import LabelError, ParseError, SchemaError
+from stealthlab.errors import ParseError
 from stealthlab.rng import derive_rng
 
 
@@ -39,14 +39,15 @@ class TestCsv:
         path = tmp_path / "bad.csv"
         names = ",".join(f"f{i:02d}" for i in range(30))
         path.write_text(names + "\n" + ",".join(["0.5"] * 30) + "\n")
-        with pytest.raises(SchemaError):
+        with pytest.raises(ParseError, match="missing column 'label'"):
             data.load_csv(path)
 
     def test_wrong_feature_count(self, tmp_path):
         path = tmp_path / "bad.csv"
         names = ",".join(f"f{i:02d}" for i in range(29)) + ",label"
         path.write_text(names + "\n" + ",".join(["0.5"] * 29) + ",benign\n")
-        with pytest.raises(SchemaError):
+        with pytest.raises(ParseError,
+                           match="expected 30 feature columns, found 29"):
             data.load_csv(path)
 
     def test_non_numeric_cell_names_position(self, tmp_path):
@@ -125,7 +126,18 @@ class TestCsv:
         cells[-1] = "martian"
         lines[1] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(LabelError):
+        with pytest.raises(ParseError,
+                           match="row 2: unknown label 'martian'"):
+            data.load_csv(path)
+
+    @pytest.mark.parametrize("twice", ["f07", "label", "LABEL"])
+    def test_header_naming_a_column_twice_rejected(self, tmp_path, twice):
+        path = tmp_path / "data.csv"
+        names = [f"f{i:02d}" for i in range(29)] + ["label", twice]
+        row = ["0.25"] * 29 + ["benign", "0.25"]
+        path.write_text(",".join(names) + "\n" + ",".join(row) + "\n")
+        with pytest.raises(ParseError,
+                           match=f"data.csv: repeated column '{twice}'"):
             data.load_csv(path)
 
     def test_label_column_any_position_case_insensitive(self, tmp_path):
@@ -457,11 +469,14 @@ class TestBounds:
                       for cls, name in NUMERIC_FIELDS])
     def test_nan_is_outside_every_bound(self, cls, name):
         # a field that declared no limit would take NaN, so this also holds
-        # every number a config section adds to a bound
+        # every number a config section adds to a bound; +-inf are outside
+        # too, also past a limit with only one end
         hint = typing.get_type_hints(cls)[name]
-        value = [0.5, np.nan] if typing.get_origin(hint) is list else np.nan
-        with pytest.raises(ValueError, match=f"^{name}( values)? must be "):
-            cls(**{name: value})
+        for bad in (np.nan, np.inf, -np.inf):
+            value = [0.5, bad] if typing.get_origin(hint) is list else bad
+            with pytest.raises(ValueError,
+                               match=f"^{name}( values)? must be "):
+                cls(**{name: value})
 
     def test_every_bounded_field_has_its_message_pinned(self):
         pinned = {(p.values[0], p.values[1]) for p in OUT_OF_BOUNDS}
