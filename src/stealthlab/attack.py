@@ -19,11 +19,15 @@ the point's coordinates, and `operating_point` rebuilds the rows the caller
 asks for of the pair the sweep scored at one point, so downstream stages
 never derive those seeds themselves. Every refinement step draws noise for
 all of `x_att`'s rows, whichever rows it advances, so the random stream is
-the sweep's; only the asked rows go through the generator and are clipped.
+the sweep's; only the asked rows go through the generator and are clipped,
+in blocks of at most 255 rows. The sweep refines its epsilon grid on two lanes,
+the calling thread and one worker, since each epsilon's trajectory draws
+from its own stream.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, fields
 
 import numpy as np
@@ -73,6 +77,11 @@ class SweepResult:
     selection: StealthReport | None     # None: no point meets eta_max
 
 
+# rows per generator pass in refine_trajectory: a 128-255-row block's
+# activations through the stock 256-wide generator stay in a 2 MiB L2
+BLOCK_ROWS = 128
+
+
 def refine_trajectory(gen: Generator, x_att: np.ndarray, labels: np.ndarray,
                       epsilon: float, snapshot_steps: list[int], seed: int,
                       rows: np.ndarray | slice = slice(None)
@@ -87,6 +96,10 @@ def refine_trajectory(gen: Generator, x_att: np.ndarray, labels: np.ndarray,
     generator and are clipped into their band. Their results are the full
     batch's rows bit for bit when at least 2 rows are asked for: a 1-row
     batch takes BLAS's matrix-vector path, whose sums may round differently.
+
+    The n asked rows go through in `max(1, n // BLOCK_ROWS)` even blocks,
+    of 128-255 rows once n >= 128. No block has 1 row unless n is 1, so
+    every row keeps the bits of a one-batch pass.
     """
     if x_att.ndim != 2:
         raise ShapeError("x_att must be 2-d")
@@ -95,14 +108,19 @@ def refine_trajectory(gen: Generator, x_att: np.ndarray, labels: np.ndarray,
     start, labels = x_att[rows], labels[rows]
     lower = np.maximum(start - epsilon, 0.0)
     upper = np.minimum(start + epsilon, 1.0)
+    n_blocks = max(1, len(start) // BLOCK_ROWS)
+    edges = [len(start) * i // n_blocks for i in range(n_blocks + 1)]
+    blocks = [slice(a, b) for a, b in zip(edges, edges[1:])]
     snapshots: dict[int, np.ndarray] = {}
     if steps[0] == 0:
         snapshots[0] = start.copy()
     current = start.copy()
     for step in range(1, steps[-1] + 1):
         noise = rng.standard_normal((x_att.shape[0], gen.noise_dim))[rows]
-        delta = generate_perturbation(gen, noise, labels)
-        current = np.clip(current + delta, lower, upper)
+        for block in blocks:
+            delta = generate_perturbation(gen, noise[block], labels[block])
+            np.clip(current[block] + delta, lower[block], upper[block],
+                    out=current[block])
         if step in steps:
             snapshots[step] = current.copy()
     return snapshots
@@ -205,6 +223,13 @@ def sweep(gen: Generator, ids_net: nn.Mlp, x_att: np.ndarray,
     run per epsilon, seeded from the grid coordinate) and OOD draws are shared
     across epsilon and n_ref, so results are independent of evaluation order.
     Ties resolve to the first grid point in (epsilon, rho, n_ref) order.
+
+    Each epsilon's trajectory and its snapshots' stats run on one of two
+    lanes: this thread takes the even grid indices, one worker thread the
+    odd ones. numpy releases the GIL in the generator's GEMMs, so the lanes
+    overlap, and every report keeps its bits. An error on either lane
+    cancels the worker's points not yet started and is raised once the
+    worker is idle.
     """
     if x_att.shape[0] == 0:
         raise ValueError("x_att must be non-empty")
@@ -218,18 +243,30 @@ def sweep(gen: Generator, ids_net: nn.Mlp, x_att: np.ndarray,
                 "succ": success_rate(ids_net, batch),
                 "w_ben": _sorted_wasserstein_features(ordered, sorted_benign)}
 
-    ood_stats = {rho: stats(_ood(x_att, rho, seed))
-                 for rho in config.rho_grid}
-    reports: list[StealthReport] = []
-    for epsilon in config.epsilon_grid:
+    def adv_stats(epsilon: float) -> dict[int, dict]:
         snapshots = _trajectory(gen, x_att, labels, epsilon, config.n_ref_grid,
                                 seed, slice(None))
-        adv_stats = {n_ref: stats(snapshots[n_ref])
-                     for n_ref in config.n_ref_grid}
+        return {n_ref: stats(snapshots[n_ref]) for n_ref in config.n_ref_grid}
+
+    grid = config.epsilon_grid
+    by_epsilon = [None] * len(grid)
+    with ThreadPoolExecutor(max_workers=1,
+                            thread_name_prefix="sweep-lane") as lane:
+        odd = [lane.submit(adv_stats, epsilon) for epsilon in grid[1::2]]
+        try:
+            ood_stats = {rho: stats(_ood(x_att, rho, seed))
+                         for rho in config.rho_grid}
+            by_epsilon[::2] = [adv_stats(epsilon) for epsilon in grid[::2]]
+            by_epsilon[1::2] = [future.result() for future in odd]
+        except BaseException:
+            lane.shutdown(cancel_futures=True)
+            raise
+    reports: list[StealthReport] = []
+    for epsilon, adv_by_n_ref in zip(grid, by_epsilon):
         for rho in config.rho_grid:
             ood = ood_stats[rho]
             for n_ref in config.n_ref_grid:
-                adv = adv_stats[n_ref]
+                adv = adv_by_n_ref[n_ref]
                 reports.append(StealthReport(
                     epsilon=float(epsilon), rho=float(rho), n_ref=int(n_ref),
                     w_adv_att=adv["w"], w_ood_att=ood["w"],

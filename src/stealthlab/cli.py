@@ -436,6 +436,15 @@ def stage_report(config: RunConfig, out_dir: Path) -> tuple[list[Path], dict]:
     detect_meta = data.read_json(paths["detect_meta"], {
         "operating_point": dict, "regret_orientation": int,
         "label_mode": str, "k": int, "n_per_tag": int})
+    orientation = detect_meta["regret_orientation"]
+    if orientation not in (-1, 1):
+        raise ParseError(f"{paths['detect_meta']}: 'regret_orientation' must "
+                         f"be -1 or 1, got {orientation}")
+    try:        # the bounds detect held k and label_mode to
+        detect.DetectConfig(k=detect_meta["k"],
+                            label_mode=detect_meta["label_mode"])
+    except ValueError as exc:
+        raise ParseError(f"{paths['detect_meta']}: {exc}") from None
     report_dir = paths["report_dir"]
     artifacts = []
     aucs = {}

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stealthlab import attack, cgan, data, nn
-from stealthlab.errors import ShapeError
-from stealthlab.rng import derive_rng
+from stealthlab.errors import NumericError, ShapeError
+from stealthlab.rng import derive_rng, derive_seed
 
 N = data.N_FEATURES
 DEFAULT_SWEEP = attack.SweepConfig()
@@ -111,6 +111,60 @@ class TestRefine:
             gen, x_att, np.array([1, 2]), 0.05, [0], 0)
         assert list(snapshots) == [0]
         assert np.array_equal(snapshots[0], x_att)
+
+
+def stock_generator():
+    return cgan.build_generator(derive_rng(27, "stock-gen"), noise_dim=32,
+                                out_scale=0.1)
+
+
+def one_batch_trajectory(gen, x_att, labels, epsilon, steps, seed):
+    """refine_trajectory as one generator pass over every row per step."""
+    rng = derive_rng(seed, "refine-noise")
+    lower = np.maximum(x_att - epsilon, 0.0)
+    upper = np.minimum(x_att + epsilon, 1.0)
+    current = x_att.copy()
+    snapshots = {0: x_att.copy()} if 0 in steps else {}
+    for step in range(1, max(steps) + 1):
+        noise = rng.standard_normal((len(x_att), gen.noise_dim))
+        delta = cgan.generate_perturbation(gen, noise, labels)
+        current = np.clip(current + delta, lower, upper)
+        if step in steps:
+            snapshots[step] = current.copy()
+    return snapshots
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("n", [1, 2, 127, 128, 255, 256, 257, 383, 480])
+    def test_blocks_keep_the_one_batch_bits(self, n):
+        # the stock 256-wide generator: 1 to 3 blocks of 128-255 rows
+        rng = np.random.default_rng(n)
+        x_att = rng.uniform(0.0, 1.0, size=(n, N))
+        labels = rng.integers(1, 5, size=n)
+        gen = stock_generator()
+        epsilon, rho, n_ref, seed = point = (0.08, 0.2, 4, 9)
+        steps = [0, 1, n_ref]
+        snapshots = attack.refine_trajectory(gen, x_att, labels, epsilon,
+                                             steps, seed)
+        expected = one_batch_trajectory(gen, x_att, labels, epsilon, steps,
+                                        seed)
+        assert list(snapshots) == steps
+        for step in steps:
+            assert np.array_equal(snapshots[step], expected[step]), step
+        # the pair the sweep scores at the point, and its row subsets
+        full_adv = one_batch_trajectory(
+            gen, x_att, labels, epsilon, [n_ref],
+            derive_seed(seed, "sweep-refine", epsilon))[n_ref]
+        full_ood = attack._ood(x_att, rho, seed)
+        every = np.arange(n)
+        subsets = [every] + [rows for rows in (
+            every[::2], every[1:], every[n // 3:], every[::-3])
+            if rows.size >= 2]
+        for rows in subsets:
+            x_adv, x_ood = attack.operating_point(gen, x_att, labels, *point,
+                                                  rows)
+            assert np.array_equal(x_adv, full_adv[rows]), rows.size
+            assert np.array_equal(x_ood, full_ood[rows]), rows.size
 
 
 class TestOod:
@@ -347,6 +401,55 @@ class TestSweep:
             assert report.succ_ood == attack.success_rate(model, x_ood)
             assert report.w_adv_ben == attack.wasserstein_features(solo_x_adv,
                                                                    x_ben)
+
+    def test_both_lanes_match_independent_evaluation(self):
+        # five epsilons: three on the calling thread, two on the worker;
+        # 300 rows go through the generator in two blocks
+        x_att, labels, x_ben = self.setup_inputs(n=300, seed=28)
+        gen = small_generator(29, gain=4.0)
+        model = threshold_ids()
+        seed = 10
+        config = attack.SweepConfig([0.01, 0.03, 0.05, 0.07, 0.09],
+                                    [0.1, 0.3], [3, 6], 0.0)
+        result = attack.sweep(gen, model, x_att, labels, config, seed, x_ben)
+        assert len(result.reports) == 20
+        for report in result.reports:
+            # a one-point grid runs on the calling thread alone
+            alone = attack.sweep(
+                gen, model, x_att, labels,
+                attack.SweepConfig([report.epsilon], [report.rho],
+                                   [report.n_ref], 0.0), seed, x_ben)
+            assert alone.reports == [report]
+
+    def test_non_finite_generator_raises(self):
+        x_att, labels, x_ben = self.setup_inputs(n=300, seed=30)
+        gen = small_generator(31)
+        gen.net.layers[0].bias[0] = np.nan
+        config = attack.SweepConfig([0.01, 0.03, 0.05, 0.07, 0.09], [0.2],
+                                    [3], 0.0)
+        with pytest.raises(NumericError, match="non-finite"):
+            attack.sweep(gen, threshold_ids(), x_att, labels, config, 11,
+                         x_ben)
+
+    @pytest.mark.parametrize("failing", [0, 3, 4], ids=["first-calling-lane",
+                                                        "worker-lane",
+                                                        "last-calling-lane"])
+    def test_a_failing_point_on_either_lane_raises(self, monkeypatch,
+                                                   failing):
+        x_att, labels, x_ben = self.setup_inputs(n=20, seed=32)
+        grid = [0.01, 0.03, 0.05, 0.07, 0.09]
+        real = attack._trajectory
+
+        def fail_at_one(gen, x_att, labels, epsilon, *args):
+            if epsilon == grid[failing]:
+                raise NumericError(f"injected at {epsilon}")
+            return real(gen, x_att, labels, epsilon, *args)
+
+        monkeypatch.setattr(attack, "_trajectory", fail_at_one)
+        config = attack.SweepConfig(grid, [0.2], [3], 0.0)
+        with pytest.raises(NumericError, match=f"injected at {grid[failing]}"):
+            attack.sweep(small_generator(33), threshold_ids(), x_att, labels,
+                         config, 12, x_ben)
 
     def test_csv_round_trip(self, tmp_path):
         x_att, labels, x_ben = self.setup_inputs(n=10, seed=21)

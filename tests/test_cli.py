@@ -390,6 +390,21 @@ class TestExitCodes:
         assert rc == 4
         assert "numeric error" in capsys.readouterr().err
 
+    def test_non_finite_generator_in_the_sweep_is_4(self, pipeline,
+                                                    tiny_config, tmp_path,
+                                                    capsys):
+        # TINY_CONFIG's two epsilons put one trajectory on each sweep lane
+        out = tmp_path / "out"
+        shutil.copytree(pipeline["out"], out)
+        gen = cgan.load_generator(out / "models")
+        gen.net.layers[0].bias[0] = np.nan
+        cgan.save_generator(gen, out / "models")
+        rc = cli.main(["sweep", "--stage-only", "--config", tiny_config,
+                       "--out", str(out)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "numeric error: forward pass produced non-finite values" in err
+
     def test_gan_trains_with_the_smallest_smoothings(self, tiny_config,
                                                       tmp_path, capsys):
         # a smoothed target far below PROB_CLAMP keeps a finite KL
@@ -556,6 +571,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "i/o error" in err
         assert f"{path}: 'selected': {message}" in err
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("regret_orientation", 7, "'regret_orientation' must be -1 or 1, "
+                                  "got 7"),
+        ("regret_orientation", 0, "'regret_orientation' must be -1 or 1, "
+                                  "got 0"),
+        ("label_mode", "argmax", "label_mode must be 'ids' or 'min'"),
+        ("k", -3, "k must be >= 1"),
+        ("k", 0, "k must be >= 1"),
+    ], ids=["orientation-7", "orientation-0", "label-mode-argmax", "k-minus-3",
+            "k-zero"])
+    def test_detect_meta_out_of_range_is_5(self, pipeline, tiny_config,
+                                           tmp_path, capsys, key, value,
+                                           message):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline["out"], out)
+        path = out / "detect" / "detect_meta.json"
+        meta = json.loads(path.read_text(encoding="utf-8"))
+        meta[key] = value
+        path.write_text(json.dumps(meta), encoding="utf-8")
+        rc = cli.main(["report", "--stage-only", "--config", tiny_config,
+                       "--out", str(out)])
+        assert rc == 5
+        err = capsys.readouterr().err
+        assert "i/o error" in err
+        assert f"{path}: {message}" in err
 
     @pytest.mark.parametrize("key, value", [
         ("conditional", False), ("latent_dim", 5), ("n_classes", 3)])
