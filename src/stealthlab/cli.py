@@ -109,8 +109,8 @@ def load_config(path: str | None, out_override: str | None = None,
     else:
         with open(path, "r", encoding="utf-8") as fh:
             try:
-                payload = json.load(fh)
-            except ValueError as exc:        # invalid JSON or bad UTF-8
+                payload = json.load(fh, object_pairs_hook=data.unique_keys)
+            except ValueError as exc:   # invalid JSON, bad UTF-8, repeated key
                 raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
         config = parse_config(payload)
     if out_override is not None:

@@ -11,7 +11,8 @@ telemetry CSV.
 from, the train fraction and the synthetic generator's shape. The seed is an
 argument, `synth_generate(config, seed)`. `write_json` is the package's one
 JSON artifact writer and `read_json` its one reader: a file that is not a
-JSON object with the keys and types its reader names is a ParseError.
+JSON object with the keys and types its reader names, or that names a key
+twice in one object, is a ParseError.
 `write_csv` is the one CSV artifact writer and `read_csv` the one CSV
 reader: the modules that own a CSV format decide its header and rows, and
 this one how a cell and a line are written and how a file splits into rows.
@@ -281,10 +282,21 @@ def read_json(path, keys: dict | None = None) -> dict:
     `check_keys` checks; anything else is a ParseError naming the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except ValueError as exc:            # invalid JSON or bad UTF-8
+            payload = json.load(fh, object_pairs_hook=unique_keys)
+    except ValueError as exc:   # invalid JSON, bad UTF-8 or a repeated key
         raise ParseError(f"{path}: not valid JSON ({exc})") from None
     return check_keys(payload, keys or {}, str(path))
+
+
+def unique_keys(pairs: list[tuple]) -> dict:
+    """`json.load`'s object_pairs_hook: the object as a dict, a ValueError
+    if it names a key twice (`json.load` alone keeps the last value)."""
+    payload = {}
+    for key, value in pairs:
+        if key in payload:
+            raise ValueError(f"repeated key '{key}'")
+        payload[key] = value
+    return payload
 
 
 def check_keys(payload, keys: dict, where: str) -> dict:

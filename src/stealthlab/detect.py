@@ -25,8 +25,9 @@ Every call into `cvae` passes labels, one per row, whether the model is a
 CVAE or a plain VAE: `cvae` alone knows that a plain VAE ignores them, and
 `cvae.label_key` keys a row's regret noise as it keys its NLL draws.
 This module owns the score table and the regret sign: `score_table` scores
-each (tag, rows, sample ids) population it is given, conditions its regret
-refits (benign rows on benign, the rest on the IDS's prediction), names the
+each (tag, rows, sample ids) population it is given, runs the IDS once per
+population, conditions the NLL on its prediction and the regret refits on
+it too (benign rows on benign, whatever the IDS says of them), names the
 tag when a detector fails, joins the parts in population order and picks
 the regret sign by the table's benign rows. `DetectConfig` is the run config's
 `detect` section. This module also owns both score file formats: `scores.csv`
@@ -93,19 +94,21 @@ class ScoreTable:
 def score_table(populations: list[tuple], model: CvaeModel, ids_net: nn.Mlp,
                 train: Dataset, config: DetectConfig, seed: int, *,
                 kl_weight: float) -> ScoreTable:
-    """Every detector over every (tag, rows, sample ids) population, regret
-    conditioned on benign (0) for benign rows and on the IDS's prediction for
-    the rest; a NumericError, or a population whose every regret refit
-    diverged, names the tag. The regret sign is `choose_orientation`'s."""
+    """Every detector over every (tag, rows, sample ids) population, the IDS
+    run once on each: nll conditioned on its prediction, regret on benign (0)
+    for benign rows and on the prediction for the rest; a NumericError, or a
+    population whose every regret refit diverged, names the tag. The regret
+    sign is `choose_orientation`'s."""
     gaussians = fit_gaussians(model, train, config.shrinkage)
     nll_seed = derive_seed(seed, "detect-nll")
     regret_seed = derive_seed(seed, "detect-regret")
     parts, n_invalid = [], 0
     for tag, x, sid in populations:
         try:
+            predicted = predict_label(ids_net, x)
             labels = (np.zeros(len(x), dtype=np.int64) if tag == TAG_BENIGN
-                      else predict_label(ids_net, x))
-            nll, labels_used = score_nll(model, ids_net, x, config.k,
+                      else predicted)
+            nll, labels_used = score_nll(model, x, predicted, config.k,
                                          nll_seed, config.label_mode)
             mahal = score_mahalanobis(gaussians, model, x)
             regret = score_regret(model, x, labels, config.regret,
@@ -132,18 +135,22 @@ def score_table(populations: list[tuple], model: CvaeModel, ids_net: nn.Mlp,
 # NLL detector
 # ---------------------------------------------------------------------------
 
-def score_nll(model: CvaeModel, ids_net: nn.Mlp, batch: np.ndarray,
+def score_nll(model: CvaeModel, batch: np.ndarray, labels: np.ndarray,
               k: int, seed: int,
               label_mode: str) -> tuple[np.ndarray, np.ndarray]:
     """(importance-weighted NLL, label conditioned on) per row, the least
-    over the candidate labels: the intrusion detector's prediction ("ids"
-    `label_mode`, or a plain VAE) or, in "min" mode, every label."""
+    over the candidate labels: the rows' `labels` ("ids" `label_mode`, or a
+    plain VAE; `score_table` passes the intrusion detector's prediction) or,
+    in "min" mode, every label. Labels of another count than the rows are a
+    ShapeError."""
+    if len(labels) != len(batch):
+        raise ShapeError(f"{len(labels)} labels for {len(batch)} rows")
     if label_mode == "ids" or not model.conditional:
-        candidates = predict_label(ids_net, batch)[None, :]
+        candidates = labels[None, :]
     else:
         candidates = np.arange(N_CLASSES)[:, None].repeat(batch.shape[0], 1)
-    per_label = -np.stack([iwae_batch(model, batch, labels, k, seed)
-                           for labels in candidates])
+    per_label = -np.stack([iwae_batch(model, batch, candidate, k, seed)
+                           for candidate in candidates])
     return per_label.min(axis=0), np.choose(per_label.argmin(axis=0),
                                             candidates)
 

@@ -2,9 +2,10 @@
 
 All math runs in float64 on row-major numpy arrays: a batch is
 (n_samples, n_features), a weight matrix is (fan_in, fan_out). The engine is
-deliberately small -- dense layers, five activations, reverse-mode gradients
-and a deterministic Adam. The reference path is single threaded; the same
-seed produces the same bits every run.
+deliberately small -- dense layers, five activations (one `ACTIVATIONS` entry
+per name holds its forward and its backward), reverse-mode gradients and a
+deterministic Adam. The reference path is single threaded; the same seed
+produces the same bits every run.
 
 Arrays are converted where they enter (`data.Dataset`, `DenseLayer`).
 Functions take float64 ndarrays of their documented shapes and int labels,
@@ -40,8 +41,6 @@ PROB_CLAMP = 1e-7
 # a training epoch whose mean loss exceeds this in magnitude has diverged
 DIVERGENCE_LIMIT = 1e6
 
-ACTIVATIONS = ("linear", "relu", "sigmoid", "tanh", "softmax")
-
 WEIGHT_MAGIC = b"MLPWGTS\x00"
 WEIGHT_FORMAT_VERSION = 1
 
@@ -53,42 +52,33 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return expd / expd.sum(axis=1, keepdims=True)
 
 
-def _activation_forward(name: str, z: np.ndarray,
-                        out: np.ndarray | None = None) -> np.ndarray:
-    """The activation of `z`; `out=z` overwrites `z` with it (relu, sigmoid
-    and tanh), bitwise the same values as a fresh result."""
-    if name == "linear":
-        return z
-    if name == "relu":
-        return np.maximum(z, 0.0, out=out)
-    if name == "sigmoid":
-        # 1 / (1 + exp(-z)), one ufunc at a time in one buffer
-        act = np.negative(z, out=out)
-        np.exp(act, out=act)
-        act += 1.0
-        return np.divide(1.0, act, out=act)
-    if name == "tanh":
-        return np.tanh(z, out=out)
-    if name == "softmax":
-        return softmax(z)
-    raise ValueError(f"unknown activation '{name}'")
+def _sigmoid(z: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    # 1 / (1 + exp(-z)), one ufunc at a time in one buffer
+    act = np.negative(z, out=out)
+    np.exp(act, out=act)
+    act += 1.0
+    return np.divide(1.0, act, out=act)
 
 
-def _activation_backward(name: str, grad_out: np.ndarray, z: np.ndarray,
-                         out: np.ndarray) -> np.ndarray:
-    if name == "linear":
-        return grad_out
-    if name == "relu":
-        return grad_out * (z > 0.0)
-    if name == "sigmoid":
-        return grad_out * out * (1.0 - out)
-    if name == "tanh":
-        return grad_out * (1.0 - out * out)
-    if name == "softmax":
-        # full Jacobian product: dz = s * (dy - sum_j dy_j s_j), row-wise
-        inner = (grad_out * out).sum(axis=1, keepdims=True)
-        return out * (grad_out - inner)
-    raise ValueError(f"unknown activation '{name}'")
+def _softmax_backward(grad_out: np.ndarray, z: np.ndarray,
+                      out: np.ndarray) -> np.ndarray:
+    # full Jacobian product: dz = s * (dy - sum_j dy_j s_j), row-wise
+    inner = (grad_out * out).sum(axis=1, keepdims=True)
+    return out * (grad_out - inner)
+
+
+# name -> (forward(z, out), backward(grad_out, z, out)); a forward given
+# `out=z` overwrites z (relu, sigmoid, tanh), bitwise a fresh result's values
+ACTIVATIONS = {
+    "linear": (lambda z, out: z, lambda grad_out, z, out: grad_out),
+    "relu": (lambda z, out: np.maximum(z, 0.0, out=out),
+             lambda grad_out, z, out: grad_out * (z > 0.0)),
+    "sigmoid": (_sigmoid,
+                lambda grad_out, z, out: grad_out * out * (1.0 - out)),
+    "tanh": (lambda z, out: np.tanh(z, out=out),
+             lambda grad_out, z, out: grad_out * (1.0 - out * out)),
+    "softmax": (lambda z, out: softmax(z), _softmax_backward),
+}
 
 
 @dataclass
@@ -147,8 +137,8 @@ class Mlp:
             z += layer.bias
             # z is fresh, so without a tape the activation overwrites it;
             # a tape keeps the pre-activation for backward
-            act = _activation_forward(layer.activation, z,
-                                      out=z if tape is None else None)
+            act = ACTIVATIONS[layer.activation][0](
+                z, z if tape is None else None)
             if tape is not None:
                 tape.append((out, z, act))
             out = act
@@ -180,7 +170,7 @@ class Mlp:
             if idx == len(self.layers) - 1 and from_logits:
                 dz = grad
             else:
-                dz = _activation_backward(layer.activation, grad, z, out)
+                dz = ACTIVATIONS[layer.activation][1](grad, z, out)
             if param_grads:
                 grads.append(dz.sum(axis=0))      # db
                 grads.append(x_in.T @ dz)         # dW

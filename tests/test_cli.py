@@ -352,6 +352,13 @@ class TestExitCodes:
                        str(tmp_path / "out")])
         assert rc == 2
         assert "invalid JSON" in capsys.readouterr().err
+        # json.load alone would keep the last value and run with seed 2
+        path.write_text('{"schema_version": 1, "seed": 1, "seed": 2}')
+        out = tmp_path / "out"
+        rc = cli.main(["synth", "--config", str(path), "--out", str(out)])
+        assert rc == 2
+        assert "repeated key 'seed'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_that_is_not_utf8_is_2(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"
@@ -533,8 +540,10 @@ class TestExitCodes:
          "'noise_dim' must be of type int, got \"x\""),
         ("detect/detect_meta.json", '{"k": 3}', "report",
          "missing key 'operating_point'"),
+        ("detect/detect_meta.json", '{"k": 3, "k": 50}', "report",
+         "repeated key 'k'"),
     ], ids=["ids-empty", "cvae-not-json", "selection-array", "gen-mistyped",
-            "detect-meta-partial"])
+            "detect-meta-partial", "detect-meta-repeated-key"])
     def test_corrupt_sidecar_is_5(self, pipeline, tiny_config, tmp_path,
                                   capsys, sidecar, text, command, message):
         out = tmp_path / "out"
@@ -882,7 +891,9 @@ class TestBenchmarkHarness:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 
-    @pytest.mark.parametrize("workload", ["score-regret", "score-nll"])
+    @pytest.mark.parametrize("workload", [
+        w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text(
+            encoding="utf-8"))["workloads"]])
     def test_traced_tiny_run_is_correct(self, workload):
         # the tracer reads detector arguments by position and results by
         # attribute (spantrace.INFO); a reader that raises fails the stage

@@ -366,14 +366,16 @@ class TestNll:
     def test_duplicate_rows_score_identically(self, lab):
         row = lab["test"].features[0]
         batch = np.stack([row, lab["test"].features[1], row])
-        nll, labels = detect.score_nll(lab["cvae"], lab["ids"], batch, k=5,
+        nll, labels = detect.score_nll(lab["cvae"], batch,
+                                       predict_label(lab["ids"], batch), k=5,
                                        seed=3, label_mode="ids")
         assert nll[0] == nll[2]
         assert labels[0] == labels[2]
 
     def test_scores_finite_with_metadata(self, lab):
         batch = lab["test"].features[:8]
-        nll, labels = detect.score_nll(lab["cvae"], lab["ids"], batch, k=5,
+        nll, labels = detect.score_nll(lab["cvae"], batch,
+                                       predict_label(lab["ids"], batch), k=5,
                                        seed=1, label_mode="ids")
         assert nll.shape == (8,)
         assert np.all(np.isfinite(nll))
@@ -382,20 +384,29 @@ class TestNll:
 
     def test_min_mode_never_above_ids_mode(self, lab):
         batch = lab["test"].features[:6]
-        by_ids, _ = detect.score_nll(lab["cvae"], lab["ids"], batch, k=5,
+        predicted = predict_label(lab["ids"], batch)
+        by_ids, _ = detect.score_nll(lab["cvae"], batch, predicted, k=5,
                                      seed=2, label_mode="ids")
-        by_min, _ = detect.score_nll(lab["cvae"], lab["ids"], batch, k=5,
+        by_min, _ = detect.score_nll(lab["cvae"], batch, predicted, k=5,
                                      seed=2, label_mode="min")
         assert np.all(by_min <= by_ids + 1e-12)
 
     def test_benign_rows_beat_far_ood_rows(self, lab):
         benign = lab["train"].features[lab["train"].class_rows(0)][:30]
         ood = gen_ood(benign, noise_scale=1.0, seed=7)
-        low, _ = detect.score_nll(lab["cvae"], lab["ids"], benign, k=10,
+        low, _ = detect.score_nll(lab["cvae"], benign,
+                                  predict_label(lab["ids"], benign), k=10,
                                   seed=5, label_mode="ids")
-        high, _ = detect.score_nll(lab["cvae"], lab["ids"], ood, k=10, seed=5,
-                                   label_mode="ids")
+        high, _ = detect.score_nll(lab["cvae"], ood,
+                                   predict_label(lab["ids"], ood), k=10,
+                                   seed=5, label_mode="ids")
         assert low.mean() < high.mean()
+
+    def test_label_count_must_match_rows(self, lab):
+        batch = lab["test"].features[:4]
+        with pytest.raises(ShapeError, match="3 labels for 4 rows"):
+            detect.score_nll(lab["cvae"], batch, np.zeros(3, dtype=np.int64),
+                             k=2, seed=0, label_mode="ids")
 
 
 class TestRegret:
@@ -609,6 +620,24 @@ class TestScoreTable:
         assert (expected[0] > 0).any()
         assert [labels.tolist() for labels in seen] == [
             labels.tolist() for labels in expected]
+
+    def test_runs_the_ids_once_per_population(self, lab, monkeypatch):
+        # nll and regret share one prediction per population
+        test, train = lab["test"], lab["train"]
+        rows = test.features[:4]
+        calls, real = [], detect.predict_label
+
+        def counting(net, batch):
+            calls.append(len(batch))
+            return real(net, batch)
+
+        monkeypatch.setattr(detect, "predict_label", counting)
+        detect.score_table(
+            [(tag, rows, np.arange(4)) for tag in detect.TAGS],
+            lab["cvae"], lab["ids"], train,
+            detect.DetectConfig(k=2, regret=detect.RegretConfig(steps=1)),
+            0, kl_weight=LAB_KL_WEIGHT)
+        assert calls == [4, 4, 4]
 
 
 class TestOrientation:

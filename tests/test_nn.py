@@ -71,6 +71,12 @@ class TestForward:
         for _, z, act in tape:
             assert activation == "linear" or not np.shares_memory(z, act)
 
+    def test_unknown_activation_raises(self):
+        with pytest.raises(ValueError, match="unknown activation 'swish'"):
+            nn.DenseLayer(np.zeros((4, 3)), np.zeros(3), "swish")
+        with pytest.raises(ValueError, match="unknown activation 'swish'"):
+            toy_net([4, 8, 3], ["relu", "swish"])
+
     def test_softmax_only_final(self):
         with pytest.raises(ValueError):
             toy_net([4, 8, 3], ["softmax", "relu"])
@@ -353,9 +359,12 @@ class TestPersistence:
         (lambda blob: blob[:12], "truncated header"),
         (lambda blob: blob[:24] + b"\xff" + blob[25:],
          "unknown activation tag"),
+        (lambda blob: blob[:24] + b"swish\x00\x00\x00" + blob[32:],
+         "unknown activation tag 'swish'"),
         (lambda blob: blob[:16] + b"\xff" * 8 + blob[24:],
          "weight blocks hold"),
-    ], ids=["cut-in-header", "non-ascii-tag", "absurd-shape"])
+    ], ids=["cut-in-header", "non-ascii-tag", "unknown-ascii-tag",
+            "absurd-shape"])
     def test_damaged_header_raises(self, tmp_path, damage, message):
         net = toy_net([6, 5, 4], ["tanh", "softmax"], seed=13)
         path = tmp_path / "net.weights"
