@@ -7,9 +7,9 @@ Usage:
 Equivalent to the CLI sequence synth / train-ids / train-gan / train-cvae /
 sweep / detect / report with the stock configuration. BLAS runs on one
 thread unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS says otherwise: the
-NLL scorer's proposal worker, and the sweep's second lane, which runs its
-own generator GEMMs, each take a core that a second BLAS thread would
-contend for.
+NLL scorer's second lane, which runs its own decoder GEMMs, and the sweep's,
+which runs its own generator GEMMs, each take a core that a second BLAS
+thread would contend for.
 """
 
 from __future__ import annotations

@@ -16,14 +16,14 @@ Scoring uses the importance-weighted bound: with z_i ~ q(z|x,c),
     L_k = log(1/k sum_i exp(w_i))    (computed with max-shift)
     NLL = -L_k
 
-The bound of one row has two independent halves. The q side,
-`iwae_proposal`, encodes the row, draws the k z_i and computes log p(z_i)
-and log q(z_i|x,c); the p side, `iwae_bound`, decodes the z_i as one k-row
-batch and weighs them into L_k. `iwae_batch` returns the array of per-row
-bounds, drawing row i+1's proposal on one worker thread while row i is
-decoded; the NLL detector negates it. One worker, and only the q side:
-a second thread decoding whole rows would hold a second k-row decoder batch
-and its BLAS buffer.
+The bound of one row has two halves. The q side, `iwae_proposal`, encodes
+the row, forms the k z_i in the left columns of the row's decoder input
+[z | class one-hot] and computes log p(z_i) and log q(z_i|x,c); the p side,
+`iwae_bound`, decodes that input as one k-row batch and weighs it into L_k.
+`iwae_batch` returns the per-row bounds, which the NLL detector negates. It
+bounds whole rows on two lanes, this thread the even rows and one worker the
+odd ones: as the decoder input is written once, not copied from z, the two
+lanes together hold little more than one thread did.
 
 `elbo_loss(..., posterior=...)` takes the ELBO and its gradient at a given
 posterior [mu | log-variance] instead of the encoder's; the likelihood-regret
@@ -118,13 +118,6 @@ def encode(model: CvaeModel, x: np.ndarray,
     mu = out[:, :model.latent_dim]
     logvar = np.clip(out[:, model.latent_dim:], LOGVAR_MIN, LOGVAR_MAX)
     return mu, logvar
-
-
-def decode(model: CvaeModel, z: np.ndarray,
-           labels: np.ndarray) -> np.ndarray:
-    """Feature probabilities, clamped strictly inside (0, 1) for the logs."""
-    out = model.decoder.forward(_conditioned(model, z, labels))
-    return np.clip(out, nn.PROB_CLAMP, 1.0 - nn.PROB_CLAMP, out=out)
 
 
 def bernoulli_log_likelihood(x: np.ndarray, probs: np.ndarray) -> np.ndarray:
@@ -259,23 +252,28 @@ def log_mean_exp(weights: np.ndarray) -> float:
     return float(np.log(np.exp(weights - shift).mean()) + shift)
 
 
-# (z, log p(z), log q(z|x,c)) of one row's k draws
+# (decoder input [z | one-hot], log p(z), log q(z|x,c)) of one row's k draws
 Proposal = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def iwae_proposal(model: CvaeModel, x: np.ndarray, label: int, k: int,
                   rng: np.random.Generator) -> Proposal:
-    """The q side of the k-sample bound for one row: (z, log p(z),
-    log q(z|x,c)) for z_i = mu + sigma * noise_i, one encoder pass and k
-    draws from `rng`. The k-row terms are computed in place, bitwise the
-    plain expressions, and the draws are never written: the rng may hand out
-    an array it keeps."""
+    """The q side of the k-sample bound for one row: the decoder input
+    [z | one-hot] (z alone for a plain VAE), log p(z) and log q(z|x,c) for
+    z_i = mu + sigma * noise_i, from one encoder pass and k draws from `rng`.
+    z and the k-row terms are formed in place, bitwise the plain expressions,
+    and the draws are never written: the rng may hand out an array it keeps."""
     mu, logvar = encode(model, x[None, :], np.array([label]))
-    z = np.exp(0.5 * logvar) * rng.standard_normal((k, model.latent_dim))
+    dec_in = np.empty((k, model.decoder.in_dim))
+    # the label columns: the one-hot, or none for a plain VAE's decoder
+    dec_in[:, model.latent_dim:] = _conditioned(model, np.empty((1, 0)),
+                                                np.array([label]))
+    z = dec_in[:, :model.latent_dim]
+    np.multiply(np.exp(0.5 * logvar), rng.standard_normal(z.shape), out=z)
     z += mu
     # log p(z) = -0.5 * sum(z^2 + log 2pi) and
     # log q(z|x,c) = -0.5 * sum((z - mu)^2 / sigma^2 + log 2pi + logvar),
-    # term by term in one scratch array
+    # term by term in one contiguous scratch array
     scratch = np.multiply(z, z)
     scratch += LOG_2PI
     log_prior = -0.5 * scratch.sum(axis=1)
@@ -285,16 +283,16 @@ def iwae_proposal(model: CvaeModel, x: np.ndarray, label: int, k: int,
     scratch += LOG_2PI
     scratch += logvar
     log_post = -0.5 * scratch.sum(axis=1)
-    return z, log_prior, log_post
+    return dec_in, log_prior, log_post
 
 
-def iwae_bound(model: CvaeModel, x: np.ndarray, label: int,
-               proposal: Proposal) -> float:
+def iwae_bound(model: CvaeModel, x: np.ndarray, proposal: Proposal) -> float:
     """The p side: the k-sample importance-weighted lower bound on
-    log p(x [, c]) from `iwae_proposal`'s (z, log p(z), log q(z|x,c)) for
-    the same row and label, through one k-row decoder batch."""
-    z, log_prior, log_post = proposal
-    probs = decode(model, z, np.full(len(z), label))
+    log p(x [, c]) from `iwae_proposal`'s proposal for the same row, through
+    one k-row decoder batch clamped strictly inside (0, 1) for the logs."""
+    dec_in, log_prior, log_post = proposal
+    probs = model.decoder.forward(dec_in)
+    np.clip(probs, nn.PROB_CLAMP, 1.0 - nn.PROB_CLAMP, out=probs)
     log_px = bernoulli_log_likelihood(np.broadcast_to(x, probs.shape), probs)
     for name, term in (("log p(x|z,c)", log_px), ("log p(z)", log_prior),
                        ("log q(z|x,c)", log_post)):
@@ -316,32 +314,34 @@ def iwae_batch(model: CvaeModel, batch: np.ndarray, labels: np.ndarray,
     content and `label_key`: duplicated rows score identically and order
     never matters. Labels of another count than the rows are a ShapeError.
 
-    One worker thread runs row i+1's q side (`iwae_proposal`) while this
-    thread runs row i's p side (`iwae_bound`); numpy releases the GIL in the
-    draws, the k-row ufuncs and the decoder's GEMMs, so the halves overlap.
-    Each row's operations and their order are those of the two halves
-    composed, so every bound keeps its bits, and a row's q-side error is
-    read only after the row before it is weighed: errors surface in row
-    order, and the proposal drawn ahead of a failing row is dropped once the
-    worker is done with it. The worker never runs a k-row GEMM, so it adds no BLAS buffer
-    and its allocations hold one row's z and one scratch array. Splitting
-    whole rows between two threads would hold two decoder batches and their
-    BLAS buffers at once, for more peak memory.
+    The rows run on two lanes, this thread the even rows and one worker
+    thread the odd ones, each row's q side (`iwae_proposal`) then its p side
+    (`iwae_bound`). numpy releases the GIL in the draws, the k-row ufuncs and
+    the decoder's GEMMs, so the lanes overlap; each row draws from its own
+    generator, so its bound keeps its bits on either lane. A lane stops at
+    its first failing row, and once the worker is idle the lowest row's
+    failure is raised, as if the rows ran in order.
     """
     if len(labels) != len(batch):
         raise ShapeError(f"{len(labels)} labels for {len(batch)} rows")
-    rows = [(row, int(label)) for row, label in zip(batch, labels)]
-    bounds = np.empty(len(rows))
+    bounds = np.empty(len(batch))
+
+    def lane(first: int) -> tuple[int, Exception | None]:
+        # rows first, first + 2, ...: (the first failing row, its error)
+        for i in range(first, len(batch), 2):
+            try:
+                bounds[i] = iwae_bound(model, batch[i], _row_proposal(
+                    model, batch[i], int(labels[i]), k, seed))
+            except Exception as error:
+                return i, error
+        return len(batch), None
+
     with ThreadPoolExecutor(max_workers=1,
-                            thread_name_prefix="iwae-proposal") as worker:
-        if rows:
-            ahead = worker.submit(_row_proposal, model, *rows[0], k, seed)
-        for i, (row, label) in enumerate(rows):
-            proposal = ahead.result()
-            if i + 1 < len(rows):
-                ahead = worker.submit(_row_proposal, model, *rows[i + 1], k,
-                                      seed)
-            bounds[i] = iwae_bound(model, row, label, proposal)
+                            thread_name_prefix="iwae-lane") as worker:
+        odd = worker.submit(lane, 1)
+        failure = min(lane(0), odd.result(), key=lambda end: end[0])
+    if failure[1] is not None:
+        raise failure[1]
     return bounds
 
 

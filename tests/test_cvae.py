@@ -1,10 +1,11 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from stealthlab import cvae, data, nn
-from stealthlab.errors import NumericError, ShapeError
+from stealthlab.errors import NumericError, ParseError, ShapeError
 from stealthlab.rng import derive_rng, stable_hash
 
 
@@ -83,17 +84,32 @@ class TestCodecs:
         assert np.all(np.abs(z - mu) <= 1e-2 * np.abs(mu) + 1e-4)
 
     def test_decode_strictly_inside_unit_interval(self):
+        # z scaled by 50 and a steep output layer saturate the decoder's
+        # sigmoid to exactly 1.0; iwae_bound clamps it, so every log is finite
         model = toy_model(4)
-        z = derive_rng(5, "z").standard_normal((20, 3)) * 50.0
-        out = cvae.decode(model, z, np.full(20, 2))
-        assert np.all(out > 0.0) and np.all(out < 1.0)
+        model.decoder.layers[-1].weights *= 100.0
+        x = np.full(4, 0.5)
+        draws = derive_rng(5, "z").standard_normal((20, 3)) * 50.0
+        proposal = cvae.iwae_proposal(model, x, 2, 20, FixedDraws(draws))
+        assert (model.decoder.forward(proposal[0]) == 1.0).any()
+        assert np.isfinite(cvae.iwae_bound(model, x, proposal))
 
     def test_shape_errors(self):
         model = toy_model(6)
+        # the decoder takes latent_dim + 5 = 8 columns
         with pytest.raises(ShapeError):
-            cvae.decode(model, np.zeros((2, 7)), np.array([1, 1]))
+            cvae.iwae_bound(model, np.zeros(4),
+                            (np.zeros((2, 7)), np.zeros(2), np.zeros(2)))
         with pytest.raises(TypeError):
             cvae.encode(model, np.zeros((1, 4)))    # labels are required
+
+    @pytest.mark.parametrize("label", [7, -1])
+    def test_bad_label_rejected_before_the_draws(self, label):
+        # the encoder's one-hot rejects it before the proposal writes its
+        # label column or draws a number
+        with pytest.raises(ParseError, match="label out of range"):
+            cvae.iwae_proposal(toy_model(6), np.full(4, 0.5), label, 3,
+                               FixedDraws(np.empty((0, 3))))
 
 
 class TestElbo:
@@ -249,7 +265,7 @@ class TestTraining:
 def composed_bound(model, x, label, k, rng):
     """One row's bound: the q side, then the p side, as iwae_batch runs
     them."""
-    return cvae.iwae_bound(model, x, label,
+    return cvae.iwae_bound(model, x,
                            cvae.iwae_proposal(model, x, label, k, rng))
 
 
@@ -338,7 +354,10 @@ def written_out_bound(model, x, label, k, seed):
     mu, logvar = cvae.encode(model, x[None, :], np.array([label]))
     noise = np.random.default_rng(seed).standard_normal((k, model.latent_dim))
     z = mu + np.exp(0.5 * logvar) * noise
-    probs = cvae.decode(model, z, np.full(k, label))
+    dec_in = np.hstack([z, data.one_hot(np.full(k, label))]) \
+        if model.conditional else z
+    probs = np.clip(model.decoder.forward(dec_in), nn.PROB_CLAMP,
+                    1.0 - nn.PROB_CLAMP)
     log_px = cvae.bernoulli_log_likelihood(x[None, :], probs)
     log_prior = -0.5 * (z * z + cvae.LOG_2PI).sum(axis=1)
     log_post = -0.5 * ((z - mu) ** 2 / np.exp(logvar) + cvae.LOG_2PI
@@ -461,11 +480,13 @@ def rows_bounded_alone(model, rows, label, k, seed):
 
 
 class TestIwaePipeline:
-    # iwae_batch draws row i+1's proposal on a worker while row i is weighed
+    # iwae_batch bounds the even rows on the calling thread and the odd rows
+    # on one worker thread, each row's proposal then its bound
 
     # None is the plain VAE: under each of VAE_LABELS its bounds are the
     # written-out ones keyed -1, so they are bitwise the same
-    @pytest.mark.parametrize("n_rows", [0, 1, 37])
+    # 2 rows put one on each lane, 3 split them unevenly
+    @pytest.mark.parametrize("n_rows", [0, 1, 2, 3, 37])
     @pytest.mark.parametrize("k", [1, 500])
     @pytest.mark.parametrize("label", [None, *range(data.N_CLASSES)])
     def test_batch_equals_rows_bounded_alone(self, trained_cvae, trained_vae,
@@ -506,7 +527,7 @@ class TestIwaePipeline:
                    for row in rows]
         proposal = cvae.iwae_proposal(model, rows[1], 0, 4, row_rng[1])
         with pytest.raises(NumericError) as alone:
-            cvae.iwae_bound(model, rows[1], 0, proposal)
+            cvae.iwae_bound(model, rows[1], proposal)
         with pytest.raises(NumericError, match="forward pass"):
             cvae.iwae_proposal(model, rows[q_fault_row], 0, 4,
                                row_rng[q_fault_row])
@@ -514,6 +535,59 @@ class TestIwaePipeline:
             cvae.iwae_batch(model, rows, np.zeros(4, int), 4, seed=27)
         assert "log p(x|z,c)" in str(alone.value)
         assert str(batched.value) == str(alone.value)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("first, later", [(0, 1), (0, 3), (2, 3)])
+    def test_the_calling_lanes_earlier_error_wins(self, first, later):
+        # a q-side fault in the calling lane's row `first`, and a p-side one
+        # in the worker's later row `later`: the earlier row's error is raised
+        model = flat_model(probs=(0.6, 0.3))
+        rows = np.array([[0.2, 0.8], [0.5, 0.5], [0.9, 0.1], [0.4, 0.6]])
+        rows[first, 0] = np.nan
+        rows[later] = 1.7e308
+        with pytest.raises(NumericError) as alone:
+            cvae.iwae_proposal(model, rows[first], 0, 4,
+                               np.random.default_rng(0))
+        with pytest.raises(NumericError) as batched:
+            cvae.iwae_batch(model, rows, np.zeros(4, int), 4, seed=27)
+        assert "forward pass" in str(alone.value)
+        assert str(batched.value) == str(alone.value)
+
+    @pytest.mark.parametrize("n_rows", [2, 5])
+    def test_rows_are_bounded_on_two_threads(self, trained_cvae, n_rows,
+                                             monkeypatch):
+        threads = []
+        iwae_bound = cvae.iwae_bound
+
+        def recording_iwae_bound(*args):
+            threads.append(threading.current_thread())
+            return iwae_bound(*args)
+
+        monkeypatch.setattr(cvae, "iwae_bound", recording_iwae_bound)
+        cvae.iwae_batch(trained_cvae["model"],
+                        trained_cvae["test"].features[:n_rows],
+                        trained_cvae["test"].labels[:n_rows], 3, seed=29)
+        here = threading.current_thread()
+        assert len(threads) == n_rows and len(set(threads)) == 2
+        assert threads.count(here) == (n_rows + 1) // 2
+
+    def test_peak_memory_of_a_stock_width_batch(self):
+        # two lanes, each holding one row's k x (latent + 5) decoder input,
+        # its hidden activations and the proposal's scratch (5.56 MiB
+        # measured at k 500; 7.09 MiB when the bound copied z into a fresh
+        # decoder input)
+        rng = derive_rng(30, "peak")
+        model = cvae.build_cvae(rng, 30, 200, True)
+        rows = rng.uniform(size=(6, 30))
+        labels = np.arange(6) % data.N_CLASSES
+        cvae.iwae_batch(model, rows, labels, 500, seed=30)
+        tracemalloc.start()
+        try:
+            cvae.iwae_batch(model, rows, labels, 500, seed=30)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 2**20
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_no_thread_outlives_a_call(self, trained_cvae):
