@@ -20,19 +20,17 @@ asks for of the pair the sweep scored at one point, so downstream stages
 never derive those seeds themselves. Every refinement step draws noise for
 all of `x_att`'s rows, whichever rows it advances, so the random stream is
 the sweep's; only the asked rows go through the generator and are clipped,
-in blocks of at most 255 rows. The sweep refines its epsilon grid on two lanes,
-the calling thread and one worker, since each epsilon's trajectory draws
-from its own stream.
+in blocks of at most 255 rows. The sweep runs its jobs through `lanes.run`.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, fields
+from functools import partial
 
 import numpy as np
 
-from . import nn
+from . import lanes, nn
 from .cgan import Generator, generate_perturbation
 from .data import bound, check_bounds, write_csv
 from .errors import ShapeError
@@ -165,18 +163,13 @@ def success_rate(ids_net: nn.Mlp, batch: np.ndarray) -> float:
     return float((predict_label(ids_net, batch) == 0).mean())
 
 
-def wasserstein_1d(a: np.ndarray, b: np.ndarray) -> float:
-    """Exact empirical Wasserstein-1 distance between two 1-d samples.
+def _sorted_wasserstein_1d(a: np.ndarray, b: np.ndarray) -> float:
+    """Exact empirical Wasserstein-1 distance between two ascending samples.
 
     Equal sizes reduce to the mean absolute difference of the sorted samples;
     unequal sizes integrate |F_a - F_b| over the merged support, which equals
     the quantile-function integral.
     """
-    return _sorted_wasserstein_1d(np.sort(a), np.sort(b))
-
-
-def _sorted_wasserstein_1d(a: np.ndarray, b: np.ndarray) -> float:
-    """wasserstein_1d of two samples already sorted ascending."""
     if a.size == 0 or b.size == 0:
         raise ValueError("samples must be non-empty")
     if a.size == b.size:
@@ -188,16 +181,11 @@ def _sorted_wasserstein_1d(a: np.ndarray, b: np.ndarray) -> float:
     return float((np.abs(cdf_a - cdf_b) * widths).sum())
 
 
-def wasserstein_features(batch_a: np.ndarray, batch_b: np.ndarray) -> float:
-    """Mean of the per-feature 1-d distances (columns are features)."""
-    return _sorted_wasserstein_features(np.sort(batch_a, axis=0),
-                                        np.sort(batch_b, axis=0))
-
-
 def _sorted_wasserstein_features(sorted_a: np.ndarray,
                                  sorted_b: np.ndarray) -> float:
-    """wasserstein_features of two batches whose columns are sorted, so a
-    batch measured against several others is sorted once."""
+    """Mean of the per-feature 1-d distances (columns are features) of two
+    batches whose columns are sorted, so a batch measured against several
+    others is sorted once."""
     if sorted_a.ndim != 2 or sorted_b.ndim != 2:
         raise ShapeError("batches must be 2-d")
     if sorted_a.shape[1] != sorted_b.shape[1]:
@@ -223,13 +211,8 @@ def sweep(gen: Generator, ids_net: nn.Mlp, x_att: np.ndarray,
     run per epsilon, seeded from the grid coordinate) and OOD draws are shared
     across epsilon and n_ref, so results are independent of evaluation order.
     Ties resolve to the first grid point in (epsilon, rho, n_ref) order.
-
-    Each epsilon's trajectory and its snapshots' stats run on one of two
-    lanes: this thread takes the even grid indices, one worker thread the
-    odd ones. numpy releases the GIL in the generator's GEMMs, so the lanes
-    overlap, and every report keeps its bits. An error on either lane
-    cancels the worker's points not yet started and is raised once the
-    worker is idle.
+    The sweep runs its jobs through `lanes.run`: each epsilon's trajectory
+    with its snapshots' stats, then each noise scale's OOD stats.
     """
     if x_att.shape[0] == 0:
         raise ValueError("x_att must be non-empty")
@@ -248,23 +231,15 @@ def sweep(gen: Generator, ids_net: nn.Mlp, x_att: np.ndarray,
                                 seed, slice(None))
         return {n_ref: stats(snapshots[n_ref]) for n_ref in config.n_ref_grid}
 
+    def ood_stats(rho: float) -> dict:
+        return stats(_ood(x_att, rho, seed))
+
     grid = config.epsilon_grid
-    by_epsilon = [None] * len(grid)
-    with ThreadPoolExecutor(max_workers=1,
-                            thread_name_prefix="sweep-lane") as lane:
-        odd = [lane.submit(adv_stats, epsilon) for epsilon in grid[1::2]]
-        try:
-            ood_stats = {rho: stats(_ood(x_att, rho, seed))
-                         for rho in config.rho_grid}
-            by_epsilon[::2] = [adv_stats(epsilon) for epsilon in grid[::2]]
-            by_epsilon[1::2] = [future.result() for future in odd]
-        except BaseException:
-            lane.shutdown(cancel_futures=True)
-            raise
+    done = lanes.run([partial(adv_stats, epsilon) for epsilon in grid]
+                     + [partial(ood_stats, rho) for rho in config.rho_grid])
     reports: list[StealthReport] = []
-    for epsilon, adv_by_n_ref in zip(grid, by_epsilon):
-        for rho in config.rho_grid:
-            ood = ood_stats[rho]
+    for epsilon, adv_by_n_ref in zip(grid, done):
+        for rho, ood in zip(config.rho_grid, done[len(grid):]):
             for n_ref in config.n_ref_grid:
                 adv = adv_by_n_ref[n_ref]
                 reports.append(StealthReport(

@@ -20,10 +20,8 @@ The bound of one row has two halves. The q side, `iwae_proposal`, encodes
 the row, forms the k z_i in the left columns of the row's decoder input
 [z | class one-hot] and computes log p(z_i) and log q(z_i|x,c); the p side,
 `iwae_bound`, decodes that input as one k-row batch and weighs it into L_k.
-`iwae_batch` returns the per-row bounds, which the NLL detector negates. It
-bounds whole rows on two lanes, this thread the even rows and one worker the
-odd ones: as the decoder input is written once, not copied from z, the two
-lanes together hold little more than one thread did.
+`iwae_batch` returns the per-row bounds, which the NLL detector negates, and
+runs its jobs, one per row, through `lanes.run`.
 
 `elbo_loss(..., posterior=...)` takes the ELBO and its gradient at a given
 posterior [mu | log-variance] instead of the encoder's; the likelihood-regret
@@ -44,13 +42,13 @@ config's `cvae` section. `save_cvae` returns the paths it wrote, and
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from . import nn
+from . import lanes, nn
 from .data import (Dataset, N_CLASSES, bound, check_bounds, one_hot, read_json,
                    write_json)
 from .errors import NumericError, ParseError, ShapeError
@@ -301,11 +299,12 @@ def iwae_bound(model: CvaeModel, x: np.ndarray, proposal: Proposal) -> float:
     return log_mean_exp(log_px + log_prior - log_post)
 
 
-def _row_proposal(model: CvaeModel, row: np.ndarray, label: int, k: int,
-                  seed: int) -> Proposal:
+def _row_bound(model: CvaeModel, row: np.ndarray, label: int, k: int,
+               seed: int) -> float:
     row_seed = stable_hash(seed, "iwae", row.tobytes(),
                            label_key(model, label))
-    return iwae_proposal(model, row, label, k, np.random.default_rng(row_seed))
+    return iwae_bound(model, row, iwae_proposal(
+        model, row, label, k, np.random.default_rng(row_seed)))
 
 
 def iwae_batch(model: CvaeModel, batch: np.ndarray, labels: np.ndarray,
@@ -313,36 +312,13 @@ def iwae_batch(model: CvaeModel, batch: np.ndarray, labels: np.ndarray,
     """The bound of each row under its label, its draws seeded from its
     content and `label_key`: duplicated rows score identically and order
     never matters. Labels of another count than the rows are a ShapeError.
-
-    The rows run on two lanes, this thread the even rows and one worker
-    thread the odd ones, each row's q side (`iwae_proposal`) then its p side
-    (`iwae_bound`). numpy releases the GIL in the draws, the k-row ufuncs and
-    the decoder's GEMMs, so the lanes overlap; each row draws from its own
-    generator, so its bound keeps its bits on either lane. A lane stops at
-    its first failing row, and once the worker is idle the lowest row's
-    failure is raised, as if the rows ran in order.
+    Runs its jobs, each row's q side then its p side, through `lanes.run`.
     """
     if len(labels) != len(batch):
         raise ShapeError(f"{len(labels)} labels for {len(batch)} rows")
-    bounds = np.empty(len(batch))
-
-    def lane(first: int) -> tuple[int, Exception | None]:
-        # rows first, first + 2, ...: (the first failing row, its error)
-        for i in range(first, len(batch), 2):
-            try:
-                bounds[i] = iwae_bound(model, batch[i], _row_proposal(
-                    model, batch[i], int(labels[i]), k, seed))
-            except Exception as error:
-                return i, error
-        return len(batch), None
-
-    with ThreadPoolExecutor(max_workers=1,
-                            thread_name_prefix="iwae-lane") as worker:
-        odd = worker.submit(lane, 1)
-        failure = min(lane(0), odd.result(), key=lambda end: end[0])
-    if failure[1] is not None:
-        raise failure[1]
-    return bounds
+    jobs = [partial(_row_bound, model, row, int(label), k, seed)
+            for row, label in zip(batch, labels)]
+    return np.array(lanes.run(jobs), dtype=float)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -211,6 +212,17 @@ class TestSuccessRate:
         assert attack.success_rate(model, batch) == 0.8
 
 
+def wasserstein_1d(a, b):
+    """The sweep's 1-d distance, on the two samples sorted."""
+    return attack._sorted_wasserstein_1d(np.sort(a), np.sort(b))
+
+
+def wasserstein_features(batch_a, batch_b):
+    """The sweep's per-feature distance, on the two batches' columns sorted."""
+    return attack._sorted_wasserstein_features(np.sort(batch_a, axis=0),
+                                               np.sort(batch_b, axis=0))
+
+
 def wasserstein_oracle(a, b):
     """Replicate both samples to a common size, then sorted mean difference.
 
@@ -228,19 +240,19 @@ def wasserstein_oracle(a, b):
 class TestWasserstein:
     def test_identical_samples(self):
         a = np.array([0.3, 0.9, 0.1])
-        assert attack.wasserstein_1d(a, a.copy()) == 0.0
+        assert wasserstein_1d(a, a.copy()) == 0.0
 
     def test_point_masses(self):
-        assert attack.wasserstein_1d(np.array([0.0]), np.array([1.0])) == 1.0
+        assert wasserstein_1d(np.array([0.0]), np.array([1.0])) == 1.0
 
     def test_shifted_triple(self):
         a = np.array([1.0, 2.0, 3.0])
         b = np.array([2.0, 3.0, 4.0])
-        assert attack.wasserstein_1d(a, b) == 1.0
+        assert wasserstein_1d(a, b) == 1.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            attack.wasserstein_1d(np.array([]), np.array([1.0]))
+            wasserstein_1d(np.array([]), np.array([1.0]))
 
     def test_five_hundred_random_pairs_match_oracle(self):
         # criterion: quantile-integral route equals the replication oracle
@@ -254,7 +266,7 @@ class TestWasserstein:
             else:
                 a = rng.normal(0.0, rng.uniform(0.5, 2.0), size=na)
                 b = rng.uniform(-2.0, 2.0, size=nb)
-            got = attack.wasserstein_1d(a, b)
+            got = wasserstein_1d(a, b)
             want = wasserstein_oracle(a, b)
             worst = max(worst, abs(got - want))
         assert worst <= 1e-12
@@ -266,10 +278,10 @@ class TestWasserstein:
         a = rng.normal(size=rng.integers(1, 20))
         b = rng.normal(size=rng.integers(1, 20))
         c = rng.normal(size=rng.integers(1, 20))
-        d_ab = attack.wasserstein_1d(a, b)
-        d_ba = attack.wasserstein_1d(b, a)
-        d_ac = attack.wasserstein_1d(a, c)
-        d_cb = attack.wasserstein_1d(c, b)
+        d_ab = wasserstein_1d(a, b)
+        d_ba = wasserstein_1d(b, a)
+        d_ac = wasserstein_1d(a, c)
+        d_cb = wasserstein_1d(c, b)
         assert d_ab >= 0.0
         assert d_ab == d_ba
         assert d_ab <= d_ac + d_cb + 1e-12
@@ -277,18 +289,18 @@ class TestWasserstein:
     def test_uniform_shift_distance(self):
         rng = np.random.default_rng(11)
         a = rng.normal(size=17)
-        assert attack.wasserstein_1d(a, a + 0.25) == pytest.approx(
+        assert wasserstein_1d(a, a + 0.25) == pytest.approx(
             0.25, abs=1e-12)
 
 
 class TestWassersteinFeatures:
     def test_identical_matrices(self):
         a = np.random.default_rng(12).uniform(size=(10, 3))
-        assert attack.wasserstein_features(a, a.copy()) == 0.0
+        assert wasserstein_features(a, a.copy()) == 0.0
 
     def test_uniform_shift(self):
         a = np.random.default_rng(13).uniform(size=(10, 3))
-        assert attack.wasserstein_features(a, a + 0.1) == pytest.approx(
+        assert wasserstein_features(a, a + 0.1) == pytest.approx(
             0.1, abs=1e-12)
 
     def test_matches_per_column_oracle(self):
@@ -297,12 +309,12 @@ class TestWassersteinFeatures:
         b = rng.normal(size=(7, 3))
         want = np.mean([wasserstein_oracle(a[:, j], b[:, j])
                         for j in range(3)])
-        assert attack.wasserstein_features(a, b) == pytest.approx(
+        assert wasserstein_features(a, b) == pytest.approx(
             want, abs=1e-12)
 
     def test_column_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            attack.wasserstein_features(np.zeros((3, 4)), np.zeros((3, 5)))
+            wasserstein_features(np.zeros((3, 4)), np.zeros((3, 5)))
 
 
 class TestObjective:
@@ -320,8 +332,7 @@ class TestObjective:
         for epsilon in DEFAULT_SWEEP.epsilon_grid:
             snapshots = attack.refine_trajectory(gen, x_att, labels,
                                                  epsilon, [5], 0)
-            distances.append(attack.wasserstein_features(snapshots[5],
-                                                         x_att))
+            distances.append(wasserstein_features(snapshots[5], x_att))
         assert all(b >= a for a, b in zip(distances, distances[1:]))
 
 
@@ -393,14 +404,13 @@ class TestSweep:
             solo_x_adv, x_ood = attack.operating_point(
                 gen, x_att, labels, report.epsilon, report.rho, report.n_ref,
                 seed, np.arange(len(x_att)))
-            assert report.w_adv_att == attack.wasserstein_features(solo_x_adv,
-                                                                   x_att)
-            assert report.w_ood_att == attack.wasserstein_features(x_ood,
-                                                                   x_att)
+            assert report.w_adv_att == wasserstein_features(solo_x_adv,
+                                                            x_att)
+            assert report.w_ood_att == wasserstein_features(x_ood, x_att)
             assert report.succ_adv == attack.success_rate(model, solo_x_adv)
             assert report.succ_ood == attack.success_rate(model, x_ood)
-            assert report.w_adv_ben == attack.wasserstein_features(solo_x_adv,
-                                                                   x_ben)
+            assert report.w_adv_ben == wasserstein_features(solo_x_adv,
+                                                            x_ben)
 
     def test_both_lanes_match_independent_evaluation(self):
         # five epsilons: three on the calling thread, two on the worker;
@@ -414,7 +424,7 @@ class TestSweep:
         result = attack.sweep(gen, model, x_att, labels, config, seed, x_ben)
         assert len(result.reports) == 20
         for report in result.reports:
-            # a one-point grid runs on the calling thread alone
+            # a one-point grid refines on the calling thread alone
             alone = attack.sweep(
                 gen, model, x_att, labels,
                 attack.SweepConfig([report.epsilon], [report.rho],
@@ -450,6 +460,48 @@ class TestSweep:
         with pytest.raises(NumericError, match=f"injected at {grid[failing]}"):
             attack.sweep(small_generator(33), threshold_ids(), x_att, labels,
                          config, 12, x_ben)
+
+    def test_the_lowest_failing_point_wins_and_stops_both_lanes(
+            self, monkeypatch):
+        # 0.03 (index 1) fails on the worker, 0.05 (index 2) on the calling
+        # thread: 0.03's error is raised, and neither lane starts a
+        # trajectory above index 2
+        x_att, labels, x_ben = self.setup_inputs(n=20, seed=32)
+        grid = [0.01, 0.03, 0.05, 0.07, 0.09]
+        real = attack._trajectory
+        started = []
+
+        def fail_at_two(gen, x_att, labels, epsilon, *args):
+            started.append(epsilon)
+            if epsilon in (0.03, 0.05):
+                raise NumericError(f"injected at {epsilon}")
+            return real(gen, x_att, labels, epsilon, *args)
+
+        monkeypatch.setattr(attack, "_trajectory", fail_at_two)
+        config = attack.SweepConfig(grid, [0.2], [3], 0.0)
+        with pytest.raises(NumericError, match="injected at 0.03"):
+            attack.sweep(small_generator(33), threshold_ids(), x_att, labels,
+                         config, 12, x_ben)
+        assert set(started) <= set(grid[:3])
+
+    def test_peak_memory_of_a_stock_width_sweep(self):
+        # the generator's row blocks and the one worker (2.53 MiB measured;
+        # 5.35 MiB when 480 rows go through the generator in one pass)
+        rng = derive_rng(34, "peak")
+        gen = cgan.build_generator(rng, 32, 0.1)
+        x_att = rng.uniform(0.55, 0.95, size=(480, N))
+        labels = rng.integers(1, 5, size=480)
+        x_ben = rng.uniform(0.05, 0.45, size=(120, N))
+        config = attack.SweepConfig([0.02, 0.06], [0.3], [5], 0.0)
+        attack.sweep(gen, threshold_ids(), x_att, labels, config, 13, x_ben)
+        tracemalloc.start()
+        try:
+            attack.sweep(gen, threshold_ids(), x_att, labels, config, 13,
+                         x_ben)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * 2**20
 
     def test_csv_round_trip(self, tmp_path):
         x_att, labels, x_ben = self.setup_inputs(n=10, seed=21)
@@ -487,8 +539,8 @@ class TestSweep:
         x_adv, x_ood = attack.operating_point(
             gen, x_att, labels, report.epsilon, report.rho, report.n_ref, 8,
             np.arange(len(x_att)))
-        assert report.w_adv_att == attack.wasserstein_features(x_adv, x_att)
-        assert report.w_ood_att == attack.wasserstein_features(x_ood, x_att)
+        assert report.w_adv_att == wasserstein_features(x_adv, x_att)
+        assert report.w_ood_att == wasserstein_features(x_ood, x_att)
 
     def test_operating_point_rows_are_the_full_pairs_rows(self):
         # the stock 256-wide generator: a subset of at least 2 rows goes

@@ -553,6 +553,33 @@ class TestIwaePipeline:
         assert "forward pass" in str(alone.value)
         assert str(batched.value) == str(alone.value)
 
+    def test_a_failing_row_stops_the_worker(self, trained_cvae, monkeypatch):
+        # row 0 fails while the worker bounds row 1: the worker finishes
+        # row 1 and starts no row above it
+        rows = trained_cvae["test"].features[:8]
+        keys = [row.tobytes() for row in rows]
+        started = []
+        row_1_started, row_0_failing = threading.Event(), threading.Event()
+        iwae_bound = cvae.iwae_bound
+
+        def failing_iwae_bound(model, x, proposal):
+            i = keys.index(x.tobytes())
+            started.append(i)
+            if i == 0:
+                assert row_1_started.wait(10)
+                row_0_failing.set()
+                raise NumericError("injected at row 0")
+            if i == 1:
+                row_1_started.set()
+                assert row_0_failing.wait(10)
+            return iwae_bound(model, x, proposal)
+
+        monkeypatch.setattr(cvae, "iwae_bound", failing_iwae_bound)
+        with pytest.raises(NumericError, match="injected at row 0"):
+            cvae.iwae_batch(trained_cvae["model"], rows,
+                            trained_cvae["test"].labels[:8], 3, seed=31)
+        assert sorted(started) == [0, 1]
+
     @pytest.mark.parametrize("n_rows", [2, 5])
     def test_rows_are_bounded_on_two_threads(self, trained_cvae, n_rows,
                                              monkeypatch):
